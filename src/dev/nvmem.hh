@@ -23,7 +23,6 @@
 #ifndef CAPY_DEV_NVMEM_HH
 #define CAPY_DEV_NVMEM_HH
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -204,16 +203,11 @@ class NvJournaledCell
             memory->noteRead();
             // A read that skips past a newer-but-torn slot is the
             // recovery the crash audits want accounted.
-            if (!memory->recoveryDisabledForTest()) {
-                int active = activeSlot();
-                if (active >= 0) {
-                    int other = 1 - active;
-                    const Record &rec = slot(other).peek();
-                    if (slot(other).writeCount() > 0 &&
-                        !verifies(rec) &&
-                        rec.seq >= slot(active).peek().seq)
-                        memory->noteTornRecovery();
-                }
+            if (!memory->recoveryDisabledForTest() && activeIdx >= 0) {
+                int other = 1 - activeIdx;
+                if (slot(other).writeCount() > 0 && !slotValid[other] &&
+                    slot(other).peek().seq >= slot(activeIdx).peek().seq)
+                    memory->noteTornRecovery();
             }
         }
         return recover();
@@ -226,12 +220,16 @@ class NvJournaledCell
      * Protocol-correct recovery, ignoring the broken-recovery test
      * fixture: the value a correct reader recovers. Audit probes
      * compare this against peek() — any divergence means the software
-     * read path returned a value the journal protocol would not.
+     * read path returned a value the journal protocol would not. It
+     * re-verifies both slots from their bytes rather than trusting the
+     * validity the read path cached at write time.
      */
     T
     auditRecover() const
     {
-        int active = activeSlot();
+        bool valid[2] = {verifies(slot(0).peek()),
+                         verifies(slot(1).peek())};
+        int active = newestValid(valid);
         return active < 0 ? resetValue : slot(active).peek().value;
     }
 
@@ -239,8 +237,10 @@ class NvJournaledCell
     void
     set(const T &v)
     {
-        Record rec = compose(v);
-        slot(targetSlot()).set(rec);
+        int target = targetSlot();
+        slot(target).set(compose(v));
+        // compose() just sealed the record, so the slot verifies.
+        noteSlotWritten(target, true);
         ++numCommits;
     }
 
@@ -261,16 +261,18 @@ class NvJournaledCell
             return;
         }
         Record full = compose(v);
-        NvCell<Record> &target = slot(targetSlot());
-        Record image = target.peek();
+        int target = targetSlot();
+        Record image = slot(target).peek();
         std::memcpy(&image, &full, words * wordBytes());
-        target.set(image);
+        slot(target).set(image);
+        noteSlotWritten(target, verifies(image));
         ++numTornWrites;
         if (memory)
             memory->noteTornCommit();
     }
 
-    /** Audit snapshot; does not perturb accounting. */
+    /** Audit snapshot, re-verified from the slot bytes (never from
+     *  the read path's cache); does not perturb accounting. */
     NvJournalState
     auditState() const
     {
@@ -280,7 +282,7 @@ class NvJournaledCell
             st.valid[i] = verifies(rec);
             st.seq[i] = rec.seq;
         }
-        st.active = activeSlot();
+        st.active = newestValid(st.valid);
         st.torn = (numCommits + numTornWrites > 0) &&
                   (!st.valid[0] || !st.valid[1]) &&
                   slot(st.valid[0] ? 1 : 0).writeCount() > 0;
@@ -335,29 +337,31 @@ class NvJournaledCell
     std::uint32_t
     nextSeq() const
     {
-        std::uint32_t hi = 0;
-        for (int i = 0; i < 2; ++i)
-            if (verifies(slot(i).peek()))
-                hi = std::max(hi, slot(i).peek().seq);
-        return hi + 1;
+        // The active slot carries the highest valid sequence number.
+        return activeIdx < 0 ? 1 : slot(activeIdx).peek().seq + 1;
     }
 
-    /** Slot a recovering reader selects; -1 when neither verifies. */
+    /** Slot a recovering reader selects among the slots flagged in
+     *  @p valid: the highest sequence number, ties to slot 0; -1 when
+     *  neither is valid. */
     int
-    activeSlot() const
+    newestValid(const bool valid[2]) const
     {
         int best = -1;
-        std::uint32_t best_seq = 0;
-        for (int i = 0; i < 2; ++i) {
-            const Record &rec = slot(i).peek();
-            if (!verifies(rec))
-                continue;
-            if (best < 0 || rec.seq > best_seq) {
+        for (int i = 0; i < 2; ++i)
+            if (valid[i] &&
+                (best < 0 || slot(i).peek().seq > slot(best).peek().seq))
                 best = i;
-                best_seq = rec.seq;
-            }
-        }
         return best;
+    }
+
+    /** Record the verification of slot @p i after its bytes changed;
+     *  the only place the read path's validity cache is updated. */
+    void
+    noteSlotWritten(int i, bool valid)
+    {
+        slotValid[i] = valid;
+        activeIdx = newestValid(slotValid);
     }
 
     T
@@ -373,17 +377,15 @@ class NvJournaledCell
             const Record &b = slot(1).peek();
             return (a.seq >= b.seq ? a : b).value;
         }
-        return auditRecover();
+        return activeIdx < 0 ? resetValue
+                             : slot(activeIdx).peek().value;
     }
 
     /** The slot the next commit overwrites: never the active one. */
     int
     targetSlot() const
     {
-        int active = activeSlot();
-        if (active < 0)
-            return 0;
-        return 1 - active;
+        return activeIdx < 0 ? 0 : 1 - activeIdx;
     }
 
     NvCell<Record> &
@@ -402,6 +404,12 @@ class NvJournaledCell
     T resetValue;
     NvCell<Record> slotA;
     NvCell<Record> slotB;
+    /** Whether each slot's CRC verified when its bytes last changed,
+     *  and the slot a reader recovers from them. Only set() and
+     *  tearSet() change slot bytes, so reads trust these instead of
+     *  re-running the CRC; the audit views recompute from the bytes. */
+    bool slotValid[2] = {false, false};
+    int activeIdx = -1;
     std::uint64_t numCommits = 0;
     std::uint64_t numTornWrites = 0;
 };

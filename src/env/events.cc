@@ -82,12 +82,14 @@ EventSchedule::lastTime() const
 int
 EventSchedule::eventCovering(sim::Time t, double dur, double span) const
 {
-    for (const EnvEvent &e : list) {
-        if (e.time >= t + dur)
-            break;  // sorted: nothing later can overlap
-        if (t < e.time + span && e.time < t + dur)
-            return e.id;
-    }
+    // e.time + span is monotone in e.time (IEEE addition is), so the
+    // unexpired events form a suffix; the earliest of them is the
+    // only candidate a linear scan could return.
+    auto it = std::partition_point(
+        list.begin(), list.end(),
+        [&](const EnvEvent &e) { return !(t < e.time + span); });
+    if (it != list.end() && it->time < t + dur)
+        return it->id;
     return -1;
 }
 
@@ -95,12 +97,11 @@ std::vector<int>
 EventSchedule::eventsBetween(sim::Time t0, sim::Time t1) const
 {
     std::vector<int> out;
-    for (const EnvEvent &e : list) {
-        if (e.time >= t1)
-            break;
-        if (e.time > t0)
-            out.push_back(e.id);
-    }
+    auto it = std::partition_point(
+        list.begin(), list.end(),
+        [&](const EnvEvent &e) { return !(e.time > t0); });
+    for (; it != list.end() && it->time < t1; ++it)
+        out.push_back(it->id);
     return out;
 }
 

@@ -134,15 +134,25 @@ Scoreboard::summarize() const
 std::vector<Scoreboard::Interval>
 Scoreboard::sampleIntervals(double back_to_back_threshold) const
 {
+    // Samples and events are both time-ordered, so one forward cursor
+    // visits each event at most once across all intervals; interval i
+    // holds the events eventsBetween(sample[i-1], sample[i]) returns.
+    const std::vector<EnvEvent> &events = schedule.events();
+    std::size_t next = 0;
     std::vector<Interval> out;
+    if (sampleTimes.size() > 1)
+        out.reserve(sampleTimes.size() - 1);
     for (std::size_t i = 1; i < sampleTimes.size(); ++i) {
+        sim::Time lo = sampleTimes[i - 1];
+        sim::Time hi = sampleTimes[i];
         Interval iv;
-        iv.length = sampleTimes[i] - sampleTimes[i - 1];
+        iv.length = hi - lo;
         iv.backToBack = iv.length < back_to_back_threshold;
         iv.containsMissed = false;
-        for (int id :
-             schedule.eventsBetween(sampleTimes[i - 1], sampleTimes[i])) {
-            if (outcomes[static_cast<std::size_t>(id)] ==
+        while (next < events.size() && !(events[next].time > lo))
+            ++next;
+        for (; next < events.size() && events[next].time < hi; ++next) {
+            if (outcomes[static_cast<std::size_t>(events[next].id)] ==
                 Outcome::Missed) {
                 iv.containsMissed = true;
                 break;

@@ -58,11 +58,18 @@ ThermalRig::outOfRangeDuration() const
 double
 ThermalRig::temperature(sim::Time t) const
 {
+    int id;
+    return temperature(t, id);
+}
+
+double
+ThermalRig::temperature(sim::Time t, int &id) const
+{
     double temp =
         rigSpec.baseTemp +
         rigSpec.wanderAmp *
             std::sin(2.0 * M_PI * t / rigSpec.wanderPeriod);
-    int id = events.eventCovering(t, 0.0, excursionDuration());
+    id = events.eventCovering(t, 0.0, excursionDuration());
     if (id >= 0) {
         double dt = t - events.at(static_cast<std::size_t>(id)).time;
         // The control loop suspends the wander during an excursion.
@@ -72,18 +79,22 @@ ThermalRig::temperature(sim::Time t) const
 }
 
 bool
+ThermalRig::outOfBand(double temp) const
+{
+    return temp > rigSpec.bandHi || temp < rigSpec.bandLo;
+}
+
+bool
 ThermalRig::outOfRange(sim::Time t) const
 {
-    double temp = temperature(t);
-    return temp > rigSpec.bandHi || temp < rigSpec.bandLo;
+    return outOfBand(temperature(t));
 }
 
 int
 ThermalRig::alarmEventAt(sim::Time t) const
 {
-    if (!outOfRange(t))
-        return -1;
-    return events.eventCovering(t, 0.0, excursionDuration());
+    int id;
+    return outOfBand(temperature(t, id)) ? id : -1;
 }
 
 } // namespace capy::env

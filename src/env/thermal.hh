@@ -59,6 +59,12 @@ class ThermalRig
     double outOfRangeDuration() const;
 
   private:
+    /** temperature(), also setting @p id to the excursion covering
+     *  @p t (-1 when none). */
+    double temperature(sim::Time t, int &id) const;
+
+    bool outOfBand(double temp) const;
+
     /** Excursion contribution (degrees above base) at offset @p dt
      *  into an excursion; 0 outside it. */
     double excursionShape(double dt) const;

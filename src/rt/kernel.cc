@@ -47,8 +47,7 @@ Kernel::onPowerFail()
     if (inTask) {
         inTask = false;
         ++kernelStats.taskRestarts;
-        const Task *task = nvCurrent.get();
-        auto &use = taskEnergy[task->name];
+        auto &use = energyOf(nvCurrent.get());
         ++use.failedAttempts;
         const auto &aborted = dev.lastAbortedWorkload();
         use.wastedEnergy += aborted.railPower * aborted.elapsed;
@@ -83,7 +82,7 @@ Kernel::completeTask(const Task *task)
 {
     inTask = false;
     ++kernelStats.taskCompletions;
-    auto &use = taskEnergy[task->name];
+    auto &use = energyOf(task);
     ++use.completions;
     double power = task->absolutePower > 0.0
                        ? task->absolutePower
@@ -103,6 +102,17 @@ Kernel::completeTask(const Task *task)
         return;
     }
     executeCurrent();
+}
+
+Kernel::TaskEnergyUse &
+Kernel::energyOf(const Task *task)
+{
+    for (const auto &[key, use] : energyIndex)
+        if (key == task)
+            return *use;
+    TaskEnergyUse &use = taskEnergy[task->name];
+    energyIndex.emplace_back(task, &use);
+    return use;
 }
 
 void

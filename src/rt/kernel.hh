@@ -17,6 +17,8 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "dev/device.hh"
 #include "dev/nvmem.hh"
@@ -68,6 +70,9 @@ class Kernel
 
     Kernel(dev::Device &device, const App &app,
            dev::NvMemory *nv = nullptr);
+    /** Device hooks and the energy index point into this object. */
+    Kernel(const Kernel &) = delete;
+    Kernel &operator=(const Kernel &) = delete;
 
     /** Install the Capybara gate; must precede start(). */
     void setPreTaskGate(PreTaskGate gate);
@@ -108,6 +113,7 @@ class Kernel
     void runTask(const Task *task);
     void completeTask(const Task *task);
     void commitTransition(const Task *next);
+    TaskEnergyUse &energyOf(const Task *task);
 
     dev::Device &dev;
     const App &application;
@@ -118,6 +124,10 @@ class Kernel
     PreTaskGate preTaskGate;
     Stats kernelStats;
     std::map<std::string, TaskEnergyUse> taskEnergy;
+    /** Task* -> its taskEnergy node (map nodes are stable), so the
+     *  per-transition accounting skips the string-keyed lookup. Tasks
+     *  sharing a name share a node. */
+    std::vector<std::pair<const Task *, TaskEnergyUse *>> energyIndex;
     bool started = false;
     bool isHalted = false;
     bool inTask = false;

@@ -6,11 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "env/events.hh"
 #include "env/light.hh"
 #include "env/pendulum.hh"
 #include "env/scoring.hh"
 #include "env/thermal.hh"
+#include "sim/random.hh"
 
 using namespace capy;
 using namespace capy::env;
@@ -93,6 +97,87 @@ TEST(EventSchedule, EventsBetween)
     auto ids = s.eventsBetween(15.0, 35.0);
     EXPECT_EQ(ids, (std::vector<int>{1, 2}));
     EXPECT_TRUE(s.eventsBetween(31.0, 40.0).empty());
+}
+
+namespace
+{
+
+/** Linear-scan reference for EventSchedule::eventCovering. */
+int
+refEventCovering(const EventSchedule &s, sim::Time t, double dur,
+                 double span)
+{
+    for (const EnvEvent &e : s.events()) {
+        if (e.time >= t + dur)
+            break;
+        if (t < e.time + span && e.time < t + dur)
+            return e.id;
+    }
+    return -1;
+}
+
+/** Linear-scan reference for EventSchedule::eventsBetween. */
+std::vector<int>
+refEventsBetween(const EventSchedule &s, sim::Time t0, sim::Time t1)
+{
+    std::vector<int> out;
+    for (const EnvEvent &e : s.events())
+        if (e.time > t0 && e.time < t1)
+            out.push_back(e.id);
+    return out;
+}
+
+/**
+ * @p n event times on a 0.25 s grid over [10, 60): dyadic values, so
+ * time + span and t + dur are exact and boundary ties really tie, and
+ * a coarse grid, so duplicate times are common.
+ */
+EventSchedule
+gridSchedule(sim::Rng &rng, std::size_t n)
+{
+    std::vector<sim::Time> times;
+    for (std::size_t i = 0; i < n; ++i)
+        times.push_back(10.0 + 0.25 * double(rng.uniformInt(0, 199)));
+    return EventSchedule(std::move(times));
+}
+
+} // namespace
+
+TEST(EventSchedule, LookupsMatchLinearScans)
+{
+    const double spans[] = {0.0, 0.25, 1.0, 2.5, 30.0};
+    const double durs[] = {0.0, 0.25, 1.0, 7.5};
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+        sim::Rng rng(seed);
+        // Sizes 0..39: includes the empty schedule.
+        EventSchedule s = gridSchedule(rng, seed - 1);
+        // Query instants: every boundary each event defines, plus
+        // random on- and off-grid points around and outside it.
+        std::vector<sim::Time> ts = {0.0, 5.0, 100.0};
+        for (const EnvEvent &e : s.events())
+            for (double span : spans)
+                for (double dur : durs) {
+                    ts.push_back(e.time + span);  // t == time + span
+                    ts.push_back(e.time - dur);   // time == t + dur
+                }
+        for (int i = 0; i < 200; ++i) {
+            ts.push_back(0.25 * double(rng.uniformInt(0, 280)));
+            ts.push_back(rng.uniform(0.0, 70.0));
+        }
+        for (sim::Time t : ts) {
+            for (double span : spans)
+                for (double dur : durs)
+                    ASSERT_EQ(s.eventCovering(t, dur, span),
+                              refEventCovering(s, t, dur, span))
+                        << "seed " << seed << " t=" << t
+                        << " dur=" << dur << " span=" << span;
+            for (double len : {0.0, 0.25, 2.0, 80.0})
+                ASSERT_EQ(s.eventsBetween(t, t + len),
+                          refEventsBetween(s, t, t + len))
+                    << "seed " << seed << " t=" << t
+                    << " len=" << len;
+        }
+    }
 }
 
 TEST(Pendulum, ProximityDuringSwingOnly)
@@ -201,6 +286,17 @@ TEST(ThermalRig, ExcursionLeavesBand)
     EXPECT_FALSE(rig.outOfRange(1000.0 + rig.excursionDuration() + 1));
 }
 
+TEST(ThermalRig, AlarmEventIsTheCoveringExcursionWhenOutOfBand)
+{
+    EventSchedule s({100.0, 110.0, 400.0});
+    ThermalRig rig(s);
+    for (double t = 0.0; t < 500.0; t += 0.125) {
+        int covering = s.eventCovering(t, 0.0, rig.excursionDuration());
+        EXPECT_EQ(rig.alarmEventAt(t), rig.outOfRange(t) ? covering : -1)
+            << "t=" << t;
+    }
+}
+
 TEST(ThermalRig, OutOfRangeDurationConsistent)
 {
     EventSchedule s({1000.0});
@@ -289,6 +385,83 @@ TEST(Scoreboard, SampleIntervalClassification)
     EXPECT_FALSE(ivs[1].backToBack);
     EXPECT_TRUE(ivs[1].containsMissed);
     EXPECT_FALSE(ivs[2].containsMissed);
+}
+
+namespace
+{
+
+/** The interval definition sampleIntervals() implements: each
+ *  interval asks eventsBetween() for its events. */
+std::vector<Scoreboard::Interval>
+refSampleIntervals(const Scoreboard &sb, const EventSchedule &s,
+                   double threshold)
+{
+    std::vector<Scoreboard::Interval> out;
+    const auto &ts = sb.samples();
+    for (std::size_t i = 1; i < ts.size(); ++i) {
+        Scoreboard::Interval iv;
+        iv.length = ts[i] - ts[i - 1];
+        iv.backToBack = iv.length < threshold;
+        iv.containsMissed = false;
+        for (int id : s.eventsBetween(ts[i - 1], ts[i]))
+            if (sb.outcome(id) == Outcome::Missed)
+                iv.containsMissed = true;
+        out.push_back(iv);
+    }
+    return out;
+}
+
+} // namespace
+
+TEST(Scoreboard, SampleIntervalsMatchPerIntervalScan)
+{
+    for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+        sim::Rng rng(seed);
+        // Seeds 1-5 have no events at all.
+        EventSchedule s = gridSchedule(rng, seed <= 5 ? 0 : seed % 40);
+        Scoreboard sb(s);
+        for (const EnvEvent &e : s.events()) {
+            double r = rng.uniform();
+            if (r < 0.25)
+                sb.recordReport(e.id, e.time + 1.0);
+            else if (r < 0.5)
+                sb.recordDetection(e.id);
+        }
+        // Samples from before the first event to after the last,
+        // drawn from the event grid (so some land exactly on event
+        // times) and off it, with repeats.
+        std::vector<sim::Time> samples;
+        std::size_t n = rng.uniformInt(0, 60);
+        for (std::size_t i = 0; i < n; ++i) {
+            double r = rng.uniform();
+            if (r < 0.4 && !s.empty())
+                samples.push_back(
+                    s.at(rng.uniformInt(0, s.size() - 1)).time);
+            else if (r < 0.7)
+                samples.push_back(0.25 * double(rng.uniformInt(0, 280)));
+            else
+                samples.push_back(rng.uniform(0.0, 70.0));
+            if (rng.chance(0.2))
+                samples.push_back(samples.back());
+        }
+        std::sort(samples.begin(), samples.end());
+        for (sim::Time t : samples)
+            sb.recordSample(t);
+
+        for (double threshold : {0.0, 0.3, 1.0}) {
+            auto got = sb.sampleIntervals(threshold);
+            auto want = refSampleIntervals(sb, s, threshold);
+            ASSERT_EQ(got.size(), want.size()) << "seed " << seed;
+            for (std::size_t i = 0; i < got.size(); ++i) {
+                EXPECT_EQ(got[i].length, want[i].length)
+                    << "seed " << seed << " interval " << i;
+                EXPECT_EQ(got[i].backToBack, want[i].backToBack)
+                    << "seed " << seed << " interval " << i;
+                EXPECT_EQ(got[i].containsMissed, want[i].containsMissed)
+                    << "seed " << seed << " interval " << i;
+            }
+        }
+    }
 }
 
 TEST(Scoreboard, OutcomeNames)

@@ -10,10 +10,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdio>
 #include <cstring>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "apps/capysat.hh"
 #include "apps/csr.hh"
@@ -28,6 +31,7 @@
 #include "rt/audit.hh"
 #include "rt/checkpoint.hh"
 #include "sim/fault.hh"
+#include "sim/random.hh"
 #include "sim/simulator.hh"
 
 using namespace capy;
@@ -207,6 +211,271 @@ TEST(NvJournal, BrokenRecoveryFixtureBelievesTornSlot)
     EXPECT_DOUBLE_EQ(cell.auditRecover(), 1.0);
     mem.disableRecoveryForTest(false);
     EXPECT_DOUBLE_EQ(cell.peek(), 1.0);
+}
+
+namespace
+{
+
+/** A payload whose record is five words (odd, unlike double's four). */
+struct Triple
+{
+    std::uint32_t a, b, c;
+};
+
+/** Reference NvMemory accounting, shared by a reference journal and
+ *  its copies as a copied cell shares its NvMemory. */
+struct RefMemory
+{
+    bool broken = false;
+    std::uint64_t tornRecoveries = 0;
+    std::uint64_t tornCommits = 0;
+};
+
+/**
+ * From-scratch reference for NvJournaledCell<T>: shadows both slot
+ * images byte for byte, replays the commit protocol, and re-verifies
+ * every slot's CRC on every read instead of caching validity.
+ */
+template <typename T>
+struct RefJournal
+{
+    struct Record
+    {
+        T value;
+        std::uint32_t seq;
+        std::uint32_t crc;
+    };
+    static_assert(sizeof(Record) == sizeof(T) + 8, "padded record");
+
+    RefMemory *mem = nullptr;
+    T reset{};
+    Record slot[2] = {};
+    std::uint64_t writes[2] = {0, 0};
+    std::uint64_t commits = 0;
+    std::uint64_t tornWrites = 0;
+
+    std::size_t words() const { return (sizeof(Record) + 3) / 4; }
+
+    static std::uint32_t
+    crcOf(const Record &r)
+    {
+        std::uint32_t c = nvCrc32(&r, offsetof(Record, crc));
+        return c == 0 ? 1 : c;
+    }
+
+    bool
+    valid(int i) const
+    {
+        return slot[i].crc != 0 && slot[i].crc == crcOf(slot[i]);
+    }
+
+    int
+    active() const
+    {
+        int best = -1;
+        for (int i = 0; i < 2; ++i)
+            if (valid(i) && (best < 0 || slot[i].seq > slot[best].seq))
+                best = i;
+        return best;
+    }
+
+    Record
+    compose(const T &v) const
+    {
+        std::uint32_t hi = 0;
+        for (int i = 0; i < 2; ++i)
+            if (valid(i))
+                hi = std::max(hi, slot[i].seq);
+        Record r{v, hi + 1, 0};
+        r.crc = crcOf(r);
+        return r;
+    }
+
+    int target() const { return active() < 0 ? 0 : 1 - active(); }
+
+    void
+    set(const T &v)
+    {
+        int t = target();
+        slot[t] = compose(v);
+        ++writes[t];
+        ++commits;
+    }
+
+    void
+    tearSet(const T &v, std::size_t n)
+    {
+        if (n == words()) {
+            set(v);
+            return;
+        }
+        Record full = compose(v);
+        int t = target();
+        std::memcpy(&slot[t], &full, n * 4);
+        ++writes[t];
+        ++tornWrites;
+        if (mem)
+            ++mem->tornCommits;
+    }
+
+    T
+    auditRecover() const
+    {
+        int a = active();
+        return a < 0 ? reset : slot[a].value;
+    }
+
+    T
+    peek() const
+    {
+        if (mem && mem->broken) {
+            if (writes[0] + writes[1] == 0)
+                return reset;
+            return (slot[0].seq >= slot[1].seq ? slot[0] : slot[1]).value;
+        }
+        return auditRecover();
+    }
+
+    T
+    get()
+    {
+        int a = active();
+        if (mem && !mem->broken && a >= 0) {
+            int o = 1 - a;
+            if (writes[o] > 0 && !valid(o) &&
+                slot[o].seq >= slot[a].seq)
+                ++mem->tornRecoveries;
+        }
+        return peek();
+    }
+
+    bool
+    torn() const
+    {
+        return commits + tornWrites > 0 && (!valid(0) || !valid(1)) &&
+               writes[valid(0) ? 1 : 0] > 0;
+    }
+};
+
+template <typename T>
+bool
+sameBytes(const T &a, const T &b)
+{
+    return std::memcmp(&a, &b, sizeof(T)) == 0;
+}
+
+template <typename T>
+void
+expectMatches(const NvJournaledCell<T> &cell, const RefJournal<T> &ref,
+              const NvMemory *mem, const std::string &where)
+{
+    EXPECT_TRUE(sameBytes(cell.peek(), ref.peek())) << where;
+    EXPECT_TRUE(sameBytes(cell.auditRecover(), ref.auditRecover()))
+        << where;
+    NvJournalState st = cell.auditState();
+    for (int i = 0; i < 2; ++i) {
+        EXPECT_EQ(st.valid[i], ref.valid(i)) << where << " slot " << i;
+        EXPECT_EQ(st.seq[i], ref.slot[i].seq) << where << " slot " << i;
+    }
+    EXPECT_EQ(st.active, ref.active()) << where;
+    EXPECT_EQ(st.torn, ref.torn()) << where;
+    EXPECT_EQ(st.commits, ref.commits) << where;
+    EXPECT_EQ(st.tornWrites, ref.tornWrites) << where;
+    EXPECT_EQ(cell.commits(), ref.commits) << where;
+    EXPECT_EQ(cell.tornWrites(), ref.tornWrites) << where;
+    if (mem) {
+        EXPECT_EQ(mem->tornRecoveries(), ref.mem->tornRecoveries)
+            << where;
+        EXPECT_EQ(mem->tornCommits(), ref.mem->tornCommits) << where;
+    }
+}
+
+/**
+ * Drive @p cell and @p ref through @p steps seeded random set /
+ * tearSet / recovery-fixture toggles, reading through get() and
+ * comparing every observable after each step. Returns the word counts
+ * the tears covered.
+ */
+template <typename T, typename Draw>
+std::vector<bool>
+driveJournal(NvJournaledCell<T> &cell, RefJournal<T> &ref,
+             NvMemory *mem, sim::Rng &rng, int steps, Draw draw)
+{
+    std::vector<bool> torn_at(ref.words() + 1, false);
+    for (int step = 0; step < steps; ++step) {
+        std::string where = "step " + std::to_string(step);
+        double op = rng.uniform();
+        T v = draw(rng);
+        if (op < 0.4) {
+            cell.set(v);
+            ref.set(v);
+        } else if (op < 0.9) {
+            auto n = static_cast<std::size_t>(
+                rng.uniformInt(0, ref.words()));
+            torn_at[n] = true;
+            cell.tearSet(v, n);
+            ref.tearSet(v, n);
+            where += " tear " + std::to_string(n);
+        } else if (mem) {
+            ref.mem->broken = !ref.mem->broken;
+            mem->disableRecoveryForTest(ref.mem->broken);
+        }
+        EXPECT_TRUE(sameBytes(cell.get(), ref.get())) << where;
+        expectMatches(cell, ref, mem, where);
+    }
+    return torn_at;
+}
+
+template <typename T, typename Draw>
+void
+journalDifferential(std::uint64_t seed, bool with_memory, Draw draw)
+{
+    sim::Rng rng(seed);
+    NvMemory mem("fram");
+    NvMemory *m = with_memory ? &mem : nullptr;
+    RefMemory ref_mem;
+    T reset = draw(rng);
+    NvJournaledCell<T> cell(m, reset);
+    RefJournal<T> ref;
+    ref.mem = with_memory ? &ref_mem : nullptr;
+    ref.reset = reset;
+    ASSERT_EQ(cell.slotWords(), ref.words());
+    expectMatches(cell, ref, m, "fresh");
+
+    std::vector<bool> covered =
+        driveJournal(cell, ref, m, rng, 300, draw);
+    for (std::size_t n = 0; n < covered.size(); ++n)
+        EXPECT_TRUE(covered[n]) << "no tear of " << n << " words";
+
+    // A copy carries the cached slot validity with the slot bytes and
+    // keeps working on its own.
+    NvJournaledCell<T> copy(cell);
+    RefJournal<T> ref_copy = ref;
+    expectMatches(copy, ref_copy, m, "copy");
+    driveJournal(copy, ref_copy, m, rng, 100, draw);
+}
+
+} // namespace
+
+TEST(NvJournal, CachedReadsMatchUncachedReference)
+{
+    auto draw_double = [](sim::Rng &rng) {
+        // Few distinct values make tears that leave a slot's bytes
+        // unchanged, so that it still verifies, common.
+        return static_cast<double>(rng.uniformInt(0, 3));
+    };
+    auto draw_triple = [](sim::Rng &rng) {
+        auto w = [&] {
+            return static_cast<std::uint32_t>(rng.uniformInt(0, 2));
+        };
+        return Triple{w(), w(), w()};
+    };
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        journalDifferential<double>(seed, true, draw_double);
+        journalDifferential<double>(seed, false, draw_double);
+        journalDifferential<Triple>(seed, true, draw_triple);
+    }
 }
 
 // --- Device-level injection ----------------------------------------

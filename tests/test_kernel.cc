@@ -257,6 +257,46 @@ TEST(Kernel, ContinuousPowerRunsWithoutFailures)
     EXPECT_EQ(k.stats().taskRestarts, 0u);
 }
 
+TEST(Kernel, TasksSharingANameShareOneEnergyEntry)
+{
+    // Attribution is by task name: two distinct tasks called "twin"
+    // accumulate into one energyByTask() entry, completed runs and
+    // aborted attempts alike.
+    Rig rig;
+    int runs = 0;
+    Task *doomed = nullptr;
+    Task *second = nullptr;
+    Task *first = rig.app.addTask("twin", 1e-3, 0.0,
+                                  [&](Kernel &) -> const Task * {
+                                      return second;
+                                  });
+    second = rig.app.addTask("twin", 2e-3, 5e-3,
+                             [&](Kernel &) -> const Task * {
+                                 return ++runs < 5 ? first : doomed;
+                             });
+    // Too big for the bank: every attempt browns out.
+    doomed = rig.app.addTask("twin", 10.0, 20e-3,
+                             [](Kernel &) -> const Task * {
+                                 return nullptr;
+                             });
+    rig.app.setEntry(first);
+    Kernel k(*rig.device, rig.app);
+    k.start();
+    rig.sim.runUntil(60.0);
+
+    const auto &profile = k.energyByTask();
+    ASSERT_EQ(profile.size(), 1u);
+    const auto &twin = profile.at("twin");
+    double p = rig.device->mcu().activePower;
+    EXPECT_EQ(twin.completions, 10u);
+    EXPECT_NEAR(twin.railEnergy,
+                5 * (p * 1e-3) + 5 * ((p + 5e-3) * 2e-3), 1e-15);
+    EXPECT_NEAR(twin.activeTime, 5 * 1e-3 + 5 * 2e-3, 1e-15);
+    EXPECT_EQ(twin.failedAttempts, k.stats().taskRestarts);
+    EXPECT_GT(twin.failedAttempts, 0u);
+    EXPECT_GT(twin.wastedEnergy, 0.0);
+}
+
 TEST(Kernel, AppFindByName)
 {
     App app;
