@@ -52,40 +52,39 @@ Runtime::install()
     capy_assert(!installed, "runtime already installed");
     installed = true;
     kernel.setPreTaskGate(
-        [this](const rt::Task &task, std::function<void()> proceed) {
-            gate(task, std::move(proceed));
-        });
+        [this](const rt::Task &task) { return gate(task); });
 }
 
 Annotation
 Runtime::effectiveAnnotation(const rt::Task &task) const
 {
-    auto it = annotations.find(&task);
-    Annotation ann =
-        it == annotations.end() ? Annotation{} : it->second;
-
     switch (activePolicy) {
       case Policy::Continuous:
       case Policy::Fixed:
         // These systems have no reconfiguration capability; the
-        // annotations compile away.
+        // annotations compile away, so the lookup is skipped.
         return Annotation{};
       case Policy::CapyR:
-        // No burst support (§6): bursts recharge on the critical
-        // path; prebursts degrade to configs of the execution mode.
-        if (ann.kind == AnnKind::Burst)
-            return Annotation::config(ann.mode);
-        if (ann.kind == AnnKind::Preburst)
+      case Policy::CapyP: {
+        auto it = annotations.find(&task);
+        if (it == annotations.end())
+            return Annotation{};
+        const Annotation &ann = it->second;
+        // Capy-R has no burst support (§6): bursts recharge on the
+        // critical path; prebursts degrade to configs of the
+        // execution mode.
+        if (activePolicy == Policy::CapyR &&
+            (ann.kind == AnnKind::Burst ||
+             ann.kind == AnnKind::Preburst))
             return Annotation::config(ann.mode);
         return ann;
-      case Policy::CapyP:
-        return ann;
+      }
     }
     capy_panic("unknown Policy");
 }
 
-void
-Runtime::gate(const rt::Task &task, std::function<void()> proceed)
+bool
+Runtime::gate(const rt::Task &task)
 {
     Annotation ann = effectiveAnnotation(task);
 
@@ -105,46 +104,37 @@ Runtime::gate(const rt::Task &task, std::function<void()> proceed)
 
     switch (ann.kind) {
       case AnnKind::None:
-        proceed();
-        return;
+        return true;
       case AnnKind::Config:
-        handleConfig(ann.mode, proceed);
-        return;
+        return handleConfig(ann.mode);
       case AnnKind::Burst:
-        handleBurst(task, ann.mode, proceed);
-        return;
+        return handleBurst(task, ann.mode);
       case AnnKind::Preburst:
-        handlePreburst(task, ann, proceed);
-        return;
+        return handlePreburst(ann);
     }
     capy_panic("unknown AnnKind");
 }
 
-void
-Runtime::handleConfig(ModeId mode, std::function<void()> &proceed)
+bool
+Runtime::handleConfig(ModeId mode)
 {
     auto &ps = kernel.device().powerSystem();
     // When the believed configuration already matches, the task runs
     // on whatever charge remains — the intermittent model executes
     // until the buffer is empty (§2). Only a *re*configuration
     // charges the newly configured buffer before executing (§4.1).
-    if (nvBelievedMode.get() == mode) {
-        proceed();
-        return;
-    }
+    if (nvBelievedMode.get() == mode)
+        return true;
     ps.clearChargeCeiling();
     applyMode(mode);
     nvBelievedMode.set(mode);
-    if (!bufferReady()) {
-        parkToCharge();
-        return;
-    }
-    proceed();
+    if (!bufferReady())
+        return parkToCharge();
+    return true;
 }
 
-void
-Runtime::handleBurst(const rt::Task &task, ModeId mode,
-                     std::function<void()> &proceed)
+bool
+Runtime::handleBurst(const rt::Task &task, ModeId mode)
 {
     auto &ps = kernel.device().powerSystem();
     ps.clearChargeCeiling();
@@ -157,12 +147,9 @@ Runtime::handleBurst(const rt::Task &task, ModeId mode,
         ++rtStats.burstRecharges;
         applyMode(mode);
         nvBelievedMode.set(mode);
-        if (!bufferReady()) {
-            parkToCharge();
-            return;
-        }
-        proceed();
-        return;
+        if (!bufferReady())
+            return parkToCharge();
+        return true;
     }
 
     // Normal burst: re-activate the banks charged ahead of time and
@@ -171,14 +158,12 @@ Runtime::handleBurst(const rt::Task &task, ModeId mode,
     nvBelievedMode.set(mode);
     ++rtStats.burstActivations;
     nvBurstAttempt.set(&task);
-    proceed();
+    return true;
 }
 
-void
-Runtime::handlePreburst(const rt::Task &task, const Annotation &ann,
-                        std::function<void()> &proceed)
+bool
+Runtime::handlePreburst(const Annotation &ann)
 {
-    (void)task;
     auto &ps = kernel.device().powerSystem();
 
     // Phase A: ensure the burst banks hold the (penalized) pre-charge
@@ -192,8 +177,7 @@ Runtime::handlePreburst(const rt::Task &task, const Annotation &ann,
         ps.setChargeCeiling(ceiling);
         if (!bufferReady()) {
             nvPbCharging.set(1);
-            parkToCharge();
-            return;
+            return parkToCharge();
         }
         ++rtStats.prechargePhases;
         nvPbCharging.set(0);
@@ -210,18 +194,14 @@ Runtime::handlePreburst(const rt::Task &task, const Annotation &ann,
     // Phase B: deactivate the burst banks (they retain their charge)
     // and charge the execution mode — with the same only-pause-on-
     // reconfiguration rule as config tasks.
-    if (nvBelievedMode.get() == ann.mode) {
-        proceed();
-        return;
-    }
+    if (nvBelievedMode.get() == ann.mode)
+        return true;
     ps.clearChargeCeiling();
     applyMode(ann.mode);
     nvBelievedMode.set(ann.mode);
-    if (!bufferReady()) {
-        parkToCharge();
-        return;
-    }
-    proceed();
+    if (!bufferReady())
+        return parkToCharge();
+    return true;
 }
 
 bool
@@ -276,11 +256,12 @@ Runtime::prechargeCeiling() const
            ps.systemSpec().prechargePenaltyVoltage;
 }
 
-void
+bool
 Runtime::parkToCharge()
 {
     ++rtStats.rechargePauses;
     kernel.device().powerDown();
+    return false;
 }
 
 } // namespace capy::core

@@ -97,14 +97,19 @@ class Runtime
     /** Whether the active buffer is charged enough to execute. */
     bool bufferReady() const;
 
-    void gate(const rt::Task &task, std::function<void()> proceed);
+    /**
+     * The kernel's pre-task gate (rt::Kernel::PreTaskGate contract):
+     * @retval true run @p task now.
+     * @retval false the device was parked to recharge; the gate runs
+     *         again for @p task after the next boot.
+     * The handle* helpers return the same verdict.
+     */
+    bool gate(const rt::Task &task);
     Annotation effectiveAnnotation(const rt::Task &task) const;
 
-    void handleConfig(ModeId mode, std::function<void()> &proceed);
-    void handleBurst(const rt::Task &task, ModeId mode,
-                     std::function<void()> &proceed);
-    void handlePreburst(const rt::Task &task, const Annotation &ann,
-                        std::function<void()> &proceed);
+    bool handleConfig(ModeId mode);
+    bool handleBurst(const rt::Task &task, ModeId mode);
+    bool handlePreburst(const Annotation &ann);
 
     /** Re-issue switch commands so exactly @p mode's banks (plus the
      *  hard-wired ones) are active. */
@@ -115,8 +120,9 @@ class Runtime
 
     double prechargeCeiling() const;
 
-    /** Park the device to recharge; the gate re-runs after reboot. */
-    void parkToCharge();
+    /** Park the device to recharge; the gate re-runs after reboot.
+     *  @return false, the gate verdict for a parked device. */
+    bool parkToCharge();
 
     rt::Kernel &kernel;
     ModeRegistry registry;
@@ -139,7 +145,8 @@ class Runtime
     dev::NvCell<ModeId> nvBelievedMode;
     /** Boot count at the last gate, to detect fresh boots. */
     std::uint64_t lastSeenBoots = ~0ull;
-    /** Burst task whose proceed was issued but not yet left behind. */
+    /** Burst task the gate let run but that has not yet been left
+     *  behind (a gate for another task clears it). */
     dev::NvCell<const rt::Task *> nvBurstAttempt;
     bool installed = false;
 };

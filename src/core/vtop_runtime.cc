@@ -26,19 +26,15 @@ VtopRuntime::install()
     controller = std::make_unique<VtopController>(
         kernel.device().powerSystem(), eeprom);
     kernel.setPreTaskGate(
-        [this](const rt::Task &task, std::function<void()> proceed) {
-            gate(task, std::move(proceed));
-        });
+        [this](const rt::Task &task) { return gate(task); });
 }
 
-void
-VtopRuntime::gate(const rt::Task &task, std::function<void()> proceed)
+bool
+VtopRuntime::gate(const rt::Task &task)
 {
     auto it = thresholds.find(&task);
-    if (it == thresholds.end()) {
-        proceed();
-        return;
-    }
+    if (it == thresholds.end())
+        return true;
     auto &ps = kernel.device().powerSystem();
     double target = it->second;
     if (controller->threshold() != target) {
@@ -51,9 +47,9 @@ VtopRuntime::gate(const rt::Task &task, std::function<void()> proceed)
     if (ps.storageVoltage() + 0.05 < target) {
         ++rtStats.rechargePauses;
         kernel.device().powerDown();
-        return;
+        return false;
     }
-    proceed();
+    return true;
 }
 
 } // namespace capy::core

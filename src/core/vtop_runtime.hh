@@ -65,7 +65,9 @@ class VtopRuntime
     }
 
   private:
-    void gate(const rt::Task &task, std::function<void()> proceed);
+    /** The kernel's pre-task gate: true runs @p task now, false
+     *  means the device was parked to charge to the threshold. */
+    bool gate(const rt::Task &task);
 
     rt::Kernel &kernel;
     dev::NvMemory *eeprom;

@@ -174,26 +174,24 @@ Device::onBootDone()
 
 void
 Device::runWorkload(double rail_power, double duration,
-                    std::function<void()> on_complete)
+                    sim::Callback on_complete)
 {
     capy_assert(state == State::On,
                 "runWorkload while the device is not on");
+    capy_assert(!workloadActive,
+                "runWorkload while another workload is in flight");
     capy_assert(rail_power >= 0.0 && duration >= 0.0,
                 "bad workload (P=%g, d=%g)", rail_power, duration);
 
     workloadPower = rail_power;
     workloadStart = sim.now();
     workloadActive = true;
+    workloadDone = std::move(on_complete);
 
     if (mode == PowerMode::Continuous) {
         pendingIsFail = false;
-        pendingEvent = sim.schedule(
-            duration, [this, cb = std::move(on_complete)] {
-                pendingEvent = sim::kInvalidEvent;
-                workloadActive = false;
-                ++devStats.workloadsCompleted;
-                cb();
-            });
+        pendingEvent =
+            sim.schedule(duration, [this] { onWorkloadDone(); });
         return;
     }
 
@@ -208,17 +206,25 @@ Device::runWorkload(double rail_power, double duration,
         return;
     }
     pendingIsFail = false;
-    pendingEvent = sim.schedule(
-        duration, [this, cb = std::move(on_complete)] {
-            pendingEvent = sim::kInvalidEvent;
-            workloadActive = false;
-            ps->advanceTo(sim.now());
-            // Back to the kernel's baseline compute draw between
-            // workloads.
-            ps->setRailLoad(mcuSpec.activePower);
-            ++devStats.workloadsCompleted;
-            cb();
-        });
+    pendingEvent = sim.schedule(duration, [this] { onWorkloadDone(); });
+}
+
+void
+Device::onWorkloadDone()
+{
+    pendingEvent = sim::kInvalidEvent;
+    workloadActive = false;
+    if (mode == PowerMode::Intermittent) {
+        ps->advanceTo(sim.now());
+        // Back to the kernel's baseline compute draw between
+        // workloads.
+        ps->setRailLoad(mcuSpec.activePower);
+    }
+    ++devStats.workloadsCompleted;
+    // Move the continuation out first: it usually starts the next
+    // workload, which refills the member.
+    sim::Callback done = std::move(workloadDone);
+    done();
 }
 
 void
@@ -227,6 +233,7 @@ Device::failPower(bool during_boot)
     pendingEvent = sim::kInvalidEvent;
     pendingIsFail = false;
     workloadActive = false;
+    workloadDone = sim::Callback();
     ++devStats.powerFailures;
     if (!during_boot) {
         lastAborted = AbortedWorkload{workloadPower,
@@ -295,6 +302,7 @@ Device::powerDown()
         pendingIsFail = false;
     }
     workloadActive = false;
+    workloadDone = sim::Callback();
     if (observer.onRailDown)
         observer.onRailDown(RailDownReason::Park);
     if (mode == PowerMode::Continuous) {

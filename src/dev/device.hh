@@ -134,13 +134,15 @@ class Device
 
     /**
      * Execute an atomic workload drawing @p rail_power watts for
-     * @p duration seconds. If the buffer browns out first the
-     * workload is aborted: @p on_complete is dropped and the
-     * onPowerFail hook fires instead.
-     * @pre isOn().
+     * @p duration seconds. The device holds @p on_complete until the
+     * workload resolves. If the buffer browns out first, or the
+     * workload is cut short by powerDown() or an injected failure,
+     * the workload is aborted: @p on_complete is destroyed unrun and
+     * the onPowerFail hook fires instead (not for powerDown()).
+     * @pre isOn() and no workload in flight.
      */
     void runWorkload(double rail_power, double duration,
-                     std::function<void()> on_complete);
+                     sim::Callback on_complete);
 
     /**
      * Voluntarily power down to recharge (the pause the runtime takes
@@ -195,6 +197,7 @@ class Device
     void onChargeWake();
     void beginBoot();
     void onBootDone();
+    void onWorkloadDone();
     void failPower(bool during_boot);
     void transitionSpan(const char *label);
     void closeSpan();
@@ -212,6 +215,8 @@ class Device
     bool pendingIsFail = false;
     /** A workload is in flight (runWorkload scheduled, not resolved). */
     bool workloadActive = false;
+    /** The in-flight workload's continuation; reset on any abort. */
+    sim::Callback workloadDone;
     Stats devStats;
     sim::SpanTrace activity;
     bool warnedStuck = false;

@@ -59,8 +59,11 @@ Kernel::executeCurrent()
 {
     const Task *task = nvCurrent.get();
     capy_assert(task != nullptr, "kernel scheduled with no task");
-    if (preTaskGate) {
-        preTaskGate(*task, [this, task] { runTask(task); });
+    if (preTaskGate && !preTaskGate(*task)) {
+        capy_assert(!dev.isOn(),
+                    "pre-task gate held back '%s' without parking the "
+                    "device",
+                    task->name.c_str());
         return;
     }
     runTask(task);

@@ -8,7 +8,7 @@
  * The Capybara runtime (src/core) attaches through the pre-task gate:
  * before a task executes — on every attempt, including restarts — the
  * gate may reconfigure the power system and power the device down to
- * recharge; execution proceeds only when the gate calls through.
+ * recharge; the task runs only when the gate's verdict says so.
  */
 
 #ifndef CAPY_RT_KERNEL_HH
@@ -34,14 +34,14 @@ class Kernel
 {
   public:
     /**
-     * Pre-task gate: called with the task about to execute and a
-     * continuation. The gate either calls @p proceed (possibly after
-     * reconfiguring the power system) or parks the device
-     * (Device::powerDown()); after the subsequent boot the gate runs
-     * again for the same task.
+     * Pre-task gate: called with the task about to execute. It either
+     * returns true (possibly after reconfiguring the power system)
+     * and the kernel runs the task right away, or parks the device
+     * (Device::powerDown()) and returns false; after the subsequent
+     * boot the gate runs again for the same task. Returning false
+     * without parking is a contract violation the kernel asserts on.
      */
-    using PreTaskGate =
-        std::function<void(const Task &, std::function<void()> proceed)>;
+    using PreTaskGate = std::function<bool(const Task &)>;
 
     /** Execution counters. */
     struct Stats

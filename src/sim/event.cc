@@ -1,5 +1,6 @@
 #include "sim/event.hh"
 
+#include <algorithm>
 #include <utility>
 
 #include "sim/logging.hh"
@@ -8,7 +9,7 @@ namespace capy::sim
 {
 
 EventId
-EventQueue::schedule(Time when, Callback fn)
+EventQueue::schedule(Time when, Callback &&fn)
 {
     capy_assert(static_cast<bool>(fn), "scheduled a null callback");
     std::uint32_t slot;
@@ -17,12 +18,14 @@ EventQueue::schedule(Time when, Callback fn)
         freeSlots.pop_back();
     } else {
         slot = std::uint32_t(slots.size());
-        slots.push_back(Slot{});
+        slots.emplace_back();
     }
     Slot &s = slots[slot];
+    s.fn = std::move(fn);
     s.live = true;
     EventId id = makeId(slot, s.gen);
-    heap.push(Record{when, nextSeq++, id, std::move(fn)});
+    heap.push_back(Record{when, nextSeq++, id});
+    std::push_heap(heap.begin(), heap.end(), Later{});
     ++pendingCount;
     return id;
 }
@@ -35,11 +38,13 @@ EventQueue::cancel(EventId id)
     std::uint32_t slot = slotOf(id);
     if (slot >= slots.size())
         return false;
-    const Slot &s = slots[slot];
+    Slot &s = slots[slot];
     if (!s.live || s.gen != genOf(id))
         return false;
     // The heap record becomes stale and is dropped lazily when it
-    // reaches the head; the slot is reusable immediately.
+    // reaches the head; the callback's captures are released now and
+    // the slot is reusable immediately.
+    s.fn = Callback();
     retire(slot);
     return true;
 }
@@ -57,8 +62,10 @@ EventQueue::isPending(EventId id) const
 void
 EventQueue::skipCancelled() const
 {
-    while (!heap.empty() && stale(heap.top()))
-        heap.pop();
+    while (!heap.empty() && stale(heap.front())) {
+        std::pop_heap(heap.begin(), heap.end(), Later{});
+        heap.pop_back();
+    }
 }
 
 bool
@@ -73,23 +80,34 @@ EventQueue::nextTime() const
 {
     skipCancelled();
     capy_assert(!heap.empty(), "nextTime() on an empty event queue");
-    return heap.top().when;
+    return heap.front().when;
+}
+
+Callback
+EventQueue::popDue(Time until, Time &when)
+{
+    Callback fn;  // the only object returned, so it is constructed in place
+    skipCancelled();
+    if (heap.empty() || heap.front().when > until)
+        return fn;
+    when = heap.front().when;
+    std::uint32_t slot = slotOf(heap.front().id);
+    std::pop_heap(heap.begin(), heap.end(), Later{});
+    heap.pop_back();
+    fn = std::move(slots[slot].fn);
+    retire(slot);
+    ++numExecuted;
+    return fn;
 }
 
 Time
 EventQueue::runNext()
 {
-    skipCancelled();
-    capy_assert(!heap.empty(), "runNext() on an empty event queue");
-    // Move the record out before popping so the callback may schedule
-    // further events (which can reallocate the heap) safely.
-    Record rec = std::move(const_cast<Record &>(heap.top()));
-    heap.pop();
-    capy_assert(!stale(rec), "executing a stale event record");
-    retire(slotOf(rec.id));
-    ++numExecuted;
-    rec.fn();
-    return rec.when;
+    Time when = 0.0;
+    Callback fn = popDue(kForever, when);
+    capy_assert(static_cast<bool>(fn), "runNext() on an empty event queue");
+    fn();
+    return when;
 }
 
 } // namespace capy::sim

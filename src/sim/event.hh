@@ -3,20 +3,22 @@
  * Discrete-event queue: time-ordered callbacks with stable FIFO
  * ordering among simultaneous events and O(1) cancellation.
  *
- * Bookkeeping uses generation-counted slot records instead of hash
- * sets: every event occupies a small slot whose generation counter is
- * bumped when the event runs or is cancelled, so a heap record whose
- * embedded generation no longer matches its slot is stale and gets
- * skipped lazily at the head of the heap. Cancel is a counter bump,
- * and slots recycle through a free list, so long-lived simulators
- * with heavy cancel traffic retain no tombstone state.
+ * Bookkeeping uses generation-counted slots instead of hash sets:
+ * every event occupies a slot that holds its callback and a
+ * generation counter bumped when the event runs or is cancelled. The
+ * heap orders plain {when, seq, id} records, so sifting moves no
+ * callable; a record whose embedded generation no longer matches its
+ * slot is stale and gets skipped lazily at the head of the heap.
+ * Cancel is a counter bump that also frees the callback, and slots
+ * recycle through a free list, so long-lived simulators with heavy
+ * cancel traffic retain no tombstone state.
  */
 
 #ifndef CAPY_SIM_EVENT_HH
 #define CAPY_SIM_EVENT_HH
 
 #include <cstdint>
-#include <queue>
+#include <limits>
 #include <vector>
 
 #include "sim/callback.hh"
@@ -26,6 +28,9 @@ namespace capy::sim
 
 /** Simulated time in seconds. */
 using Time = double;
+
+/** A time no event comes after (popDue's limit for "any event"). */
+inline constexpr Time kForever = std::numeric_limits<Time>::infinity();
 
 /** Handle identifying a scheduled event; 0 is never a valid id. */
 using EventId = std::uint64_t;
@@ -45,7 +50,7 @@ class EventQueue
      * Schedule @p fn to run at absolute time @p when.
      * @return a handle usable with cancel().
      */
-    EventId schedule(Time when, Callback fn);
+    EventId schedule(Time when, Callback &&fn);
 
     /**
      * Cancel a previously scheduled event.
@@ -66,6 +71,15 @@ class EventQueue
      * @return the time at which the event ran.
      */
     Time runNext();
+
+    /**
+     * Pop the earliest pending event if it is due at or before
+     * @p until: store its time in @p when and return its callback,
+     * counted as executed and already retired from its slot, so
+     * running it may schedule into that slot or grow the slot table.
+     * @return an empty Callback when no event is due.
+     */
+    Callback popDue(Time until, Time &when);
 
     /** Number of events executed so far. */
     std::uint64_t executed() const { return numExecuted; }
@@ -94,19 +108,20 @@ class EventQueue
     }
 
   private:
+    /** Heap entry: plain data, ordered by (when, seq). */
     struct Record
     {
         Time when;
         std::uint64_t seq;
         EventId id;
-        Callback fn;
     };
 
-    /** Per-slot liveness: gen changes whenever the slot's current
-     *  event ends (runs or is cancelled), invalidating old handles
-     *  and any stale heap record. */
+    /** An event's callback and liveness: gen changes whenever the
+     *  slot's current event ends (runs or is cancelled), invalidating
+     *  old handles and any stale heap record. */
     struct Slot
     {
+        Callback fn;
         std::uint32_t gen = 0;
         bool live = false;
     };
@@ -150,7 +165,8 @@ class EventQueue
         return !s.live || s.gen != genOf(rec.id);
     }
 
-    /** Retire @p slot: invalidate its handles and recycle it. */
+    /** Retire @p slot: invalidate its handles and recycle it. The
+     *  callback must already be moved out or reset. */
     void
     retire(std::uint32_t slot)
     {
@@ -164,7 +180,8 @@ class EventQueue
     /** Drop stale records from the head of the heap. */
     void skipCancelled() const;
 
-    mutable std::priority_queue<Record, std::vector<Record>, Later> heap;
+    /** Binary min-heap under Later (std::push_heap/pop_heap). */
+    mutable std::vector<Record> heap;
     std::vector<Slot> slots;
     std::vector<std::uint32_t> freeSlots;
     std::size_t pendingCount = 0;

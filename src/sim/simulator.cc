@@ -27,14 +27,8 @@ void
 Simulator::run()
 {
     stopRequested = false;
-    while (!queue.empty() && !stopRequested) {
-        Time when = queue.nextTime();
-        capy_assert(when >= currentTime,
-                    "event time %g behind clock %g", when, currentTime);
-        currentTime = when;
-        queue.runNext();
+    while (!stopRequested && step(kForever))
         afterEvent();
-    }
 }
 
 void
@@ -44,15 +38,24 @@ Simulator::runUntil(Time until)
                 "runUntil(%g) is in the past (now %g)", until,
                 currentTime);
     stopRequested = false;
-    while (!queue.empty() && !stopRequested &&
-           queue.nextTime() <= until) {
-        Time when = queue.nextTime();
-        currentTime = when;
-        queue.runNext();
+    while (!stopRequested && step(until))
         afterEvent();
-    }
     if (!stopRequested)
         currentTime = until;
+}
+
+bool
+Simulator::step(Time until)
+{
+    Time when = 0.0;
+    Callback fn = queue.popDue(until, when);
+    if (!fn)
+        return false;
+    capy_assert(when >= currentTime, "event time %g behind clock %g",
+                when, currentTime);
+    currentTime = when;
+    fn();
+    return true;
 }
 
 void

@@ -71,6 +71,9 @@ class Simulator
     void setPostEventHook(Callback hook) { postEvent = std::move(hook); }
 
   private:
+    /** Run the earliest event due by @p until, advancing the clock.
+     *  @retval false when no event is due. */
+    bool step(Time until);
     void afterEvent();
 
     EventQueue queue;

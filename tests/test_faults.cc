@@ -478,6 +478,52 @@ TEST(NvJournal, CachedReadsMatchUncachedReference)
     }
 }
 
+namespace
+{
+
+/** Bit-at-a-time reflected CRC-32 (IEEE): no tables, no slicing. */
+std::uint32_t
+bitwiseCrc32(const unsigned char *bytes, std::size_t len)
+{
+    std::uint32_t crc = 0xffffffffu;
+    for (std::size_t i = 0; i < len; ++i) {
+        crc ^= bytes[i];
+        for (int bit = 0; bit < 8; ++bit)
+            crc = (crc & 1u) ? (crc >> 1) ^ 0xedb88320u : crc >> 1;
+    }
+    return crc ^ 0xffffffffu;
+}
+
+} // namespace
+
+TEST(NvCrc32, KnownAnswer)
+{
+    const char check[] = "123456789";
+    EXPECT_EQ(nvCrc32(check, 9), 0xcbf43926u);
+    EXPECT_EQ(nvCrc32(check, 0), 0u);
+}
+
+TEST(NvCrc32, MatchesBitwiseReferenceAtEveryLengthAndAlignment)
+{
+    // Lengths 0-64 cross the 8-byte slicing stride and its tails,
+    // including the 8-, 12- and 16-byte record prefixes that
+    // NvJournaledCell seals; offsets 0-7 cover every alignment.
+    sim::Rng rng(0xc3c, 1);
+    std::vector<unsigned char> buf(64 + 8);
+    for (int round = 0; round < 4; ++round) {
+        for (auto &b : buf)
+            b = static_cast<unsigned char>(rng.next32());
+        for (std::size_t off = 0; off < 8; ++off) {
+            for (std::size_t len = 0; len <= 64; ++len) {
+                ASSERT_EQ(nvCrc32(buf.data() + off, len),
+                          bitwiseCrc32(buf.data() + off, len))
+                    << "round " << round << " offset " << off
+                    << " length " << len;
+            }
+        }
+    }
+}
+
 // --- Device-level injection ----------------------------------------
 
 TEST(InjectFailure, InvisibleToAnUnpoweredDevice)
@@ -606,6 +652,66 @@ TEST(InjectFailure, PreemptingPredictedBrownoutCountsOneAbort)
     ASSERT_TRUE(hit) << "device must be mid-workload";
     EXPECT_EQ(rig.device->stats().workloadsAborted, 1u);
     EXPECT_EQ(rig.device->stats().injectedFailures, 1u);
+}
+
+TEST(InjectFailure, AbortReleasesHeldContinuation)
+{
+    // The device holds a workload's continuation until the workload
+    // resolves. Every way a workload can be cut short must destroy
+    // it at the abort, unrun, so its captures are freed there and no
+    // stale continuation can fire after the reboot.
+    enum class Cut { Inject, PowerDown, Brownout };
+    for (Cut cut : {Cut::Inject, Cut::PowerDown, Cut::Brownout}) {
+        SCOPED_TRACE("cut " + std::to_string(static_cast<int>(cut)));
+        FaultRig rig;
+        auto token = std::make_shared<int>(0);
+        int boots = 0, completions = 0;
+        bool ran = false;
+        long held_at_boot = -1, held_after_cut = -1;
+        rig.device->setHooks(Device::Hooks{
+            .onBoot =
+                [&] {
+                    ++boots;
+                    double p = rig.device->mcu().activePower;
+                    if (boots > 1) {
+                        // The rebooted device runs a fresh workload
+                        // through the same held slot.
+                        rig.device->runWorkload(p, 1e-3,
+                                                [&] { ++completions; });
+                        return;
+                    }
+                    // Doomed at schedule time (10 mW harvest vs
+                    // 22 mW draw); its brownout lands well after 1 s.
+                    rig.device->runWorkload(
+                        p, 1000.0, [&ran, token] { ran = true; });
+                    held_at_boot = token.use_count();
+                    if (cut == Cut::Brownout)
+                        return;
+                    rig.sim.schedule(1.0, [&] {
+                        if (cut == Cut::Inject)
+                            EXPECT_TRUE(
+                                rig.device->injectPowerFailure());
+                        else
+                            rig.device->powerDown();
+                        held_after_cut = token.use_count();
+                    });
+                },
+            .onPowerFail =
+                [&] {
+                    if (cut == Cut::Brownout)
+                        held_after_cut = token.use_count();
+                },
+        });
+        rig.device->start();
+        rig.sim.runUntil(300.0);
+
+        EXPECT_EQ(held_at_boot, 2) << "the device holds one copy";
+        EXPECT_EQ(held_after_cut, 1) << "released at the abort";
+        EXPECT_EQ(boots, 2);
+        EXPECT_EQ(completions, 1);
+        EXPECT_FALSE(ran);
+        EXPECT_EQ(token.use_count(), 1);
+    }
 }
 
 // --- Crash audits over the application workloads -------------------

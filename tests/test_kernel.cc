@@ -185,9 +185,9 @@ TEST(Kernel, GateInterceptsEveryAttempt)
                               });
     (void)t;
     Kernel k(*rig.device, rig.app);
-    k.setPreTaskGate([&](const Task &, std::function<void()> proceed) {
+    k.setPreTaskGate([&](const Task &) {
         ++gate_calls;
-        proceed();
+        return true;
     });
     k.start();
     rig.sim.runUntil(20.0);
@@ -205,18 +205,37 @@ TEST(Kernel, GateMayParkDevice)
         return nullptr;
     });
     Kernel k(*rig.device, rig.app);
-    k.setPreTaskGate([&](const Task &, std::function<void()> proceed) {
+    k.setPreTaskGate([&](const Task &) {
         ++gate_calls;
         if (gate_calls == 1) {
             rig.device->powerDown();  // park; gate re-runs after boot
-            return;
+            return false;
         }
-        proceed();
+        return true;
     });
     k.start();
     rig.sim.runUntil(30.0);
     EXPECT_TRUE(ran);
     EXPECT_EQ(gate_calls, 2);
+}
+
+TEST(KernelDeathTest, GateHoldingBackWithoutParkingAborts)
+{
+    // A false verdict promises the device is parked; one that leaves
+    // the device on would stall the kernel silently, so it aborts.
+    EXPECT_DEATH(
+        {
+            Rig rig;
+            rig.app.addTask("t", 1e-3, 0.0,
+                            [](Kernel &) -> const Task * {
+                                return nullptr;
+                            });
+            Kernel k(*rig.device, rig.app);
+            k.setPreTaskGate([](const Task &) { return false; });
+            k.start();
+            rig.sim.runUntil(30.0);
+        },
+        "without parking the device");
 }
 
 TEST(Kernel, SleepPacingDelaysNextTask)

@@ -9,7 +9,9 @@
 
 #include <cmath>
 #include <functional>
+#include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "sim/event.hh"
@@ -307,6 +309,171 @@ TEST(EventQueue, CallbackMaySchedule)
     while (!q.empty())
         q.runNext();
     EXPECT_EQ(depth, 5);
+}
+
+namespace
+{
+
+/**
+ * Drives an EventQueue and a reference model side by side. The
+ * reference is a std::map ordered by (when, seq), so it pops events
+ * in exactly the order the queue's contract promises. Every event
+ * captures a shared_ptr token; the harness keeps only a weak_ptr, so
+ * it can see when the queue releases an event's captures.
+ */
+struct QueueDifferential
+{
+    using Key = std::pair<Time, std::uint64_t>;
+
+    struct Ev
+    {
+        EventId id = kInvalidEvent;
+        Key key{};
+        std::weak_ptr<int> token;
+        bool done = false;  ///< ran or cancelled
+    };
+
+    EventQueue q;
+    std::map<Key, int> ref;  ///< pending events -> tag
+    std::vector<Ev> evs;     ///< by tag
+    std::vector<int> ran;    ///< tags in execution order
+    std::uint64_t seq = 0;
+    Time now = 0.0;
+    Rng rng;
+    /** Coverage: dispatches that grew the slot table, and
+     *  successful cancels. */
+    int grownInDispatch = 0;
+    int cancels = 0;
+
+    explicit QueueDifferential(std::uint64_t seed) : rng(seed, 0x51) {}
+
+    /** Children an event schedules from inside its own dispatch. */
+    int
+    childrenFor(int tag)
+    {
+        if (tag % 7 == 3)
+            return 0;
+        std::uint64_t r = rng.uniformInt(0, 19);
+        if (r == 0 && q.slotCapacity() < 256) {
+            // A burst that needs more new slots than the table holds,
+            // so it reallocates mid-dispatch whatever its spare
+            // capacity.
+            return 2 * int(q.slotCapacity()) + 1;
+        }
+        return r < 6 ? 1 : 0;
+    }
+
+    int
+    schedule(Time when)
+    {
+        int tag = int(evs.size());
+        auto token = std::make_shared<int>(tag);
+        evs.push_back(Ev{});
+        evs[tag].token = token;
+        evs[tag].key = Key{when, seq++};
+        evs[tag].id = q.schedule(when, [this, tag, token] {
+            fire(tag, *token);
+        });
+        ref.emplace(evs[tag].key, tag);
+        return tag;
+    }
+
+    void
+    fire(int tag, int token_value)
+    {
+        ASSERT_EQ(token_value, tag) << "captures intact at dispatch";
+        ran.push_back(tag);
+        std::size_t capacity = q.slotCapacity();
+        int kids = childrenFor(tag);
+        for (int k = 0; k < kids; ++k) {
+            // Integer delays make simultaneous events common.
+            int child = schedule(now + double(rng.uniformInt(0, 3)));
+            if (k == 0) {
+                // The dispatched event's slot was recycled before
+                // its callback ran, so the first child reuses it.
+                EXPECT_EQ(evs[child].id & 0xffffffffu,
+                          evs[tag].id & 0xffffffffu);
+            }
+        }
+        // The moved-out callback survives any slot-table growth.
+        grownInDispatch += q.slotCapacity() > capacity;
+        EXPECT_EQ(evs[tag].token.use_count(), 1);
+    }
+
+    void
+    cancelSome()
+    {
+        int tag = int(rng.uniformInt(0, evs.size() - 1));
+        Ev &ev = evs[tag];
+        EXPECT_EQ(q.cancel(ev.id), !ev.done);
+        if (!ev.done) {
+            ev.done = true;
+            ref.erase(ev.key);
+            ++cancels;
+        }
+        EXPECT_TRUE(ev.token.expired()) << "cancel releases captures";
+        EXPECT_FALSE(q.isPending(ev.id));
+    }
+
+    void
+    runOne()
+    {
+        ASSERT_FALSE(ref.empty());
+        auto head = ref.begin();
+        int want = head->second;
+        Time want_when = head->first.first;
+        ref.erase(head);
+        evs[want].done = true;
+        now = want_when;
+        std::size_t before = ran.size();
+        Time when = -1.0;
+        EXPECT_FALSE(q.popDue(want_when - 0.5, when)) << "not yet due";
+        if (want % 2 == 0) {
+            EXPECT_EQ(q.runNext(), want_when);
+        } else {
+            // The limit is inclusive, as in Simulator::runUntil.
+            Callback fn = q.popDue(want_when, when);
+            ASSERT_TRUE(fn);
+            EXPECT_EQ(when, want_when);
+            fn();
+        }
+        ASSERT_EQ(ran.size(), before + 1);
+        EXPECT_EQ(ran[before], want);
+        EXPECT_TRUE(evs[want].token.expired())
+            << "captures released after run";
+    }
+};
+
+} // namespace
+
+TEST(EventQueue, MatchesOrderedReferenceUnderRandomTraffic)
+{
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        QueueDifferential d(seed);
+        for (int op = 0; op < 3000 && !HasFatalFailure(); ++op) {
+            std::uint64_t r = d.rng.uniformInt(0, 9);
+            if (r < 4 || d.ref.empty())
+                d.schedule(d.now + double(d.rng.uniformInt(0, 5)));
+            else if (r < 6)
+                d.cancelSome();
+            else
+                d.runOne();
+            ASSERT_EQ(d.q.pending(), d.ref.size());
+            ASSERT_EQ(d.q.empty(), d.ref.empty());
+            if (!d.ref.empty()) {
+                ASSERT_EQ(d.q.nextTime(), d.ref.begin()->first.first);
+            }
+        }
+        while (!d.ref.empty() && !HasFatalFailure())
+            d.runOne();
+        EXPECT_TRUE(d.q.empty());
+        EXPECT_EQ(d.q.executed(), d.ran.size());
+        for (const auto &ev : d.evs)
+            EXPECT_TRUE(ev.token.expired());
+        EXPECT_GT(d.grownInDispatch, 0);
+        EXPECT_GT(d.cancels, 100);
+    }
 }
 
 TEST(Simulator, ClockAdvancesWithEvents)
