@@ -1,31 +1,18 @@
 /**
  * @file
- * Engine performance harness: google-benchmark microbenchmarks of the
+ * Engine microbenchmarks (google-benchmark) for layer work: the
  * event-queue hot path (schedule / cancel / runNext, callback
- * dispatch) and of parallel sweep throughput, plus a machine-readable
- * perf baseline.
- *
- * After the registered benchmarks run, the binary measures two
- * headline numbers and writes them to BENCH_SIM.json (override the
- * path with CAPY_BENCH_JSON):
- *
- *  - events/sec through EventQueue::schedule + runNext, and
- *  - wall-clock for a TempAlarm sweep at 1 thread vs the configured
- *    pool (CAPY_JOBS / hardware concurrency), with the speedup.
- *
- * The JSON seeds the repo's performance trajectory: future PRs append
- * comparable snapshots instead of re-deriving a baseline by hand.
+ * dispatch), nested simulator chains, the RNG, and TempAlarm sweep
+ * throughput at 1 thread vs the sweep pool. Timings are for
+ * exploring one layer; the end-to-end perf figures come from
+ * e2ebench, and the tier-1 gate is the exact work counts of
+ * tests/work_counts.cc.
  */
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
-#include <chrono>
-#include <cstdio>
-#include <cstdlib>
-#include <string>
-#include <thread>
-#include <vector>
+#include <cstdint>
+#include <functional>
 
 #include "apps/ta.hh"
 #include "env/events.hh"
@@ -119,6 +106,36 @@ BM_CallbackInlineDispatch(benchmark::State &state)
 }
 BENCHMARK(BM_CallbackInlineDispatch);
 
+void
+BM_SimulatorNestedChain(benchmark::State &state)
+{
+    for (auto _ : state) {
+        sim::Simulator s;
+        int depth = 0;
+        std::function<void()> chain = [&] {
+            if (++depth < 1000)
+                s.schedule(0.001, chain);
+        };
+        s.schedule(0.0, chain);
+        s.run();
+        benchmark::DoNotOptimize(depth);
+    }
+    state.SetItemsProcessed(state.iterations() * 1000);
+}
+BENCHMARK(BM_SimulatorNestedChain);
+
+void
+BM_RngExponential(benchmark::State &state)
+{
+    sim::Rng rng(1);
+    for (auto _ : state) {
+        double v = rng.exponential(30.0);
+        benchmark::DoNotOptimize(v);
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RngExponential);
+
 // --- Sweep throughput -----------------------------------------------
 
 /** One TempAlarm run of the kind every fig bench sweeps over. */
@@ -151,142 +168,6 @@ BENCHMARK(BM_SweepTempAlarm)
     ->Arg(int(sim::BatchRunner::defaultThreads()))
     ->Unit(benchmark::kMillisecond);
 
-// --- Machine-readable baseline (BENCH_SIM.json) ---------------------
-
-double
-secondsSince(std::chrono::steady_clock::time_point t0)
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
-}
-
-/** Repetitions per headline measurement: the comparator gates on
- *  these numbers, so take the best of a few runs to shed scheduler
- *  noise rather than a single noisy sample. */
-constexpr int kMeasureReps = 3;
-
-/** Events/sec through schedule+runNext on a warm queue (best of
- *  kMeasureReps). */
-double
-measureEventRate(std::uint64_t &events_out)
-{
-    double best = 0.0;
-    for (int rep = 0; rep < kMeasureReps; ++rep) {
-        sim::EventQueue q;
-        std::uint64_t target = 2'000'000;
-        double t = 0.0;
-        auto t0 = std::chrono::steady_clock::now();
-        while (q.executed() < target) {
-            for (int i = 0; i < 64; ++i)
-                q.schedule(t + double(i % 7), [] {});
-            while (!q.empty())
-                q.runNext();
-            t += 10.0;
-        }
-        double dt = secondsSince(t0);
-        events_out = q.executed();
-        best = std::max(best, double(q.executed()) / dt);
-    }
-    return best;
-}
-
-/** Wall-clock for the reference sweep at a given pool size (best of
- *  kMeasureReps). */
-double
-measureSweep(unsigned threads, std::size_t jobs)
-{
-    sim::BatchRunner pool(threads);
-    double best = 1e300;
-    for (int rep = 0; rep < kMeasureReps; ++rep) {
-        auto t0 = std::chrono::steady_clock::now();
-        auto runs = pool.map(jobs, [](std::size_t i) {
-            return sweepJob(std::uint64_t(i) + 1);
-        });
-        benchmark::DoNotOptimize(runs.back().summary.correct);
-        best = std::min(best, secondsSince(t0));
-    }
-    return best;
-}
-
-void
-writeBaseline()
-{
-    const char *path = std::getenv("CAPY_BENCH_JSON");
-    if (path == nullptr)
-        path = "BENCH_SIM.json";
-
-    std::uint64_t hot_events = 0;
-    double events_per_sec = measureEventRate(hot_events);
-
-    unsigned pool_threads = sim::BatchRunner::defaultThreads();
-    const std::size_t jobs = 16;
-    // Warm-up pass so first-touch costs don't skew the serial side.
-    measureSweep(1, 2);
-    double serial_s = measureSweep(1, jobs);
-    double parallel_s = measureSweep(pool_threads, jobs);
-    double speedup = parallel_s > 0.0 ? serial_s / parallel_s : 0.0;
-
-    std::FILE *f = std::fopen(path, "w");
-    if (f == nullptr) {
-        std::fprintf(stderr, "cannot write %s\n", path);
-        return;
-    }
-    std::fprintf(f, "{\n");
-    std::fprintf(f, "  \"schema\": \"capy-bench-sim-v2\",\n");
-    std::fprintf(f, "  \"event_queue\": {\n");
-    std::fprintf(f, "    \"events_per_sec\": %.6g,\n", events_per_sec);
-    std::fprintf(f, "    \"events_measured\": %llu,\n",
-                 (unsigned long long)hot_events);
-    std::fprintf(f, "    \"callback_heap_fallbacks\": %llu\n",
-                 (unsigned long long)
-                     sim::EventQueue::callbackHeapFallbacks());
-    std::fprintf(f, "  },\n");
-    std::fprintf(f, "  \"sweep\": {\n");
-    std::fprintf(f, "    \"workload\": \"TempAlarm CapyP 600s x%zu\",\n",
-                 jobs);
-    std::fprintf(f, "    \"jobs\": %zu,\n", jobs);
-    std::fprintf(f, "    \"serial_wall_s\": %.6g,\n", serial_s);
-    std::fprintf(f, "    \"parallel_wall_s\": %.6g,\n", parallel_s);
-    std::fprintf(f, "    \"threads\": %u,\n", pool_threads);
-    std::fprintf(f, "    \"speedup_vs_1_thread\": %.4g\n", speedup);
-    std::fprintf(f, "  },\n");
-    std::fprintf(f, "  \"hardware_concurrency\": %u\n",
-                 std::thread::hardware_concurrency());
-    std::fprintf(f, "}\n");
-    std::fclose(f);
-    std::printf("perf baseline written to %s (%.3g events/s, sweep "
-                "speedup %.2fx at %u threads)\n",
-                path, events_per_sec, speedup, pool_threads);
-}
-
 } // namespace
 
-int
-main(int argc, char **argv)
-{
-    setQuiet(true);
-    benchmark::Initialize(&argc, argv);
-    if (benchmark::ReportUnrecognizedArguments(argc, argv))
-        return 1;
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    writeBaseline();
-    // Hot-path contract: nothing the engine benches exercised —
-    // event-queue traffic, callback dispatch, full TempAlarm sweeps —
-    // may overflow Callback's inline buffer. A non-zero count means a
-    // capture grew past kInlineSize and dispatch silently went to the
-    // heap (ROADMAP item); fail loudly instead.
-    std::uint64_t heap_falls = sim::EventQueue::callbackHeapFallbacks();
-    if (heap_falls != 0) {
-        std::fprintf(stderr,
-                     "FAIL: %llu event callback(s) overflowed the "
-                     "%zu-byte inline buffer and heap-allocated\n",
-                     (unsigned long long)heap_falls,
-                     sim::Callback::kInlineSize);
-        return 1;
-    }
-    std::printf("callback heap fallbacks: 0 (inline buffer holds the "
-                "hot path)\n");
-    return 0;
-}
+BENCHMARK_MAIN();

@@ -1,46 +1,35 @@
 /**
  * @file
- * Power-layer hot-path benchmark: every simulated second of a device
- * run funnels through PowerSystem::advanceTo, the closed-form solver,
- * and Harvester queries, and the runtime leans on the predictive
- * queries (timeToFull / timeToBrownout) to jump the clock. This
- * harness measures that single-thread hot path directly under two
- * workloads:
+ * Power-layer microbenchmarks (google-benchmark): every simulated
+ * second of a device run funnels through PowerSystem::advanceTo, the
+ * closed-form solver and Harvester queries, and the runtime leans on
+ * the predictive queries (timeToFull / timeToBrownout) to jump the
+ * clock. The cases time that single-thread path directly:
  *
  *  - advance-heavy: many small advanceTo() steps against a looping
  *    288-sample harvest trace with periodic load changes (the
- *    trace-replay pattern of a deployed device), and
+ *    trace-replay pattern of a deployed device);
  *  - query-heavy: repeated predictive-query bundles (storageVoltage,
  *    isFull, timeToFull, timeToBrownout) between small advances (the
- *    charge-wake scheduling pattern in dev::Device).
+ *    charge-wake scheduling pattern in dev::Device);
+ *  - the solver's advance and crossing primitives, and one full
+ *    charge/discharge cycle of a regulated-supply board.
  *
- * After the registered google-benchmark cases run, the binary takes
- * best-of-3 headline measurements and merges a "power" section into
- * BENCH_SIM.json (schema capy-bench-sim-v2; path override via
- * CAPY_BENCH_JSON), alongside the cache hit/miss counters of the
- * harvester query cursor, the PowerSystem node-snapshot cache, and
- * the solver exp memo, so fast-path regressions are observable in the
- * perf gate rather than just slow.
+ * Timings are for exploring the layer; the walk and phase counts of
+ * the real workloads are gated exactly by tests/work_counts.cc, and
+ * test_hotpath asserts that every power cache hits.
  */
 
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <cmath>
-#include <cstdint>
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <memory>
-#include <sstream>
-#include <string>
 #include <vector>
 
 #include "power/harvester.hh"
 #include "power/parts.hh"
 #include "power/power_system.hh"
 #include "power/solver.hh"
-#include "sim/logging.hh"
 
 using namespace capy;
 
@@ -144,235 +133,52 @@ BM_PowerQueryBundle(benchmark::State &state)
 }
 BENCHMARK(BM_PowerQueryBundle);
 
-// --- Headline measurement + BENCH_SIM.json merge --------------------
-
-double
-secondsSince(std::chrono::steady_clock::time_point t0)
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
-}
-
-/** Repetitions per headline measurement (same policy as
- *  bench_engine: best-of to shed scheduler noise). */
-constexpr int kMeasureReps = 3;
-
-double
-measureAdvanceRate()
-{
-    const int steps = 20000;
-    double best = 0.0;
-    for (int rep = 0; rep < kMeasureReps; ++rep) {
-        auto ps = makeBenchSystem();
-        auto t0 = std::chrono::steady_clock::now();
-        benchmark::DoNotOptimize(advanceHeavy(*ps, steps));
-        double dt = secondsSince(t0);
-        best = std::max(best, double(steps) / dt);
-    }
-    return best;
-}
-
-double
-measureQueryRate()
-{
-    const int bundles = 4000;
-    double best = 0.0;
-    for (int rep = 0; rep < kMeasureReps; ++rep) {
-        auto ps = makeBenchSystem();
-        auto t0 = std::chrono::steady_clock::now();
-        benchmark::DoNotOptimize(queryHeavy(*ps, bundles));
-        double dt = secondsSince(t0);
-        best = std::max(best, double(bundles) / dt);
-    }
-    return best;
-}
-
-/** Hot-path cache counters from one fixed reference workload. */
-struct CacheCounters
-{
-    power::PowerSystem::CacheStats ps{};
-    std::uint64_t cursorHits = 0;
-    std::uint64_t cursorMisses = 0;
-};
-
-/**
- * Run the reference workload (untimed) and collect every hot-path
- * cache counter. The workload is fixed and single-threaded, so the
- * counters are exact and deterministic — a fast path that silently
- * stops hitting shows up as a counter regression in BENCH_SIM.json
- * even when the wall-clock gate is too noisy to catch it.
- */
-CacheCounters
-collectCounters()
-{
-    auto ps = makeBenchSystem();
-    benchmark::DoNotOptimize(advanceHeavy(*ps, 4000));
-    benchmark::DoNotOptimize(queryHeavy(*ps, 2000));
-    CacheCounters c;
-    c.ps = ps->cacheStats();
-    if (const auto *th = dynamic_cast<const power::TraceHarvester *>(
-            &ps->harvesterRef())) {
-        c.cursorHits = th->cursorHits();
-        c.cursorMisses = th->cursorMisses();
-    }
-    return c;
-}
-
-/** Strip a previously merged "power" section (idempotent re-runs). */
-std::string
-stripPowerSection(std::string text)
-{
-    std::size_t at = text.find("\"power\": {");
-    if (at == std::string::npos)
-        return text;
-    // Back up over indentation to the start of the line.
-    std::size_t start = text.rfind('\n', at);
-    start = start == std::string::npos ? at : start + 1;
-    // Find the matching close brace.
-    std::size_t depth = 0, i = text.find('{', at);
-    for (; i < text.size(); ++i) {
-        if (text[i] == '{')
-            ++depth;
-        else if (text[i] == '}' && --depth == 0)
-            break;
-    }
-    if (i >= text.size())
-        return text;  // malformed; leave as-is
-    std::size_t end = i + 1;
-    if (end < text.size() && text[end] == ',')
-        ++end;
-    if (end < text.size() && text[end] == '\n')
-        ++end;
-    text.erase(start, end - start);
-    return text;
-}
-
-/** The "power" block merged into BENCH_SIM.json. */
-std::string
-powerSection(double advance_per_sec, double query_per_sec,
-             const CacheCounters &c)
-{
-    char buf[2048];
-    std::snprintf(
-        buf, sizeof buf,
-        "  \"power\": {\n"
-        "    \"workload\": \"trace-replay 2-bank system\",\n"
-        "    \"advance_steps_per_sec\": %.6g,\n"
-        "    \"query_bundles_per_sec\": %.6g,\n"
-        "    \"cache\": {\n"
-        "      \"node_hits\": %llu,\n"
-        "      \"node_misses\": %llu,\n"
-        "      \"query_hits\": %llu,\n"
-        "      \"query_misses\": %llu,\n"
-        "      \"exp_hits\": %llu,\n"
-        "      \"exp_misses\": %llu,\n"
-        "      \"cursor_hits\": %llu,\n"
-        "      \"cursor_misses\": %llu\n"
-        "    }\n"
-        "  },\n",
-        advance_per_sec, query_per_sec,
-        (unsigned long long)c.ps.nodeHits,
-        (unsigned long long)c.ps.nodeMisses,
-        (unsigned long long)c.ps.queryHits,
-        (unsigned long long)c.ps.queryMisses,
-        (unsigned long long)c.ps.expHits,
-        (unsigned long long)c.ps.expMisses,
-        (unsigned long long)c.cursorHits,
-        (unsigned long long)c.cursorMisses);
-    return buf;
-}
-
-/**
- * Merge the power section into the BENCH_SIM.json written by
- * bench_engine (schema v2), or write a standalone v2 file when none
- * exists yet.
- */
 void
-writeMerged(double advance_per_sec, double query_per_sec,
-            const CacheCounters &counters)
+BM_SolverAdvance(benchmark::State &state)
 {
-    const char *path = std::getenv("CAPY_BENCH_JSON");
-    if (path == nullptr)
-        path = "BENCH_SIM.json";
-
-    std::string text;
-    {
-        std::ifstream in(path);
-        if (in) {
-            std::ostringstream buf;
-            buf << in.rdbuf();
-            text = buf.str();
-        }
+    power::Phase ph{5e-3, 7.5e-3, 2e5};
+    double e = 0.001;
+    for (auto _ : state) {
+        e = power::advanceEnergy(e, ph, 0.01);
+        if (e > 0.03)
+            e = 0.001;
+        benchmark::DoNotOptimize(e);
     }
-
-    std::string section =
-        powerSection(advance_per_sec, query_per_sec, counters);
-    if (text.find("\"capy-bench-sim-v") != std::string::npos) {
-        // Upgrade v1 snapshots in place; drop any stale power block.
-        std::size_t v1 = text.find("\"capy-bench-sim-v1\"");
-        if (v1 != std::string::npos)
-            text.replace(v1, 19, "\"capy-bench-sim-v2\"");
-        text = stripPowerSection(std::move(text));
-        std::size_t anchor = text.find("  \"hardware_concurrency\"");
-        if (anchor == std::string::npos)
-            anchor = text.rfind('}');
-        if (anchor == std::string::npos) {
-            std::fprintf(stderr, "bench_power: cannot merge into %s\n",
-                         path);
-            return;
-        }
-        text.insert(anchor, section);
-    } else {
-        text = "{\n  \"schema\": \"capy-bench-sim-v2\",\n" + section +
-               "  \"hardware_concurrency\": 1\n}\n";
-    }
-
-    std::FILE *f = std::fopen(path, "w");
-    if (f == nullptr) {
-        std::fprintf(stderr, "bench_power: cannot write %s\n", path);
-        return;
-    }
-    std::fwrite(text.data(), 1, text.size(), f);
-    std::fclose(f);
-    std::printf("power hot-path metrics merged into %s\n", path);
+    state.SetItemsProcessed(state.iterations());
 }
+BENCHMARK(BM_SolverAdvance);
+
+void
+BM_SolverCrossing(benchmark::State &state)
+{
+    power::Phase ph{5e-3, 7.5e-3, 2e5};
+    for (auto _ : state) {
+        double t = power::timeToEnergy(0.001, 0.02, ph);
+        benchmark::DoNotOptimize(t);
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SolverCrossing);
+
+void
+BM_PowerSystemChargeCycle(benchmark::State &state)
+{
+    for (auto _ : state) {
+        power::PowerSystem::Spec spec;
+        power::PowerSystem ps(
+            spec,
+            std::make_unique<power::RegulatedSupply>(10e-3, 3.3));
+        ps.addBank("b", power::parts::edlc7_5mF());
+        ps.advanceTo(ps.timeToFull() + 1.0);
+        ps.setRailEnabled(true);
+        ps.setRailLoad(20e-3);
+        ps.advanceTo(ps.time() + ps.timeToBrownout());
+        benchmark::DoNotOptimize(ps.storageVoltage());
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_PowerSystemChargeCycle);
 
 } // namespace
 
-int
-main(int argc, char **argv)
-{
-    setQuiet(true);
-    benchmark::Initialize(&argc, argv);
-    if (benchmark::ReportUnrecognizedArguments(argc, argv))
-        return 1;
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-
-    double advance_per_sec = measureAdvanceRate();
-    double query_per_sec = measureQueryRate();
-    CacheCounters counters = collectCounters();
-    std::printf("power hot path: %.4g advance steps/s, "
-                "%.4g query bundles/s\n",
-                advance_per_sec, query_per_sec);
-    std::printf("caches: node %llu/%llu, query %llu/%llu, "
-                "exp %llu/%llu, cursor %llu/%llu (hits/misses)\n",
-                (unsigned long long)counters.ps.nodeHits,
-                (unsigned long long)counters.ps.nodeMisses,
-                (unsigned long long)counters.ps.queryHits,
-                (unsigned long long)counters.ps.queryMisses,
-                (unsigned long long)counters.ps.expHits,
-                (unsigned long long)counters.ps.expMisses,
-                (unsigned long long)counters.cursorHits,
-                (unsigned long long)counters.cursorMisses);
-    writeMerged(advance_per_sec, query_per_sec, counters);
-    if (counters.ps.nodeHits == 0 || counters.ps.queryHits == 0 ||
-        counters.ps.expHits == 0 || counters.cursorHits == 0) {
-        std::fprintf(stderr, "bench_power: FAIL: a hot-path cache "
-                             "recorded zero hits on the reference "
-                             "workload\n");
-        return 1;
-    }
-    return 0;
-}
+BENCHMARK_MAIN();

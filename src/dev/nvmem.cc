@@ -2,6 +2,8 @@
 
 #include <array>
 
+#include "sim/work.hh"
+
 namespace capy::dev
 {
 
@@ -46,6 +48,7 @@ loadLe32(const unsigned char *p)
 std::uint32_t
 nvCrc32(const void *data, std::size_t len)
 {
+    ++sim::workCounts.crcCalls;
     const auto &t = kCrcTables;
     const auto *bytes = static_cast<const unsigned char *>(data);
     std::uint32_t crc = 0xffffffffu;

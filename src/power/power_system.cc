@@ -6,6 +6,7 @@
 
 #include "power/solver.hh"
 #include "sim/logging.hh"
+#include "sim/work.hh"
 
 namespace capy::power
 {
@@ -255,6 +256,7 @@ void
 PowerSystem::stepNode(Node &node, sim::Time t0, double dt,
                       EnergyStats *acc) const
 {
+    ++sim::workCounts.advanceWalks;
     double remaining = dt;
     int stalls = 0;
     const double pd = (railOn ? storageDrawPower(spec.output, loadPower)
@@ -262,6 +264,7 @@ PowerSystem::stepNode(Node &node, sim::Time t0, double dt,
                       spec.systemQuiescentPower;
 
     for (int guard = 0; remaining > kTimeTol; ++guard) {
+        ++sim::workCounts.phases;
         double v = node.voltage();
         PhaseInfo info = phaseAt(node, v, t0);
         if (guard >= 64) {
@@ -605,6 +608,7 @@ PowerSystem::timeToVoltage(double target_v) const
 sim::Time
 PowerSystem::computeTimeToVoltage(double target_v) const
 {
+    ++sim::workCounts.queryWalks;
     Node node = activeNode();
     if (!node.valid)
         return kNever;
@@ -626,6 +630,7 @@ PowerSystem::computeTimeToVoltage(double target_v) const
         bool segment_has_change = std::isfinite(seg);
         int stalls = 0;
         for (int guard = 0; remaining > kTimeTol; ++guard) {
+            ++sim::workCounts.phases;
             double v = node.voltage();
             PhaseInfo info = phaseAt(node, v, t_abs);
             if (guard >= 64) {

@@ -203,10 +203,9 @@ class PowerSystem
      * results are cached behind dirty flags (invalidated by control
      * calls and time advancement), and the solver memoizes
      * exp(-dt/tau); all caches are pure memoization — query results
-     * are bit-identical to a cold rebuild. bench_power exports these
-     * alongside callbackHeapFallbacks so a fast path that silently
-     * stops hitting shows up in BENCH_SIM.json, not just in
-     * wall-clock.
+     * are bit-identical to a cold rebuild. test_hotpath asserts that
+     * each cache hits, so a fast path that silently stops hitting
+     * fails a test, not just a timing.
      */
     struct CacheStats
     {

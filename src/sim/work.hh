@@ -1,0 +1,32 @@
+/**
+ * @file
+ * Per-thread work counters of the simulator's inner loops.
+ *
+ * Plain integers bumped where the work happens, so a run's cost can
+ * be stated exactly, without a clock: tests/work_counts.cc reads them
+ * around each run. Counts a run already reports (events, Chain
+ * transitions, Callback heap fallbacks) are not repeated here.
+ */
+
+#ifndef CAPY_SIM_WORK_HH
+#define CAPY_SIM_WORK_HH
+
+#include <cstdint>
+
+namespace capy::sim
+{
+
+struct WorkCounts
+{
+    std::uint64_t crcCalls = 0;      ///< dev::nvCrc32 calls
+    std::uint64_t advanceWalks = 0;  ///< PowerSystem advance walks
+    std::uint64_t queryWalks = 0;    ///< uncached predictive-query walks
+    std::uint64_t phases = 0;        ///< phase iterations of both walks
+};
+
+/** This thread's counters; only ever incremented. */
+inline constinit thread_local WorkCounts workCounts;
+
+} // namespace capy::sim
+
+#endif // CAPY_SIM_WORK_HH

@@ -243,6 +243,9 @@ TEST(HotPath, CachedQueriesMatchFreshOracleAfterEveryControlCall)
         }
         expectQueriesMatchFresh(*ps);
     }
+    // The walks reuse each other's exp(-dt/tau) (a query's phases
+    // re-walked by the next query or advance), so the memo must hit.
+    EXPECT_GT(ps->cacheStats().expHits, 0u);
 }
 
 TEST(HotPath, RepeatQueriesHitTheMemo)

@@ -1,0 +1,177 @@
+/**
+ * @file
+ * Exact work counts of the end-to-end benchmark's workloads, for a
+ * perf gate that reads no clock.
+ *
+ * Runs, serially on one thread through the same apps entry points as
+ * e2ebench: the Fig. 8 matrix (4 apps x 4 policies) at seed
+ * 20180324, one 5-orbit CapySat mission, and one checkpoint-rig
+ * replica with a single injected Collapse. Each run prints one line:
+ *
+ *   events       simulator events
+ *   transitions  task commits (Chain transitions; checkpoints on the
+ *                checkpoint rig; samples + packets on CapySat, whose
+ *                kernels commit one self-transition per body)
+ *   crc          dev::nvCrc32 calls
+ *   advances     PowerSystem advance walks
+ *   queries      uncached predictive-query walks
+ *   phases       phase iterations of both walks
+ *   cb_heap      sim::Callback heap fallbacks
+ *   new          operator new calls
+ *
+ * The `golden_work_counts` ctest diffs the output with
+ * tests/golden/work_counts.txt byte for byte. A change that moves a
+ * count on purpose regenerates the file:
+ *
+ *   build/tests/work_counts > tests/golden/work_counts.txt
+ */
+
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <new>
+#include <string>
+
+#include "apps/capysat.hh"
+#include "apps/csr.hh"
+#include "apps/faults.hh"
+#include "apps/grc.hh"
+#include "apps/ta.hh"
+#include "sim/callback.hh"
+#include "sim/logging.hh"
+#include "sim/work.hh"
+
+namespace
+{
+
+std::uint64_t newCalls = 0;
+
+} // namespace
+
+void *
+operator new(std::size_t size)
+{
+    ++newCalls;
+    if (void *p = std::malloc(size == 0 ? 1 : size))
+        return p;
+    throw std::bad_alloc();
+}
+
+void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
+namespace
+{
+
+using namespace capy;
+
+/** Every counter at one instant. */
+struct Snapshot
+{
+    sim::WorkCounts work;
+    std::uint64_t callbackHeap;
+    std::uint64_t news;
+
+    static Snapshot
+    now()
+    {
+        return {sim::workCounts, sim::Callback::heapFallbacks(),
+                newCalls};
+    }
+};
+
+/** Run @p run and print its line; @p run returns {events, commits}. */
+template <typename Run>
+void
+measure(const std::string &name, Run &&run)
+{
+    Snapshot a = Snapshot::now();
+    auto [events, transitions] = run();
+    Snapshot b = Snapshot::now();
+    auto delta = [](std::uint64_t x, std::uint64_t y) {
+        return (unsigned long long)(y - x);
+    };
+    std::printf("%-14s events=%llu transitions=%llu crc=%llu "
+                "advances=%llu queries=%llu phases=%llu cb_heap=%llu "
+                "new=%llu\n",
+                name.c_str(), (unsigned long long)events,
+                (unsigned long long)transitions,
+                delta(a.work.crcCalls, b.work.crcCalls),
+                delta(a.work.advanceWalks, b.work.advanceWalks),
+                delta(a.work.queryWalks, b.work.queryWalks),
+                delta(a.work.phases, b.work.phases),
+                delta(a.callbackHeap, b.callbackHeap),
+                delta(a.news, b.news));
+}
+
+struct Counts
+{
+    std::uint64_t events;
+    std::uint64_t transitions;
+};
+
+Counts
+countsOf(const apps::RunMetrics &m)
+{
+    return {m.simEvents, m.kernel.transitions};
+}
+
+} // namespace
+
+int
+main()
+{
+    setQuiet(true);
+    using core::Policy;
+    constexpr std::uint64_t kSeed = 20180324;
+
+    const env::EventSchedule ta = apps::taSchedule(kSeed);
+    const env::EventSchedule grc = apps::grcSchedule(kSeed);
+    const Policy policies[4] = {Policy::Continuous, Policy::Fixed,
+                                Policy::CapyR, Policy::CapyP};
+    const char *const tags[4] = {"pwr", "fixed", "capyr", "capyp"};
+    // The cell order of bench_fig08_accuracy.
+    for (int p = 0; p < 4; ++p)
+        measure(std::string("ta_") + tags[p], [&] {
+            return countsOf(apps::runTempAlarm(policies[p], ta, kSeed));
+        });
+    for (auto variant :
+         {apps::GrcVariant::Fast, apps::GrcVariant::Compact}) {
+        const char *app =
+            variant == apps::GrcVariant::Fast ? "grcf_" : "grcc_";
+        for (int p = 0; p < 4; ++p)
+            measure(app + std::string(tags[p]), [&] {
+                return countsOf(apps::runGestureRemote(
+                    variant, policies[p], grc, kSeed));
+            });
+    }
+    for (int p = 0; p < 4; ++p)
+        measure(std::string("csr_") + tags[p], [&] {
+            return countsOf(apps::runCorrSense(policies[p], grc, kSeed));
+        });
+
+    measure("capysat", [&] {
+        auto r = apps::runCapySat(5.0, kSeed);
+        return Counts{r.simEvents, r.samples + r.packets};
+    });
+
+    // Inside the fifth checkpoint's commit window: the Collapse tears
+    // the commit, and the reboot recovers the previous checkpoint.
+    constexpr double kCrashAt = 56.645;
+    apps::FaultSpec crash;
+    crash.plan = sim::FaultPlan::atTimes({kCrashAt});
+    measure("ckpt_crash", [&] {
+        auto m = apps::runCheckpointCrashWorkload(&crash, 240.0, 240.0);
+        return Counts{m.simEvents, m.kernel.checkpoints};
+    });
+    return 0;
+}
