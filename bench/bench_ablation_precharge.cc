@@ -10,6 +10,8 @@
  */
 
 #include <cstdio>
+#include <iterator>
+#include <utility>
 #include <vector>
 
 #include "apps/ta.hh"
@@ -41,8 +43,10 @@ main()
                                 kTaHorizon, p);
         });
     auto results = runMetricsBatch(jobs);
-    RunMetrics capy_r = results[0];
-    std::vector<RunMetrics> runs(results.begin() + 1, results.end());
+    RunMetrics capy_r = std::move(results[0]);
+    std::vector<RunMetrics> runs(
+        std::make_move_iterator(results.begin() + 1),
+        std::make_move_iterator(results.end()));
 
     sim::Table t({"system", "correct", "latency mean (s)",
                   "latency max (s)", "burst activations",

@@ -9,6 +9,7 @@
 
 #include <cstdio>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "apps/csr.hh"
@@ -80,13 +81,14 @@ main()
         });
     auto results = runMetricsBatch(jobs);
 
-    std::vector<AppRuns> apps = {{"TempAlarm", {}},
-                                 {"GestureFast", {}},
-                                 {"GestureCompact", {}},
-                                 {"CorrSense", {}}};
-    for (std::size_t a = 0; a < apps.size(); ++a)
+    AppRuns apps[4] = {{"TempAlarm", {}},
+                       {"GestureFast", {}},
+                       {"GestureCompact", {}},
+                       {"CorrSense", {}}};
+    for (std::size_t a = 0; a < 4; ++a)
         for (int i = 0; i < 4; ++i)
-            apps[a].byPolicy[i] = results[a * 4 + std::size_t(i)];
+            apps[a].byPolicy[i] =
+                std::move(results[a * 4 + std::size_t(i)]);
 
     sim::Table t({"app", "system", "correct", "misclassified",
                   "proximity-only", "missed", ""});

@@ -10,6 +10,7 @@
  */
 
 #include <cstdio>
+#include <utility>
 #include <vector>
 
 #include "apps/csr.hh"
@@ -75,10 +76,10 @@ main()
 
     RunMetrics ta[4], gf[4], gc[4], cs[4];
     for (std::size_t i = 0; i < 4; ++i) {
-        ta[i] = results[i * 4 + 0];
-        gf[i] = results[i * 4 + 1];
-        gc[i] = results[i * 4 + 2];
-        cs[i] = results[i * 4 + 3];
+        ta[i] = std::move(results[i * 4 + 0]);
+        gf[i] = std::move(results[i * 4 + 1]);
+        gc[i] = std::move(results[i * 4 + 2]);
+        cs[i] = std::move(results[i * 4 + 3]);
     }
 
     sim::Table t({"app", "system", "reported", "mean (s)", "min (s)",

@@ -128,7 +128,7 @@ runVtopTempAlarm(std::uint64_t seed, double horizon)
     simulator.runUntil(horizon);
 
     out.summary = sb.summarize();
-    out.samples = sb.samples().size();
+    out.samples = sb.sampleCount();
     out.eepromWrites = runtime.eepromWrites();
     out.thresholdChanges = runtime.stats().thresholdChanges;
     return out;

@@ -1,5 +1,7 @@
 #include "apps/csr.hh"
 
+#include <utility>
+
 #include "dev/peripheral.hh"
 #include "env/pendulum.hh"
 #include "power/units.hh"
@@ -107,7 +109,8 @@ runCorrSense(core::Policy policy, const env::EventSchedule &schedule,
     simulator.runUntil(horizon);
 
     RunMetrics out;
-    collectMetrics(out, sb, *board.device, kernel, runtime, radio);
+    collectMetrics(out, std::move(sb), *board.device, kernel, runtime,
+                   radio);
     if (harness)
         out.faults = harness->finish();
     return out;

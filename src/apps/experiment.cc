@@ -1,6 +1,7 @@
 #include "apps/experiment.hh"
 
 #include <algorithm>
+#include <utility>
 
 namespace capy::apps
 {
@@ -21,19 +22,19 @@ grcSchedule(std::uint64_t seed)
 }
 
 void
-collectMetrics(RunMetrics &out, const env::Scoreboard &sb,
+collectMetrics(RunMetrics &out, env::Scoreboard &&sb,
                const dev::Device &device, const rt::Kernel &kernel,
                const core::Runtime &runtime, const dev::Radio &radio)
 {
     out.policy = runtime.policy();
     out.summary = sb.summarize();
-    out.intervals = sb.sampleIntervals();
+    out.samples = sb.sampleCount();
+    out.intervals = std::move(sb).sampleIntervals();
     out.device = device.stats();
     out.kernel = kernel.stats();
     out.runtime = runtime.stats();
     out.packetsSent = radio.packetsSent();
     out.packetsLost = radio.packetsLost();
-    out.samples = sb.samples().size();
     out.simEvents = device.simulator().eventsExecuted();
 
     double total = 0.0;

@@ -25,13 +25,17 @@
 namespace capy::apps
 {
 
-/** Everything one application run produces. */
+/**
+ * Everything one application run produces. Move-only, because
+ * `intervals` owns the run's sample log (MBs on a long run): pass
+ * it by reference and move it out of a batch.
+ */
 struct RunMetrics
 {
     core::Policy policy = core::Policy::Fixed;
     env::Scoreboard::Summary summary;
-    /** Inter-sample intervals (Fig. 11). */
-    std::vector<env::Scoreboard::Interval> intervals;
+    /** Inter-sample intervals (Fig. 11), computed as walked. */
+    env::IntervalView intervals;
     dev::Device::Stats device;
     rt::Kernel::Stats kernel;
     core::Runtime::Stats runtime;
@@ -76,9 +80,10 @@ env::EventSchedule grcSchedule(std::uint64_t seed);
 
 /**
  * Fill the bookkeeping shared by all runs (device/kernel/runtime
- * stats, radio counters, scoreboard summary, charge spans).
+ * stats, radio counters, scoreboard summary, charge spans). Takes
+ * the scoreboard's sample log over for `out.intervals`.
  */
-void collectMetrics(RunMetrics &out, const env::Scoreboard &sb,
+void collectMetrics(RunMetrics &out, env::Scoreboard &&sb,
                     const dev::Device &device,
                     const rt::Kernel &kernel,
                     const core::Runtime &runtime,

@@ -1,5 +1,7 @@
 #include "apps/grc.hh"
 
+#include <utility>
+
 #include "dev/peripheral.hh"
 #include "env/pendulum.hh"
 #include "power/units.hh"
@@ -162,7 +164,8 @@ runGestureRemote(GrcVariant variant, core::Policy policy,
     simulator.runUntil(horizon);
 
     RunMetrics out;
-    collectMetrics(out, sb, *board.device, kernel, runtime, radio);
+    collectMetrics(out, std::move(sb), *board.device, kernel, runtime,
+                   radio);
     if (harness)
         out.faults = harness->finish();
     return out;

@@ -1,5 +1,7 @@
 #include "apps/ta.hh"
 
+#include <utility>
+
 #include "dev/peripheral.hh"
 #include "env/thermal.hh"
 #include "power/units.hh"
@@ -87,7 +89,8 @@ runTempAlarm(core::Policy policy, const env::EventSchedule &schedule,
     simulator.runUntil(horizon);
 
     RunMetrics out;
-    collectMetrics(out, sb, *board.device, kernel, runtime, radio);
+    collectMetrics(out, std::move(sb), *board.device, kernel, runtime,
+                   radio);
     if (harness)
         out.faults = harness->finish();
     return out;

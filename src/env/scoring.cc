@@ -1,5 +1,8 @@
 #include "env/scoring.hh"
 
+#include <iterator>
+#include <utility>
+
 #include "sim/logging.hh"
 
 namespace capy::env
@@ -42,6 +45,50 @@ rank(Outcome o)
 }
 
 } // namespace
+
+void
+SampleLog::addChunk()
+{
+    std::size_t capacity = kFirstChunk;
+    for (std::size_t i = 0; i < chunks.size() && capacity < kChunk; ++i)
+        capacity *= 2;
+    std::vector<sim::Time> chunk;
+    chunk.reserve(capacity);
+    chunks.push_back(std::move(chunk));
+}
+
+static_assert(std::forward_iterator<SampleLog::const_iterator>);
+static_assert(std::forward_iterator<IntervalView::iterator>);
+
+IntervalView::IntervalView(SampleLog samples,
+                           std::vector<sim::Time> missed_times,
+                           double back_to_back_threshold)
+    : log(std::move(samples)), missed(std::move(missed_times)),
+      threshold(back_to_back_threshold)
+{}
+
+IntervalView::iterator
+IntervalView::begin() const
+{
+    if (log.size() < 2)
+        return end();
+    iterator it;
+    it.view = this;
+    it.next = log.begin();
+    it.lo = *it.next;
+    ++it.next;
+    it.skipMissedUpTo(it.lo);
+    return it;
+}
+
+IntervalView::iterator
+IntervalView::end() const
+{
+    iterator it;
+    it.view = this;
+    it.next = log.end();
+    return it;
+}
 
 Scoreboard::Scoreboard(const EventSchedule &schedule_ref)
     : schedule(schedule_ref),
@@ -92,9 +139,9 @@ Scoreboard::recordReport(int event_id, sim::Time t)
 void
 Scoreboard::recordSample(sim::Time t)
 {
-    capy_assert(sampleTimes.empty() || t >= sampleTimes.back(),
+    capy_assert(samples.empty() || t >= samples.back(),
                 "samples must be recorded in time order");
-    sampleTimes.push_back(t);
+    samples.push(t);
 }
 
 Outcome
@@ -131,36 +178,26 @@ Scoreboard::summarize() const
     return s;
 }
 
-std::vector<Scoreboard::Interval>
-Scoreboard::sampleIntervals(double back_to_back_threshold) const
+std::vector<sim::Time>
+Scoreboard::missedTimes() const
 {
-    // Samples and events are both time-ordered, so one forward cursor
-    // visits each event at most once across all intervals; interval i
-    // holds the events eventsBetween(sample[i-1], sample[i]) returns.
-    const std::vector<EnvEvent> &events = schedule.events();
-    std::size_t next = 0;
-    std::vector<Interval> out;
-    if (sampleTimes.size() > 1)
-        out.reserve(sampleTimes.size() - 1);
-    for (std::size_t i = 1; i < sampleTimes.size(); ++i) {
-        sim::Time lo = sampleTimes[i - 1];
-        sim::Time hi = sampleTimes[i];
-        Interval iv;
-        iv.length = hi - lo;
-        iv.backToBack = iv.length < back_to_back_threshold;
-        iv.containsMissed = false;
-        while (next < events.size() && !(events[next].time > lo))
-            ++next;
-        for (; next < events.size() && events[next].time < hi; ++next) {
-            if (outcomes[static_cast<std::size_t>(events[next].id)] ==
-                Outcome::Missed) {
-                iv.containsMissed = true;
-                break;
-            }
-        }
-        out.push_back(iv);
-    }
+    std::vector<sim::Time> out;
+    for (const EnvEvent &e : schedule.events())
+        if (outcomes[static_cast<std::size_t>(e.id)] == Outcome::Missed)
+            out.push_back(e.time);
     return out;
+}
+
+IntervalView
+Scoreboard::sampleIntervals(double back_to_back_threshold) &&
+{
+    return {std::move(samples), missedTimes(), back_to_back_threshold};
+}
+
+IntervalView
+Scoreboard::sampleIntervals(double back_to_back_threshold) const &
+{
+    return {samples, missedTimes(), back_to_back_threshold};
 }
 
 } // namespace capy::env

@@ -4,11 +4,19 @@
  * Correct / Misclassified / ProximityOnly / Missed, collect report
  * latencies, and analyze inter-sample intervals for the sampling-
  * quality study (Fig. 11).
+ *
+ * A run's sample times are stored once, in an append-only SampleLog
+ * of fixed-size chunks (about 8 B per sample, never copied as it
+ * grows). Its intervals are not materialized: an IntervalView takes
+ * the log over at the end of the run, with the times of the events
+ * still missed, and yields each classified Interval as it is walked.
  */
 
 #ifndef CAPY_ENV_SCORING_HH
 #define CAPY_ENV_SCORING_HH
 
+#include <cstddef>
+#include <iterator>
 #include <vector>
 
 #include "env/events.hh"
@@ -27,6 +35,193 @@ enum class Outcome
 };
 
 const char *outcomeName(Outcome outcome);
+
+/**
+ * Append-only log of sample times in chunks. The first chunk holds
+ * kFirstChunk samples and each next one twice as many, up to
+ * kChunk, so a short run stays small and a long one pays neither
+ * a regrowing vector's slack nor its copies.
+ */
+class SampleLog
+{
+  public:
+    static constexpr std::size_t kFirstChunk = 256;
+    static constexpr std::size_t kChunk = 16384;
+
+    /** Forward iterator over the samples in append order. */
+    class const_iterator
+    {
+      public:
+        using iterator_category = std::forward_iterator_tag;
+        using value_type = sim::Time;
+        using difference_type = std::ptrdiff_t;
+        using pointer = const sim::Time *;
+        using reference = const sim::Time &;
+
+        const_iterator() = default;
+        reference operator*() const { return (*chunk)[pos]; }
+        const_iterator &
+        operator++()
+        {
+            if (++pos == chunk->size()) {
+                ++chunk;
+                pos = 0;
+            }
+            return *this;
+        }
+        const_iterator
+        operator++(int)
+        {
+            const_iterator old = *this;
+            ++*this;
+            return old;
+        }
+        bool operator==(const const_iterator &) const = default;
+
+      private:
+        friend class SampleLog;
+        const_iterator(const std::vector<sim::Time> *c, std::size_t p)
+            : chunk(c), pos(p)
+        {}
+
+        const std::vector<sim::Time> *chunk = nullptr;
+        std::size_t pos = 0;
+    };
+
+    void
+    push(sim::Time t)
+    {
+        if (chunks.empty() ||
+            chunks.back().size() == chunks.back().capacity())
+            addChunk();
+        chunks.back().push_back(t);
+        ++count;
+    }
+
+    std::size_t size() const { return count; }
+    bool empty() const { return count == 0; }
+    sim::Time back() const { return chunks.back().back(); }
+
+    const_iterator begin() const { return {chunks.data(), 0}; }
+    const_iterator
+    end() const
+    {
+        return {chunks.data() + chunks.size(), 0};
+    }
+
+  private:
+    void addChunk();
+
+    /** Each chunk is reserved once and never grows past it. */
+    std::vector<std::vector<sim::Time>> chunks;
+    std::size_t count = 0;
+};
+
+/** One inter-sample interval with its Fig. 11 classification. */
+struct Interval
+{
+    double length;        ///< s between consecutive samples
+    bool backToBack;      ///< below the back-to-back threshold
+    bool containsMissed;  ///< >=1 missed event fell inside it
+};
+
+/**
+ * A run's inter-sample intervals, computed as they are walked. Owns
+ * the sample log, the sorted times of the events missed over the
+ * run and the back-to-back threshold, so it outlives the Scoreboard
+ * and EventSchedule it came from. Move-only: the log is the run's
+ * largest record, and nothing needs a second one.
+ */
+class IntervalView
+{
+  public:
+    /** Forward iterator yielding each Interval by value (so a
+     *  legacy input iterator, as std::views::iota's is). */
+    class iterator
+    {
+      public:
+        using iterator_concept = std::forward_iterator_tag;
+        using iterator_category = std::input_iterator_tag;
+        using value_type = Interval;
+        using difference_type = std::ptrdiff_t;
+        using pointer = void;
+        using reference = Interval;
+
+        iterator() = default;
+
+        Interval
+        operator*() const
+        {
+            sim::Time hi = *next;
+            Interval iv;
+            iv.length = hi - lo;
+            iv.backToBack = iv.length < view->threshold;
+            iv.containsMissed = missedAt < view->missed.size() &&
+                                view->missed[missedAt] < hi;
+            return iv;
+        }
+        iterator &
+        operator++()
+        {
+            lo = *next;
+            ++next;
+            skipMissedUpTo(lo);
+            return *this;
+        }
+        iterator
+        operator++(int)
+        {
+            iterator old = *this;
+            ++*this;
+            return old;
+        }
+        bool
+        operator==(const iterator &o) const
+        {
+            return next == o.next;
+        }
+
+      private:
+        friend class IntervalView;
+
+        /** Point the missed cursor at the first missed time > @p t,
+         *  so an interval (lo, hi) holds one iff it is < hi. */
+        void
+        skipMissedUpTo(sim::Time t)
+        {
+            while (missedAt < view->missed.size() &&
+                   !(view->missed[missedAt] > t))
+                ++missedAt;
+        }
+
+        const IntervalView *view = nullptr;
+        SampleLog::const_iterator next;  ///< the interval's upper sample
+        sim::Time lo = 0.0;              ///< the interval's lower sample
+        std::size_t missedAt = 0;
+    };
+
+    IntervalView() = default;
+    IntervalView(SampleLog samples, std::vector<sim::Time> missed_times,
+                 double back_to_back_threshold);
+    IntervalView(IntervalView &&) = default;
+    IntervalView &operator=(IntervalView &&) = default;
+    IntervalView(const IntervalView &) = delete;
+    IntervalView &operator=(const IntervalView &) = delete;
+
+    std::size_t
+    size() const
+    {
+        return log.size() > 1 ? log.size() - 1 : 0;
+    }
+
+    iterator begin() const;
+    iterator end() const;
+
+  private:
+    SampleLog log;
+    std::vector<sim::Time> missed;  ///< ascending
+    double threshold = 1.0;
+};
 
 /**
  * Collects what an application observed and reported during a run,
@@ -78,31 +273,32 @@ class Scoreboard
 
     Summary summarize() const;
 
-    /** One inter-sample interval with its Fig. 11 classification. */
-    struct Interval
-    {
-        double length;        ///< s between consecutive samples
-        bool backToBack;      ///< below the back-to-back threshold
-        bool containsMissed;  ///< >=1 missed event fell inside it
-    };
+    using Interval = env::Interval;
 
     /**
      * Inter-sample intervals, each flagged back-to-back (< @p
      * back_to_back_threshold) or classified by whether a missed
-     * ground-truth event fell inside it.
+     * ground-truth event fell inside it. Missed means missed as of
+     * this call. The rvalue overload moves the sample log into the
+     * view (leaving this Scoreboard with none); the lvalue one
+     * copies it.
      */
-    std::vector<Interval>
-    sampleIntervals(double back_to_back_threshold = 1.0) const;
+    IntervalView sampleIntervals(double back_to_back_threshold = 1.0) &&;
+    IntervalView
+    sampleIntervals(double back_to_back_threshold = 1.0) const &;
 
-    const std::vector<sim::Time> &samples() const { return sampleTimes; }
+    /** Samples recorded so far. */
+    std::size_t sampleCount() const { return samples.size(); }
 
   private:
     bool validId(int event_id) const;
+    /** Times of the events still Missed, in schedule (time) order. */
+    std::vector<sim::Time> missedTimes() const;
 
     const EventSchedule &schedule;
     std::vector<Outcome> outcomes;
     std::vector<double> reportLatency;  ///< -1 when not reported
-    std::vector<sim::Time> sampleTimes;
+    SampleLog samples;
 };
 
 } // namespace capy::env

@@ -8,6 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
+#include <vector>
+
 #include "apps/capysat.hh"
 #include "apps/csr.hh"
 #include "apps/grc.hh"
@@ -94,6 +98,56 @@ TEST(TempAlarmApp, CapybaraSamplesDenserThanFixed)
     EXPECT_GT(non_b2b(capy_p), 5u * non_b2b(fixed));
     // Fixed charge intervals are much longer on average.
     EXPECT_GT(fixed.chargeSpanMean, 2.0 * capy_p.chargeSpanMean);
+}
+
+TEST(RunMetricsIntervals, OutliveTheRunsScoreboardAndSchedule)
+{
+    // The run's Scoreboard dies inside run*; the schedule dies here
+    // before the intervals are walked, so a view that still points
+    // into either reads freed memory (ASan in the `san` suite).
+    using Interval = env::Scoreboard::Interval;
+    auto walk = [](const RunMetrics &m) {
+        std::vector<Interval> out;
+        for (Interval iv : m.intervals)
+            out.push_back(iv);
+        return out;
+    };
+    auto runs = std::vector<std::function<RunMetrics(
+        const env::EventSchedule &)>>{
+        [](const env::EventSchedule &s) {
+            return runTempAlarm(Policy::Fixed, s, 6, 1800.0);
+        },
+        [](const env::EventSchedule &s) {
+            return runGestureRemote(GrcVariant::Fast, Policy::Fixed, s,
+                                    6, 600.0);
+        },
+        [](const env::EventSchedule &s) {
+            return runCorrSense(Policy::CapyP, s, 6, 600.0);
+        }};
+    for (std::size_t r = 0; r < runs.size(); ++r) {
+        auto sched = std::make_unique<env::EventSchedule>(
+            r == 0 ? shortTaSchedule(6) : shortGrcSchedule(6));
+        RunMetrics m = runs[r](*sched);
+        std::vector<Interval> before = walk(m);
+        sched.reset();
+        std::vector<Interval> after = walk(m);
+
+        ASSERT_GT(m.samples, 0u) << "run " << r;
+        EXPECT_EQ(m.samples, m.intervals.size() + 1) << "run " << r;
+        ASSERT_EQ(after.size(), m.intervals.size()) << "run " << r;
+        ASSERT_EQ(after.size(), before.size()) << "run " << r;
+        std::size_t missed = 0;
+        for (std::size_t i = 0; i < after.size(); ++i) {
+            EXPECT_EQ(after[i].length, before[i].length);
+            EXPECT_EQ(after[i].backToBack, before[i].backToBack);
+            EXPECT_EQ(after[i].containsMissed, before[i].containsMissed);
+            missed += after[i].containsMissed;
+        }
+        // Each walk also resolves missed events, not just lengths.
+        if (m.summary.missed > 0) {
+            EXPECT_GT(missed, 0u) << "run " << r;
+        }
+    }
 }
 
 TEST(TempAlarmApp, BurstsActuallyUsed)

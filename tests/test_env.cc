@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "env/events.hh"
@@ -379,7 +380,8 @@ TEST(Scoreboard, SampleIntervalClassification)
     sb.recordSample(50.0);   // contains event 0 (missed)
     sb.recordReport(1, 101.0);
     sb.recordSample(150.0);  // contains event 1 (correct)
-    auto ivs = sb.sampleIntervals(1.0);
+    auto view = sb.sampleIntervals(1.0);
+    std::vector<Scoreboard::Interval> ivs(view.begin(), view.end());
     ASSERT_EQ(ivs.size(), 3u);
     EXPECT_TRUE(ivs[0].backToBack);
     EXPECT_FALSE(ivs[1].backToBack);
@@ -391,13 +393,13 @@ namespace
 {
 
 /** The interval definition sampleIntervals() implements: each
- *  interval asks eventsBetween() for its events. */
+ *  interval between consecutive samples @p ts asks eventsBetween()
+ *  for its events. */
 std::vector<Scoreboard::Interval>
 refSampleIntervals(const Scoreboard &sb, const EventSchedule &s,
-                   double threshold)
+                   const std::vector<sim::Time> &ts, double threshold)
 {
     std::vector<Scoreboard::Interval> out;
-    const auto &ts = sb.samples();
     for (std::size_t i = 1; i < ts.size(); ++i) {
         Scoreboard::Interval iv;
         iv.length = ts[i] - ts[i - 1];
@@ -411,6 +413,62 @@ refSampleIntervals(const Scoreboard &sb, const EventSchedule &s,
     return out;
 }
 
+/** Record @p samples on @p sb, then check both sampleIntervals()
+ *  overloads against refSampleIntervals() at several thresholds. */
+void
+expectIntervalsMatchScan(Scoreboard &sb, const EventSchedule &s,
+                         const std::vector<sim::Time> &samples,
+                         const std::string &label)
+{
+    for (sim::Time t : samples)
+        sb.recordSample(t);
+    ASSERT_EQ(sb.sampleCount(), samples.size()) << label;
+    for (double threshold : {0.0, 0.3, 1.0}) {
+        auto want = refSampleIntervals(sb, s, samples, threshold);
+        auto got = sb.sampleIntervals(threshold);
+        ASSERT_EQ(got.size(), want.size()) << label;
+        if (!samples.empty()) {
+            EXPECT_EQ(samples.size(), got.size() + 1) << label;
+        }
+        std::size_t i = 0;
+        for (Scoreboard::Interval iv : got) {
+            ASSERT_LT(i, want.size()) << label;
+            EXPECT_EQ(iv.length, want[i].length)
+                << label << " interval " << i;
+            EXPECT_EQ(iv.backToBack, want[i].backToBack)
+                << label << " interval " << i;
+            EXPECT_EQ(iv.containsMissed, want[i].containsMissed)
+                << label << " interval " << i;
+            ++i;
+        }
+        EXPECT_EQ(i, want.size()) << label;
+    }
+    // The rvalue overload moves the log out; same intervals.
+    auto want = refSampleIntervals(sb, s, samples, 1.0);
+    auto moved = std::move(sb).sampleIntervals(1.0);
+    std::vector<Scoreboard::Interval> got(moved.begin(), moved.end());
+    ASSERT_EQ(got.size(), want.size()) << label;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].length, want[i].length) << label;
+        EXPECT_EQ(got[i].containsMissed, want[i].containsMissed)
+            << label;
+    }
+}
+
+/** Random outcomes: a quarter reported, a quarter detected, the
+ *  rest missed. */
+void
+scoreRandomly(sim::Rng &rng, Scoreboard &sb, const EventSchedule &s)
+{
+    for (const EnvEvent &e : s.events()) {
+        double r = rng.uniform();
+        if (r < 0.25)
+            sb.recordReport(e.id, e.time + 1.0);
+        else if (r < 0.5)
+            sb.recordDetection(e.id);
+    }
+}
+
 } // namespace
 
 TEST(Scoreboard, SampleIntervalsMatchPerIntervalScan)
@@ -420,13 +478,7 @@ TEST(Scoreboard, SampleIntervalsMatchPerIntervalScan)
         // Seeds 1-5 have no events at all.
         EventSchedule s = gridSchedule(rng, seed <= 5 ? 0 : seed % 40);
         Scoreboard sb(s);
-        for (const EnvEvent &e : s.events()) {
-            double r = rng.uniform();
-            if (r < 0.25)
-                sb.recordReport(e.id, e.time + 1.0);
-            else if (r < 0.5)
-                sb.recordDetection(e.id);
-        }
+        scoreRandomly(rng, sb, s);
         // Samples from before the first event to after the last,
         // drawn from the event grid (so some land exactly on event
         // times) and off it, with repeats.
@@ -445,22 +497,44 @@ TEST(Scoreboard, SampleIntervalsMatchPerIntervalScan)
                 samples.push_back(samples.back());
         }
         std::sort(samples.begin(), samples.end());
-        for (sim::Time t : samples)
-            sb.recordSample(t);
+        expectIntervalsMatchScan(sb, s, samples,
+                                 "seed " + std::to_string(seed));
+    }
 
-        for (double threshold : {0.0, 0.3, 1.0}) {
-            auto got = sb.sampleIntervals(threshold);
-            auto want = refSampleIntervals(sb, s, threshold);
-            ASSERT_EQ(got.size(), want.size()) << "seed " << seed;
-            for (std::size_t i = 0; i < got.size(); ++i) {
-                EXPECT_EQ(got[i].length, want[i].length)
-                    << "seed " << seed << " interval " << i;
-                EXPECT_EQ(got[i].backToBack, want[i].backToBack)
-                    << "seed " << seed << " interval " << i;
-                EXPECT_EQ(got[i].containsMissed, want[i].containsMissed)
-                    << "seed " << seed << " interval " << i;
-            }
+    // Logs of 0 and 1 samples, and logs that end exactly at the end
+    // of SampleLog chunk k or one sample into chunk k + 1.
+    auto chunkTotal = [](std::size_t k) {
+        std::size_t total = 0;
+        std::size_t cap = SampleLog::kFirstChunk;
+        for (std::size_t i = 0; i < k; ++i) {
+            total += cap;
+            cap = std::min(2 * cap, SampleLog::kChunk);
         }
+        return total;
+    };
+    std::vector<std::size_t> counts = {0, 1};
+    // The first chunk, a doubled one, the last doubled one and the
+    // first full-size one: exactly filled, and one sample over.
+    for (std::size_t k : {1, 2, 7, 8}) {
+        counts.push_back(chunkTotal(k));
+        counts.push_back(chunkTotal(k) + 1);
+    }
+    for (std::size_t n : counts) {
+        sim::Rng rng(n + 1);
+        EventSchedule s = gridSchedule(rng, 30);
+        Scoreboard sb(s);
+        scoreRandomly(rng, sb, s);
+        // Spread over 0-70 s on the event grid and off it, so
+        // intervals of every kind land on both sides of a chunk
+        // boundary.
+        std::vector<sim::Time> samples;
+        for (std::size_t i = 0; i < n; ++i)
+            samples.push_back(rng.chance(0.5)
+                                  ? 0.25 * double(rng.uniformInt(0, 280))
+                                  : rng.uniform(0.0, 70.0));
+        std::sort(samples.begin(), samples.end());
+        expectIntervalsMatchScan(sb, s, samples,
+                                 std::to_string(n) + " samples");
     }
 }
 

@@ -18,6 +18,8 @@
  *   phases       phase iterations of both walks
  *   cb_heap      sim::Callback heap fallbacks
  *   new          operator new calls
+ *   heap_peak    peak live bytes requested through operator new
+ *                during the run, above those live when it started
  *
  * The `golden_work_counts` ctest diffs the output with
  * tests/golden/work_counts.txt byte for byte. A change that moves a
@@ -26,9 +28,12 @@
  *   build/tests/work_counts > tests/golden/work_counts.txt
  */
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <new>
 #include <string>
 
@@ -45,6 +50,13 @@ namespace
 {
 
 std::uint64_t newCalls = 0;
+std::size_t liveBytes = 0;
+std::size_t peakBytes = 0;
+
+/** Each block carries its requested size in a header this wide, so
+ *  an unsized delete can un-count it; the width keeps the block's
+ *  alignment. */
+constexpr std::size_t kHeader = alignof(std::max_align_t);
 
 } // namespace
 
@@ -52,21 +64,31 @@ void *
 operator new(std::size_t size)
 {
     ++newCalls;
-    if (void *p = std::malloc(size == 0 ? 1 : size))
-        return p;
-    throw std::bad_alloc();
+    auto *base = static_cast<unsigned char *>(std::malloc(size + kHeader));
+    if (!base)
+        throw std::bad_alloc();
+    std::memcpy(base, &size, sizeof size);
+    liveBytes += size;
+    peakBytes = std::max(peakBytes, liveBytes);
+    return base + kHeader;
 }
 
 void
 operator delete(void *p) noexcept
 {
-    std::free(p);
+    if (!p)
+        return;
+    auto *base = static_cast<unsigned char *>(p) - kHeader;
+    std::size_t size;
+    std::memcpy(&size, base, sizeof size);
+    liveBytes -= size;
+    std::free(base);
 }
 
 void
 operator delete(void *p, std::size_t) noexcept
 {
-    std::free(p);
+    operator delete(p);
 }
 
 namespace
@@ -80,12 +102,13 @@ struct Snapshot
     sim::WorkCounts work;
     std::uint64_t callbackHeap;
     std::uint64_t news;
+    std::size_t live;
 
     static Snapshot
     now()
     {
         return {sim::workCounts, sim::Callback::heapFallbacks(),
-                newCalls};
+                newCalls, liveBytes};
     }
 };
 
@@ -95,6 +118,7 @@ void
 measure(const std::string &name, Run &&run)
 {
     Snapshot a = Snapshot::now();
+    peakBytes = liveBytes;
     auto [events, transitions] = run();
     Snapshot b = Snapshot::now();
     auto delta = [](std::uint64_t x, std::uint64_t y) {
@@ -102,7 +126,7 @@ measure(const std::string &name, Run &&run)
     };
     std::printf("%-14s events=%llu transitions=%llu crc=%llu "
                 "advances=%llu queries=%llu phases=%llu cb_heap=%llu "
-                "new=%llu\n",
+                "new=%llu heap_peak=%llu\n",
                 name.c_str(), (unsigned long long)events,
                 (unsigned long long)transitions,
                 delta(a.work.crcCalls, b.work.crcCalls),
@@ -110,7 +134,8 @@ measure(const std::string &name, Run &&run)
                 delta(a.work.queryWalks, b.work.queryWalks),
                 delta(a.work.phases, b.work.phases),
                 delta(a.callbackHeap, b.callbackHeap),
-                delta(a.news, b.news));
+                delta(a.news, b.news),
+                (unsigned long long)(peakBytes - a.live));
 }
 
 struct Counts
