@@ -9,9 +9,8 @@
  *  - advance-heavy: many small advanceTo() steps against a looping
  *    288-sample harvest trace with periodic load changes (the
  *    trace-replay pattern of a deployed device);
- *  - query-heavy: repeated predictive-query bundles (storageVoltage,
- *    isFull, timeToFull, timeToBrownout) between small advances (the
- *    charge-wake scheduling pattern in dev::Device);
+ *  - query-heavy: workload bundles of advanceTo, setRailLoad and
+ *    timeToBrownout, the call pattern of dev::Device::runWorkload;
  *  - the solver's advance and crossing primitives, and one full
  *    charge/discharge cycle of a regulated-supply board.
  *
@@ -86,27 +85,22 @@ advanceHeavy(power::PowerSystem &ps, int steps)
     return sink;
 }
 
-/** One query-heavy pass: @p bundles predictive-query bundles with a
- *  0.5 s advance every 8 bundles (the device re-queries far more
- *  often than conditions change). Returns a value sink. */
+/** One query-heavy pass: @p bundles workloads 10 ms apart, each
+ *  issued as dev::Device::runWorkload does (advance to now, set the
+ *  workload's rail load, predict its brown-out), alternating between
+ *  two task loads. Returns a value sink. */
 double
 queryHeavy(power::PowerSystem &ps, int bundles)
 {
     double sink = 0.0;
     sim::Time t = ps.time();
     ps.setRailEnabled(true);
-    ps.setRailLoad(1e-3);
     for (int i = 0; i < bundles; ++i) {
-        sink += ps.storageVoltage();
-        sink += ps.isFull() ? 1.0 : 0.0;
-        sim::Time tf = ps.timeToFull();
+        t += 10e-3;
+        ps.advanceTo(t);
+        ps.setRailLoad(i % 2 == 0 ? 1e-3 : 3e-3);
         sim::Time tb = ps.timeToBrownout();
-        sink += std::isfinite(tf) ? tf : 0.0;
         sink += std::isfinite(tb) ? tb : 0.0;
-        if (i % 8 == 7) {
-            t += 0.5;
-            ps.advanceTo(t);
-        }
     }
     return sink;
 }

@@ -119,21 +119,13 @@ PowerSystem::invalidateNode() const
 {
     nodeDirty = true;
     topDirty = true;
-    invalidateQueries();
-}
-
-void
-PowerSystem::invalidateQueries() const
-{
-    queryMemoCount = 0;
-    queryMemoNext = 0;
 }
 
 PowerSystem::CacheStats
 PowerSystem::cacheStats() const
 {
-    return {nodeHitCount,  nodeMissCount,  queryHitCount,
-            queryMissCount, expMemo.hits(), expMemo.misses()};
+    return {nodeHitCount, nodeMissCount, expMemo.hits(),
+            expMemo.misses()};
 }
 
 void
@@ -252,16 +244,34 @@ PowerSystem::phaseAt(const Node &node, double v, sim::Time t) const
     return info;
 }
 
-void
-PowerSystem::stepNode(Node &node, sim::Time t0, double dt,
-                      EnergyStats *acc) const
+PowerSystem::WalkEnd
+PowerSystem::walkSegment(Node &node, sim::Time t0, double span,
+                         Stop *stop, EnergyStats *acc) const
 {
-    ++sim::workCounts.advanceWalks;
-    double remaining = dt;
+    double remaining = span;
     int stalls = 0;
     const double pd = (railOn ? storageDrawPower(spec.output, loadPower)
                               : 0.0) +
                       spec.systemQuiescentPower;
+    const double e_stop = stop ? node.energyAt(stop->voltage) : 0.0;
+
+    // Parked at voltage v for the rest of the span: the ledger books
+    // the harvest as exactly covering the drain and the leakage.
+    auto hold = [&](double v) {
+        if (stop) {
+            if (std::abs(node.voltage() - stop->voltage) <= kVTol)
+                return WalkEnd::Stopped;
+            stop->elapsed += remaining;
+        }
+        if (acc) {
+            double leak_p =
+                std::isfinite(node.leakRes) ? v * v / node.leakRes : 0.0;
+            acc->harvestedIn += (pd + leak_p) * remaining;
+            acc->drainedOut += pd * remaining;
+            acc->leaked += leak_p * remaining;
+        }
+        return WalkEnd::Held;
+    };
 
     for (int guard = 0; remaining > kTimeTol; ++guard) {
         ++sim::workCounts.phases;
@@ -271,32 +281,14 @@ PowerSystem::stepNode(Node &node, sim::Time t0, double dt,
             // Many alternating micro-phases: the node is chattering
             // around a converter boundary (e.g. charging just below
             // the cold-start threshold, discharging just above it).
-            // Physically it pins there; hold for the remainder.
-            if (acc) {
-                double leak_p = std::isfinite(node.leakRes)
-                                    ? v * v / node.leakRes
-                                    : 0.0;
-                acc->harvestedIn += (pd + leak_p) * remaining;
-                acc->drainedOut += pd * remaining;
-                acc->leaked += leak_p * remaining;
-            }
-            return;
+            // Physically it pins there.
+            return hold(v);
         }
-
         if (info.pinned) {
-            // Held at the top by the limiter: harvest covers the load
-            // and leakage; the rest is shunted.
+            // Held at the top by the limiter.
             double vtop = topVoltage();
             node.energy = node.energyAt(vtop);
-            if (acc) {
-                double leak_p = std::isfinite(node.leakRes)
-                                    ? vtop * vtop / node.leakRes
-                                    : 0.0;
-                acc->harvestedIn += (pd + leak_p) * remaining;
-                acc->drainedOut += pd * remaining;
-                acc->leaked += leak_p * remaining;
-            }
-            return;
+            return hold(vtop);
         }
 
         Phase phase{info.power, node.capacitance, node.leakRes};
@@ -306,27 +298,20 @@ PowerSystem::stepNode(Node &node, sim::Time t0, double dt,
         double e_bound =
             node.energyAt(rising ? info.boundAbove : info.boundBelow);
         double tb = timeToEnergy(node.energy, e_bound, phase);
+        if (stop) {
+            double tt = timeToEnergy(node.energy, e_stop, phase);
+            if (tt <= std::min(tb, remaining)) {
+                stop->elapsed += tt;
+                return WalkEnd::Stopped;
+            }
+        }
 
         double step = std::min(remaining, tb);
         if (step <= kTimeTol) {
             // Parked against a boundary the next phase pushes back
-            // into: hold position (physically the node sits at the
-            // boundary with the converter modes fighting to a
-            // standstill).
-            if (++stalls >= 2) {
-                if (acc) {
-                    // Net power is ~0 while parked; harvest covers
-                    // drain and leakage.
-                    double leak_p =
-                        std::isfinite(node.leakRes)
-                            ? v * v / node.leakRes
-                            : 0.0;
-                    acc->harvestedIn += (pd + leak_p) * remaining;
-                    acc->drainedOut += pd * remaining;
-                    acc->leaked += leak_p * remaining;
-                }
-                return;
-            }
+            // into: the converter modes fight to a standstill there.
+            if (++stalls >= 2)
+                return hold(v);
             node.energy = e_bound;
             continue;
         }
@@ -337,6 +322,8 @@ PowerSystem::stepNode(Node &node, sim::Time t0, double dt,
         if (step == tb && std::isfinite(tb))
             node.energy = e_bound;  // land exactly on the boundary
 
+        if (stop)
+            stop->elapsed += step;
         if (acc) {
             double pc = info.power + pd;
             acc->harvestedIn += pc * step;
@@ -345,6 +332,7 @@ PowerSystem::stepNode(Node &node, sim::Time t0, double dt,
         }
         remaining -= step;
     }
+    return WalkEnd::RanOut;
 }
 
 void
@@ -425,7 +413,9 @@ PowerSystem::advanceTo(sim::Time t)
         if (dt_max > 0.0) {
             Node node = activeNode();
             if (node.valid) {
-                stepNode(node, lastTime, dt_max, &energyStats);
+                ++sim::workCounts.advanceWalks;
+                walkSegment(node, lastTime, dt_max, nullptr,
+                            &energyStats);
                 writebackActive(node);
                 // The cache must reflect the bank writeback exactly
                 // (the sum of per-bank energies, not the pre-split
@@ -434,9 +424,6 @@ PowerSystem::advanceTo(sim::Time t)
             }
             decayInactive(dt_max);
             lastTime += dt_max;
-            // The clock moved: relative predictive queries are stale
-            // even if no charge moved (harvester conditions changed).
-            invalidateQueries();
         }
 
         if (updateLatches(lastTime))
@@ -475,8 +462,6 @@ void
 PowerSystem::setRailLoad(double watts)
 {
     capy_assert(watts >= 0.0, "negative rail load %g", watts);
-    if (loadPower != watts)
-        invalidateQueries();
     loadPower = watts;
 }
 
@@ -502,7 +487,6 @@ PowerSystem::setChargeCeiling(double v)
                 spec.output.minInputStart);
     chargeCeiling = v;
     topDirty = true;
-    invalidateQueries();
     wasFull = isFull();
 }
 
@@ -532,7 +516,6 @@ PowerSystem::clearChargeCeiling()
 {
     chargeCeiling = kInf;
     topDirty = true;
-    invalidateQueries();
     wasFull = isFull();
 }
 
@@ -584,124 +567,30 @@ PowerSystem::timeToVoltage(double target_v) const
 {
     capy_assert(target_v >= 0.0, "negative target voltage %g",
                 target_v);
-    // The device layer re-queries the same targets (top voltage,
-    // brown-out floor) between control calls far more often than the
-    // underlying state changes; memoize per-target until the clock or
-    // conditions move.
-    for (std::size_t i = 0; i < queryMemoCount; ++i) {
-        if (queryMemo[i].target == target_v) {
-            ++queryHitCount;
-            return queryMemo[i].result;
-        }
-    }
-    ++queryMissCount;
-    sim::Time result = computeTimeToVoltage(target_v);
-    if (queryMemoCount < kQueryMemoSlots) {
-        queryMemo[queryMemoCount++] = {target_v, result};
-    } else {
-        queryMemo[queryMemoNext] = {target_v, result};
-        queryMemoNext = (queryMemoNext + 1) % kQueryMemoSlots;
-    }
-    return result;
-}
-
-sim::Time
-PowerSystem::computeTimeToVoltage(double target_v) const
-{
     ++sim::workCounts.queryWalks;
     Node node = activeNode();
     if (!node.valid)
         return kNever;
-    double v0 = node.voltage();
-    if (std::abs(v0 - target_v) <= kVTol)
+    if (std::abs(node.voltage() - target_v) <= kVTol)
         return 0.0;
-    double e_target = node.energyAt(target_v);
 
-    double total = 0.0;
+    // Walk a copy of the node through the harvester segments
+    // advanceTo() would take, with the target as the stop.
+    Stop stop{target_v};
     sim::Time t_abs = lastTime;
     for (int iter = 0; iter < 100000; ++iter) {
         sim::Time hb = harvester->nextChange(t_abs);
-        double seg = std::isfinite(hb) ? hb - t_abs : kInf;
-
-        // Within a segment the stepNode phase machinery applies, but
-        // we need the crossing of e_target. Add it by walking phases
-        // manually with the target as an extra stop.
-        double remaining = std::isfinite(seg) ? seg : 1e9;
-        bool segment_has_change = std::isfinite(seg);
-        int stalls = 0;
-        for (int guard = 0; remaining > kTimeTol; ++guard) {
-            ++sim::workCounts.phases;
-            double v = node.voltage();
-            PhaseInfo info = phaseAt(node, v, t_abs);
-            if (guard >= 64) {
-                // Boundary chatter (see stepNode): the node pins at
-                // this voltage for the rest of the segment.
-                if (std::abs(v - target_v) <= kVTol)
-                    return total;
-                if (!segment_has_change)
-                    return kNever;
-                total += remaining;
-                t_abs += remaining;
-                remaining = 0.0;
-                break;
-            }
-            if (info.pinned) {
-                // Node parked at the top for the rest of the segment.
-                node.energy = node.energyAt(topVoltage());
-                if (std::abs(node.voltage() - target_v) <= kVTol)
-                    return total;
-                if (!segment_has_change)
-                    return kNever;
-                total += remaining;
-                t_abs += remaining;
-                remaining = 0.0;
-                break;
-            }
-            Phase phase{info.power, node.capacitance, node.leakRes};
-            double einf = steadyStateEnergy(phase);
-            bool rising = std::isinf(einf) ? info.power > 0.0
-                                           : einf > node.energy;
-            double e_bound = node.energyAt(
-                rising ? info.boundAbove : info.boundBelow);
-            double tb = timeToEnergy(node.energy, e_bound, phase);
-            double tt = timeToEnergy(node.energy, e_target, phase);
-            if (tt <= std::min({tb, remaining}))
-                return total + tt;
-            double step = std::min(remaining, tb);
-            if (step <= kTimeTol) {
-                if (++stalls >= 2) {
-                    // Parked against a boundary for the segment.
-                    if (!segment_has_change)
-                        return kNever;
-                    total += remaining;
-                    t_abs += remaining;
-                    remaining = 0.0;
-                    break;
-                }
-                node.energy = e_bound;
-                continue;
-            }
-            stalls = 0;
-            if (std::isinf(step)) {
-                // No boundary: the phase runs out the segment.
-                node.energy = advanceEnergy(node.energy, phase,
-                                            remaining, &expMemo);
-                if (!segment_has_change)
-                    return kNever;  // steady state short of target
-                total += remaining;
-                t_abs += remaining;
-                remaining = 0.0;
-                break;
-            }
-            node.energy =
-                advanceEnergy(node.energy, phase, step, &expMemo);
-            if (step == tb && std::isfinite(tb))
-                node.energy = e_bound;
-            total += step;
-            t_abs += step;
-            remaining -= step;
-        }
-        if (total > 1e8)
+        // Past the last harvester change, one long walk decides.
+        double span = std::isfinite(hb) ? hb - t_abs : 1e9;
+        if (walkSegment(node, t_abs, span, &stop, nullptr) ==
+            WalkEnd::Stopped)
+            return stop.elapsed;
+        if (!std::isfinite(hb))
+            return kNever;
+        // Step the clock as advanceTo() does, so the segment starts
+        // match advanceTo()'s bit for bit.
+        t_abs += span;
+        if (stop.elapsed > 1e8)
             return kNever;
     }
     return kNever;

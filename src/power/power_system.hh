@@ -15,7 +15,6 @@
 #ifndef CAPY_POWER_POWER_SYSTEM_HH
 #define CAPY_POWER_POWER_SYSTEM_HH
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -39,6 +38,11 @@ namespace capy::power
  * advanceTo(). All control calls (switch commands, rail load changes)
  * and state queries apply at the current internal time — callers must
  * advanceTo(now) first.
+ *
+ * advanceTo() and the predictive queries walk the node with one phase
+ * walker over the same harvester segments, each evaluated at its
+ * start, so advanceTo(time() + timeToVoltage(v)) lands on v, up to
+ * rounding, unless a latch reverts on the way.
  */
 class PowerSystem
 {
@@ -199,20 +203,19 @@ class PowerSystem
 
     /**
      * Hot-path cache effectiveness counters. The composed active-node
-     * snapshot, the effective charge target, and predictive-query
-     * results are cached behind dirty flags (invalidated by control
-     * calls and time advancement), and the solver memoizes
-     * exp(-dt/tau); all caches are pure memoization — query results
-     * are bit-identical to a cold rebuild. test_hotpath asserts that
-     * each cache hits, so a fast path that silently stops hitting
-     * fails a test, not just a timing.
+     * snapshot and the effective charge target are cached behind
+     * dirty flags (invalidated by control calls and time
+     * advancement), and the solver memoizes exp(-dt/tau); all caches
+     * are pure memoization — query results are bit-identical to a
+     * cold rebuild. Predictive queries are not cached: every call
+     * walks. test_hotpath asserts that each cache hits, so a fast
+     * path that silently stops hitting fails a test, not just a
+     * timing.
      */
     struct CacheStats
     {
         std::uint64_t nodeHits = 0;    ///< snapshot served from cache
         std::uint64_t nodeMisses = 0;  ///< snapshot rebuilt from banks
-        std::uint64_t queryHits = 0;   ///< timeToVoltage memo hits
-        std::uint64_t queryMisses = 0; ///< full predictive-query walks
         std::uint64_t expHits = 0;     ///< solver exp memo hits
         std::uint64_t expMisses = 0;
     };
@@ -277,23 +280,36 @@ class PowerSystem
     const Node &activeNode() const;
 
     /** Active-node composition changed (reconfig, writeback, test
-     *  mutation): drop the node snapshot and query memo. */
+     *  mutation): drop the node snapshot and the charge target. */
     void invalidateNode() const;
 
-    /** Conditions changed without moving charge (load, ceiling, rail
-     *  state, clock): predictive-query results are stale. */
-    void invalidateQueries() const;
+    /** How a walkSegment() call ended. */
+    enum class WalkEnd
+    {
+        Stopped,  ///< the node reached the stop voltage
+        RanOut,   ///< the node moved through the whole span
+        /** Parked for the rest of the span: boundary chatter after
+         *  64 phases, limiter pinning, or two stalls in a row. */
+        Held,
+    };
 
-    /** Uncached timeToVoltage walk (the memo's fill path). */
-    sim::Time computeTimeToVoltage(double target_v) const;
+    /** A predictive query's stop: where to end and the time walked. */
+    struct Stop
+    {
+        double voltage = 0.0;
+        sim::Time elapsed = 0.0;  ///< summed over walkSegment() calls
+    };
 
     /**
-     * Evolve @p node over [t0, t0+dt] with the harvester held at its
-     * t0 conditions (caller bounds dt by harvester changes). Updates
-     * @p acc energy accounting when non-null.
+     * The phase walker behind both advanceTo() and timeToVoltage():
+     * evolve @p node over [t0, t0+span] with the harvester held at its
+     * t0 conditions for every phase (callers split spans at harvester
+     * changes). With @p stop, end where the node reaches
+     * stop->voltage and add the time walked to stop->elapsed; with
+     * @p acc, book the energy flows into it.
      */
-    void stepNode(Node &node, sim::Time t0, double dt,
-                  EnergyStats *acc) const;
+    WalkEnd walkSegment(Node &node, sim::Time t0, double span,
+                        Stop *stop, EnergyStats *acc) const;
 
     /** Decay inactive banks over @p dt via their own leakage. */
     void decayInactive(double dt);
@@ -318,27 +334,13 @@ class PowerSystem
     // --- Hot-path caches (pure memo state; a PowerSystem is owned by
     // one simulation, so the mutable members need no locking) ---
 
-    /** One memoized predictive-query result. */
-    struct QueryMemoEntry
-    {
-        double target = 0.0;
-        sim::Time result = 0.0;
-    };
-
-    static constexpr std::size_t kQueryMemoSlots = 4;
-
     mutable Node nodeCache;
     mutable bool nodeDirty = true;
     mutable double topCache = 0.0;
     mutable bool topDirty = true;
-    mutable std::array<QueryMemoEntry, kQueryMemoSlots> queryMemo{};
-    mutable std::size_t queryMemoCount = 0;
-    mutable std::size_t queryMemoNext = 0;
     mutable ExpCache expMemo;
     mutable std::uint64_t nodeHitCount = 0;
     mutable std::uint64_t nodeMissCount = 0;
-    mutable std::uint64_t queryHitCount = 0;
-    mutable std::uint64_t queryMissCount = 0;
 };
 
 } // namespace capy::power

@@ -20,7 +20,7 @@ struct WorkCounts
 {
     std::uint64_t crcCalls = 0;      ///< dev::nvCrc32 calls
     std::uint64_t advanceWalks = 0;  ///< PowerSystem advance walks
-    std::uint64_t queryWalks = 0;    ///< uncached predictive-query walks
+    std::uint64_t queryWalks = 0;    ///< predictive-query walks
     std::uint64_t phases = 0;        ///< phase iterations of both walks
 };
 

@@ -1,8 +1,8 @@
 /**
  * @file
  * Property tests for the single-core hot-path caches: the harvester
- * query cursor, the PowerSystem active-node snapshot / predictive-
- * query memo, and the solver exp memo. Every cache is pure
+ * query cursor, the PowerSystem active-node snapshot and charge
+ * target, and the solver exp memo. Every cache is pure
  * memoization, so each test compares cached answers against a freshly
  * recomputed oracle and requires *exact* equality — a single ulp of
  * drift would break the byte-identical sweep guarantee.
@@ -246,25 +246,6 @@ TEST(HotPath, CachedQueriesMatchFreshOracleAfterEveryControlCall)
     // The walks reuse each other's exp(-dt/tau) (a query's phases
     // re-walked by the next query or advance), so the memo must hit.
     EXPECT_GT(ps->cacheStats().expHits, 0u);
-}
-
-TEST(HotPath, RepeatQueriesHitTheMemo)
-{
-    sim::Rng rng(kSeed, 6);
-    auto ps = makeTraceSystem(rng);
-    ps->advanceTo(1.0);
-    auto before = ps->cacheStats();
-    sim::Time tf = ps->timeToFull();
-    for (int i = 0; i < 50; ++i)
-        EXPECT_EQ(tf, ps->timeToFull());
-    auto after = ps->cacheStats();
-    EXPECT_GE(after.queryHits, before.queryHits + 50);
-    EXPECT_EQ(after.queryMisses, before.queryMisses + 1);
-    // advanceTo to the current instant must not invalidate: the
-    // device layer calls it before every control read.
-    ps->advanceTo(ps->time());
-    EXPECT_EQ(tf, ps->timeToFull());
-    EXPECT_EQ(ps->cacheStats().queryMisses, after.queryMisses);
 }
 
 TEST(HotPath, AdvanceUsesCachedSnapshotBetweenQueries)

@@ -10,9 +10,11 @@
 
 #include <cmath>
 #include <memory>
+#include <string>
 
 #include "core/runtime.hh"
 #include "dev/device.hh"
+#include "env/light.hh"
 #include "env/scoring.hh"
 #include "power/parts.hh"
 #include "power/power_system.hh"
@@ -26,6 +28,17 @@ using namespace capy::power;
 
 namespace
 {
+
+/** CapySat's sampling-MCU harvester: two body panels under orbit
+ *  light, whose 540 s change grid does not contain sunset (3390 s). */
+std::unique_ptr<Harvester>
+orbitSolar()
+{
+    env::OrbitLight orbit;
+    return std::make_unique<SolarArray>(2, 25e-3 * 0.4, 2.5,
+                                        orbit.illumination(),
+                                        orbit.changePeriod());
+}
 
 /** Build a randomized 2-3 bank power system. */
 std::unique_ptr<PowerSystem>
@@ -155,6 +168,49 @@ TEST_P(ConservationSweep, EnergyBalances)
            "stored energy";
 }
 
+/** The ledger across harvester segments: two hard-wired banks on the
+ *  orbit-light board, from boosted charge in sunlight through limiter
+ *  pinning, sunset, discharge in eclipse and sunrise. */
+TEST_P(ConservationSweep, OrbitLightBalances)
+{
+    sim::Rng rng(std::uint64_t(GetParam()), 0x0B17);
+    PowerSystem::Spec spec;
+    auto ps = std::make_unique<PowerSystem>(spec, orbitSolar());
+    ps->addBank("a", parts::cph3225a().parallel(3));
+    ps->addBank("b", parts::x5r100uF().parallel(4));
+    double v0 = rng.uniform(0.2, 2.9);
+    ps->bankForTest(0).setVoltage(v0);
+    ps->bankForTest(1).setVoltage(v0);
+
+    // One orbit starts sunlit: sunset at 3390 s, sunrise at 5550 s.
+    double initial = ps->activeEnergy();
+    sim::Time now = 0.0;
+    bool pinned = false, dark_drain = false;
+    while (now < 6000.0) {
+        now += rng.exponential(40.0);
+        ps->advanceTo(now);
+        pinned |= ps->isFull();
+        dark_drain |= ps->harvesterRef().power(now) == 0.0 &&
+                      ps->railEnabled() && ps->railLoad() > 0.0;
+        if (rng.chance(0.4)) {
+            bool on = rng.chance(0.5);
+            ps->setRailEnabled(on);
+            if (on)
+                ps->setRailLoad(rng.uniform(0.0, 4e-3));
+        }
+    }
+    EXPECT_TRUE(pinned) << "the walk never reached the limiter pin";
+    EXPECT_TRUE(dark_drain) << "the walk never drained in eclipse";
+
+    const auto &st = ps->stats();
+    double stored = ps->activeEnergy() - initial;
+    double balance = st.harvestedIn - st.drainedOut - st.leaked;
+    EXPECT_NEAR(balance, stored,
+                std::max(1e-9, st.harvestedIn * 1e-6))
+        << "harvested - drained - leaked must equal the change in "
+           "stored energy across harvester segments";
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, ConservationSweep,
                          ::testing::Range(100, 120));
 
@@ -189,6 +245,41 @@ TEST_P(CrossingConsistency, PredictionMatchesAdvance)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CrossingConsistency,
                          ::testing::Range(200, 240));
+
+/** Predict-then-advance on a time-varying harvester: from start times
+ *  just before sunset, advancing to the predicted brown-out instant
+ *  must land on the brown-out floor, at either starting charge. */
+TEST(CrossingConsistency, OrbitLightPredictThenAdvance)
+{
+    constexpr int kStarts = 1000;
+    for (double v0 : {1.2, 2.0}) {
+        int misses = 0;
+        std::string first;
+        for (int i = 0; i < kStarts; ++i) {
+            sim::Time start = 3241.0 + 147.0 * i / kStarts;
+            PowerSystem::Spec spec;
+            PowerSystem ps(spec, orbitSolar());
+            ps.addBank("sample", parts::cph3225a().parallel(3));
+            ps.advanceTo(start);
+            ps.bankForTest(0).setVoltage(v0);
+            ps.setRailEnabled(true);
+            ps.setRailLoad(1e-3);
+
+            sim::Time dt = ps.timeToBrownout();
+            ASSERT_TRUE(std::isfinite(dt)) << "start " << start;
+            ps.advanceTo(start + dt);
+            double v = ps.storageVoltage();
+            double floor_v = ps.brownoutVoltageNow();
+            if (std::abs(v - floor_v) > 1e-3 && misses++ == 0)
+                first = "start " + std::to_string(start) + " landed at " +
+                        std::to_string(v) + " V, floor " +
+                        std::to_string(floor_v) + " V";
+        }
+        EXPECT_EQ(misses, 0) << "v0=" << v0 << " V, " << misses << " of "
+                             << kStarts << " starts missed; first: "
+                             << first;
+    }
+}
 
 /** Kernel progress: under any harvest level, a feasible looping app
  *  keeps making forward progress with exactly-once body semantics. */

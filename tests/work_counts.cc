@@ -14,12 +14,16 @@
  *                kernels commit one self-transition per body)
  *   crc          dev::nvCrc32 calls
  *   advances     PowerSystem advance walks
- *   queries      uncached predictive-query walks
- *   phases       phase iterations of both walks
+ *   queries      predictive-query walks (one per timeToVoltage call)
+ *   phases       phase iterations of the power walker, both uses
  *   cb_heap      sim::Callback heap fallbacks
  *   new          operator new calls
  *   heap_peak    peak live bytes requested through operator new
  *                during the run, above those live when it started
+ *   out          FNV-1a over the bit patterns of every
+ *                dev::Device::Stats field of the run's device(s),
+ *                so a change to the simulated output moves a row
+ *                even where every count above stays put
  *
  * The `golden_work_counts` ctest diffs the output with
  * tests/golden/work_counts.txt byte for byte. A change that moves a
@@ -29,11 +33,13 @@
  */
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <new>
 #include <string>
 
@@ -42,6 +48,7 @@
 #include "apps/faults.hh"
 #include "apps/grc.hh"
 #include "apps/ta.hh"
+#include "dev/device.hh"
 #include "sim/callback.hh"
 #include "sim/logging.hh"
 #include "sim/work.hh"
@@ -112,21 +119,51 @@ struct Snapshot
     }
 };
 
-/** Run @p run and print its line; @p run returns {events, commits}. */
+/** FNV-1a over the bit patterns of @p devices' stats, in order. */
+std::uint64_t
+outputDigest(std::initializer_list<const dev::Device::Stats *> devices)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    auto add = [&h](std::uint64_t v) {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xff;
+            h *= 0x100000001b3ull;
+        }
+    };
+    for (const dev::Device::Stats *d : devices) {
+        for (std::uint64_t v :
+             {d->boots, d->powerFailures, d->bootFailures,
+              d->injectedFailures, d->workloadsCompleted,
+              d->workloadsAborted})
+            add(v);
+        add(std::bit_cast<std::uint64_t>(d->timeOn));
+        add(std::bit_cast<std::uint64_t>(d->timeCharging));
+    }
+    return h;
+}
+
+struct Counts
+{
+    std::uint64_t events;
+    std::uint64_t transitions;
+    std::uint64_t out;  ///< outputDigest() of the run's device(s)
+};
+
+/** Run @p run and print its line; @p run returns its Counts. */
 template <typename Run>
 void
 measure(const std::string &name, Run &&run)
 {
     Snapshot a = Snapshot::now();
     peakBytes = liveBytes;
-    auto [events, transitions] = run();
+    auto [events, transitions, out] = run();
     Snapshot b = Snapshot::now();
     auto delta = [](std::uint64_t x, std::uint64_t y) {
         return (unsigned long long)(y - x);
     };
     std::printf("%-14s events=%llu transitions=%llu crc=%llu "
                 "advances=%llu queries=%llu phases=%llu cb_heap=%llu "
-                "new=%llu heap_peak=%llu\n",
+                "new=%llu heap_peak=%llu out=%016llx\n",
                 name.c_str(), (unsigned long long)events,
                 (unsigned long long)transitions,
                 delta(a.work.crcCalls, b.work.crcCalls),
@@ -135,19 +172,14 @@ measure(const std::string &name, Run &&run)
                 delta(a.work.phases, b.work.phases),
                 delta(a.callbackHeap, b.callbackHeap),
                 delta(a.news, b.news),
-                (unsigned long long)(peakBytes - a.live));
+                (unsigned long long)(peakBytes - a.live),
+                (unsigned long long)out);
 }
-
-struct Counts
-{
-    std::uint64_t events;
-    std::uint64_t transitions;
-};
 
 Counts
 countsOf(const apps::RunMetrics &m)
 {
-    return {m.simEvents, m.kernel.transitions};
+    return {m.simEvents, m.kernel.transitions, outputDigest({&m.device})};
 }
 
 } // namespace
@@ -186,7 +218,8 @@ main()
 
     measure("capysat", [&] {
         auto r = apps::runCapySat(5.0, kSeed);
-        return Counts{r.simEvents, r.samples + r.packets};
+        return Counts{r.simEvents, r.samples + r.packets,
+                      outputDigest({&r.samplingMcu, &r.commMcu})};
     });
 
     // Inside the fifth checkpoint's commit window: the Collapse tears
@@ -196,7 +229,8 @@ main()
     crash.plan = sim::FaultPlan::atTimes({kCrashAt});
     measure("ckpt_crash", [&] {
         auto m = apps::runCheckpointCrashWorkload(&crash, 240.0, 240.0);
-        return Counts{m.simEvents, m.kernel.checkpoints};
+        return Counts{m.simEvents, m.kernel.checkpoints,
+                      outputDigest({&m.device})};
     });
     return 0;
 }
