@@ -33,6 +33,13 @@ inputChargePower(const InputBoosterSpec &spec, double p_harvest,
     return trickle;
 }
 
+std::array<double, 2>
+inputChargeBreakpoints(const InputBoosterSpec &spec, double v_harvest)
+{
+    return {spec.coldStartVoltage,
+            spec.bypassEnabled ? v_harvest - spec.bypassDiodeDrop : -1.0};
+}
+
 double
 storageDrawPower(const OutputBoosterSpec &spec, double rail_load)
 {

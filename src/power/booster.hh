@@ -19,6 +19,8 @@
 #ifndef CAPY_POWER_BOOSTER_HH
 #define CAPY_POWER_BOOSTER_HH
 
+#include <array>
+
 namespace capy::power
 {
 
@@ -54,6 +56,14 @@ struct InputBoosterSpec
  */
 double inputChargePower(const InputBoosterSpec &spec, double p_harvest,
                         double v_harvest, double v_storage);
+
+/**
+ * Storage voltages at which inputChargePower() changes regime under
+ * harvester voltage @p v_harvest: the cold-start threshold and the
+ * bypass diode cutoff (-1 when the bypass is not populated).
+ */
+std::array<double, 2> inputChargeBreakpoints(const InputBoosterSpec &spec,
+                                             double v_harvest);
 
 /** Output boost converter between storage node and the load rail. */
 struct OutputBoosterSpec

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "power/solver.hh"
 #include "sim/logging.hh"
 
 namespace capy::power
@@ -33,7 +32,7 @@ FederatedStorage::addNode(const std::string &name,
                           const CapacitorSpec &cap)
 {
     nodes.push_back(NodeState{CapacitorBank(name, cap), 0.0});
-    peekEnergy.resize(nodes.size());
+    scratch.resize(nodes.size());
     return static_cast<int>(nodes.size()) - 1;
 }
 
@@ -56,7 +55,6 @@ FederatedStorage::setNodeLoad(int idx, double watts)
 {
     capy_assert(idx >= 0 && idx < numNodes(), "node index %d", idx);
     capy_assert(watts >= 0.0, "negative load");
-    advanceTo(lastTime);
     nodes[static_cast<std::size_t>(idx)].load = watts;
 }
 
@@ -69,9 +67,7 @@ FederatedStorage::nodeVoltage(int idx) const
 bool
 FederatedStorage::nodeFull(int idx) const
 {
-    double top = std::min(spec.maxStorageVoltage,
-                          node(idx).spec().ratedVoltage);
-    return node(idx).voltage() >= top - kVFullTol;
+    return fullAt(static_cast<std::size_t>(idx), node(idx).energy());
 }
 
 bool
@@ -81,15 +77,6 @@ FederatedStorage::allFull() const
         if (!nodeFull(i))
             return false;
     return true;
-}
-
-int
-FederatedStorage::chargingNode() const
-{
-    for (int i = 0; i < numNodes(); ++i)
-        if (!nodeFull(i))
-            return i;
-    return -1;
 }
 
 double
@@ -109,77 +96,140 @@ FederatedStorage::totalStoredEnergy() const
 }
 
 double
-FederatedStorage::nodePower(std::size_t idx, double v, sim::Time t,
-                            bool charging_here) const
+FederatedStorage::topVoltage(std::size_t i) const
 {
-    const NodeState &ns = nodes[idx];
-    double pd = ns.load > 0.0 ? storageDrawPower(spec.output, ns.load)
-                              : 0.0;
-    pd += spec.nodeQuiescentPower;
-    double pc = 0.0;
-    if (charging_here) {
-        pc = inputChargePower(spec.input, harvester->power(t),
-                              harvester->voltage(t), v);
-    }
-    return pc - pd;
+    return std::min(spec.maxStorageVoltage,
+                    nodes[i].bank.spec().ratedVoltage);
 }
 
-double
-FederatedStorage::stepOnce(sim::Time t, double dt)
+bool
+FederatedStorage::fullAt(std::size_t i, double e) const
 {
-    // Conditions are constant except for the charging node's voltage
-    // phases; bound the step by the charging node's boundaries.
-    int ci = chargingNode();
-    double step = dt;
+    return std::sqrt(2.0 * e / nodes[i].bank.capacitance()) >=
+           topVoltage(i) - kVFullTol;
+}
 
-    if (ci >= 0) {
-        const NodeState &cn = nodes[static_cast<std::size_t>(ci)];
-        double v = cn.bank.voltage();
-        double vtop = std::min(spec.maxStorageVoltage,
-                               cn.bank.spec().ratedVoltage);
-        double p = nodePower(std::size_t(ci), v, t, true);
-        Phase ph{p, cn.bank.capacitance(),
-                 cn.bank.spec().leakageResistance()};
-        // Boundaries: full target plus the input-converter voltage
-        // regions (cold start, bypass cutoff).
-        double vh = harvester->voltage(t);
-        double boundaries[3] = {vtop, spec.input.coldStartVoltage,
-                                vh - spec.input.bypassDiodeDrop};
-        for (double b : boundaries) {
-            if (b <= v + kVTol || b > vtop)
+FederatedStorage::Motion
+FederatedStorage::motion(std::size_t i, double e, bool charging,
+                         double p_h, double v_h, const Stop *stop) const
+{
+    const NodeState &ns = nodes[i];
+    const CapacitorBank &b = ns.bank;
+    const double v = std::sqrt(2.0 * e / b.capacitance());
+    const double vtop = topVoltage(i);
+    const double r = b.spec().leakageResistance();
+    const double pd = (ns.load > 0.0
+                           ? storageDrawPower(spec.output, ns.load)
+                           : 0.0) +
+                      spec.nodeQuiescentPower;
+
+    // Nearest levels above and below v where the motion changes, and
+    // the net power on either side of v. Each side's regime is read
+    // mid-way to its level, so a node sitting on a breakpoint sees
+    // the regime it would move into.
+    double up = kNever;
+    double dn = 0.0;
+    double p_up = -pd;
+    double p_dn = -pd;
+    if (charging) {
+        up = vtop;
+        for (double bp : inputChargeBreakpoints(spec.input, v_h)) {
+            if (bp > v + kVTol)
+                up = std::min(up, bp);
+            if (bp < v - kVTol)
+                dn = std::max(dn, bp);
+        }
+        p_up += inputChargePower(spec.input, p_h, v_h, 0.5 * (v + up));
+        p_dn += inputChargePower(spec.input, p_h, v_h, 0.5 * (dn + v));
+    } else if (fullAt(i, e)) {
+        double leak = std::isfinite(r) ? vtop * vtop / r : 0.0;
+        if (inputChargePower(spec.input, p_h, v_h, vtop) >= pd + leak)
+            return Motion{{}, true, b.energyAtVoltage(vtop), false};
+        // Aim just under the full threshold so the landing is
+        // unambiguously not full: the dip hands the cascade back.
+        double dip = vtop - kVFullTol - kVTol;
+        if (dip < v - kVTol)
+            dn = dip;
+    }
+    bool dn_stops = false;
+    if (stop && stop->brownout && ns.load > 0.0) {
+        double floor_v = nodeBrownoutVoltage(static_cast<int>(i));
+        if (floor_v > dn && floor_v < v - kVTol) {
+            dn = floor_v;
+            dn_stops = true;
+        }
+    }
+
+    Phase rise{p_up, b.capacitance(), r};
+    Phase fall{p_dn, b.capacitance(), r};
+    if (steadyStateEnergy(rise) > e) {
+        bool stops = stop && static_cast<int>(i) == stop->fullNode &&
+                     up == vtop;
+        return Motion{rise, false, b.energyAtVoltage(up), stops};
+    }
+    if (steadyStateEnergy(fall) < e) {
+        double level = dn > 0.0 ? b.energyAtVoltage(dn) : -1.0;
+        return Motion{fall, false, level, dn_stops};
+    }
+    // Empty, at equilibrium, or pushed back from both sides of a
+    // converter breakpoint: the node stays where it is.
+    return Motion{{}, true, e, false};
+}
+
+bool
+FederatedStorage::walkSegment(double *e, sim::Time t0, double span,
+                              Stop *stop) const
+{
+    const double p_h = harvester->power(t0);
+    const double v_h = harvester->voltage(t0);
+    const std::size_t n = nodes.size();
+    double remaining = span;
+    for (int guard = 0; remaining > kTimeTol; ++guard) {
+        capy_assert(guard < 100000, "federated walk stalled at t=%g",
+                    t0);
+        // The cascade charges its first node that is not full.
+        std::size_t ci = 0;
+        while (ci < n && fullAt(ci, e[ci]))
+            ++ci;
+
+        // The phase ends at the earliest level any node reaches.
+        double step = remaining;
+        std::size_t win = n;
+        bool stops = false;
+        for (std::size_t i = 0; i < n; ++i) {
+            Motion m = motion(i, e[i], i == ci, p_h, v_h, stop);
+            if (m.parked || m.level < 0.0)
                 continue;
-            double tb = timeToEnergy(cn.bank.energy(),
-                                     cn.bank.energyAtVoltage(b), ph);
-            if (std::isfinite(tb) && tb > kTimeTol)
-                step = std::min(step, tb);
+            double tb = timeToEnergy(e[i], m.level, m.phase);
+            if (tb <= step) {
+                step = tb;
+                win = i;
+                stops = m.stops;
+            }
         }
-    }
+        if (!std::isfinite(step))
+            return false;  // nothing changes for the rest of time
 
-    // Advance every node by `step`.
-    bool harvesting = harvester->power(t) > 0.0;
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-        NodeState &ns = nodes[i];
-        double v = ns.bank.voltage();
-        double vtop = std::min(spec.maxStorageVoltage,
-                               ns.bank.spec().ratedVoltage);
-        double e_full = ns.bank.energyAtVoltage(vtop);
-        if (harvesting && ns.load <= 0.0 && int(i) != ci &&
-            v >= vtop - kVFullTol) {
-            // Maintenance top-up: the cascade comparator reconnects
-            // momentarily whenever a full node dips, covering its
-            // leakage. Hold it at the top.
-            ns.bank.setEnergy(e_full);
-            continue;
+        for (std::size_t i = 0; i < n; ++i) {
+            Motion m = motion(i, e[i], i == ci, p_h, v_h, stop);
+            if (m.parked || i == win)
+                e[i] = m.level;  // land exactly on the level
+            else
+                e[i] = advanceEnergy(e[i], m.phase, step);
         }
-        double p = nodePower(i, v, t, int(i) == ci);
-        Phase ph{p, ns.bank.capacitance(),
-                 ns.bank.spec().leakageResistance()};
-        double e = advanceEnergy(ns.bank.energy(), ph, step);
-        if (e > e_full)
-            e = e_full;  // keeper diode / regulator pins at the top
-        ns.bank.setEnergy(e);
+        if (stop)
+            stop->elapsed += step;
+        if (stops)
+            return true;
+        remaining -= step;
     }
-    return step;
+    return false;
+}
+
+sim::Time
+FederatedStorage::segmentEnd(sim::Time t) const
+{
+    return std::max(harvester->nextChange(t), std::nextafter(t, kNever));
 }
 
 void
@@ -187,178 +237,60 @@ FederatedStorage::advanceTo(sim::Time t)
 {
     capy_assert(t >= lastTime, "advanceTo(%g) behind clock %g", t,
                 lastTime);
-    int guard = 0;
-    while (t - lastTime > kTimeTol) {
-        capy_assert(++guard < 100000, "federated advance stalled");
-        double dt = t - lastTime;
-        sim::Time hb = harvester->nextChange(lastTime);
-        if (std::isfinite(hb) && hb - lastTime < dt)
-            dt = std::max(kTimeTol, hb - lastTime);
-        double consumed = stepOnce(lastTime, dt);
-        lastTime += consumed;
+    for (std::size_t i = 0; i < nodes.size(); ++i)
+        scratch[i] = nodes[i].bank.energy();
+    while (lastTime < t) {
+        sim::Time end = std::min(t, segmentEnd(lastTime));
+        walkSegment(scratch.data(), lastTime, end - lastTime, nullptr);
+        lastTime = end;
     }
-    lastTime = t;
+    for (std::size_t i = 0; i < nodes.size(); ++i)
+        nodes[i].bank.setEnergy(scratch[i]);
+}
+
+sim::Time
+FederatedStorage::walkToStop(Stop &stop) const
+{
+    for (std::size_t i = 0; i < nodes.size(); ++i)
+        scratch[i] = nodes[i].bank.energy();
+    for (sim::Time t = lastTime; stop.elapsed < 1e7;) {
+        sim::Time end = segmentEnd(t);
+        if (walkSegment(scratch.data(), t, end - t, &stop))
+            return stop.elapsed;
+        if (!std::isfinite(end))
+            break;
+        t = end;  // step the clock as advanceTo() does
+    }
+    return kNever;
 }
 
 sim::Time
 FederatedStorage::timeToNodeFull(int idx) const
 {
     capy_assert(idx >= 0 && idx < numNodes(), "node index %d", idx);
-    // Analytic phase-bounded peek over scalar scratch state. The live
-    // nodes are untouched and nothing is allocated per call: the walk
-    // mirrors stepOnce's phase machinery (same boundaries, same
-    // advanceEnergy calls) but jumps straight from boundary to
-    // boundary instead of stepping a fixed dt, and stops at the exact
-    // instant the target node crosses its full threshold.
-    const std::size_t n = nodes.size();
-    const auto target = static_cast<std::size_t>(idx);
-    for (std::size_t i = 0; i < n; ++i)
-        peekEnergy[i] = nodes[i].bank.energy();
-
-    auto vtopOf = [&](std::size_t i) {
-        return std::min(spec.maxStorageVoltage,
-                        nodes[i].bank.spec().ratedVoltage);
-    };
-    auto voltOf = [&](std::size_t i) {
-        double c = nodes[i].bank.capacitance();
-        return c > 0.0 ? std::sqrt(2.0 * peekEnergy[i] / c) : 0.0;
-    };
-    auto fullAt = [&](std::size_t i) {
-        return voltOf(i) >= vtopOf(i) - kVFullTol;
-    };
-
-    sim::Time t = lastTime;
-    sim::Time total = 0.0;
-    for (int iter = 0; iter < 100000; ++iter) {
-        if (fullAt(target))
-            return total;
-        if (total > 1e7)
-            return kNever;
-
-        // Cascade assignment for this micro-phase (the target is not
-        // full, so some node always needs charge).
-        int ci = -1;
-        for (std::size_t i = 0; i < n; ++i) {
-            if (!fullAt(i)) {
-                ci = static_cast<int>(i);
-                break;
-            }
-        }
-
-        bool harvesting = harvester->power(t) > 0.0;
-        double vh = harvester->voltage(t);
-        sim::Time hb = harvester->nextChange(t);
-        double seg = std::isfinite(hb) ? std::max(kTimeTol, hb - t)
-                                       : kNever;
-
-        // Earliest event: a converter-region or full-threshold
-        // crossing of the charging node, or a non-held full node
-        // dipping below its full threshold (cascade reassignment).
-        // Only upward boundaries bound the charging node, as in
-        // stepOnce. The winning node lands exactly on its boundary.
-        double step = seg;
-        int snap_node = -1;
-        double snap_energy = 0.0;
-        auto consider = [&](std::size_t i, double e_bound,
-                            const Phase &ph) {
-            double tb = timeToEnergy(peekEnergy[i], e_bound, ph);
-            if (std::isfinite(tb) && tb > kTimeTol && tb < step) {
-                step = tb;
-                snap_node = static_cast<int>(i);
-                snap_energy = e_bound;
-            }
-        };
-
-        if (ci >= 0) {
-            const auto c = static_cast<std::size_t>(ci);
-            const CapacitorBank &cb = nodes[c].bank;
-            double v = voltOf(c);
-            double vtop = vtopOf(c);
-            Phase ph{nodePower(c, v, t, true), cb.capacitance(),
-                     cb.spec().leakageResistance()};
-            double boundaries[3] = {vtop - kVFullTol,
-                                    spec.input.coldStartVoltage,
-                                    vh - spec.input.bypassDiodeDrop};
-            for (double b : boundaries) {
-                if (b <= v + kVTol || b > vtop)
-                    continue;
-                consider(c, cb.energyAtVoltage(b), ph);
-            }
-        }
-        for (std::size_t i = 0; i < n; ++i) {
-            if (static_cast<int>(i) == ci || !fullAt(i))
-                continue;
-            if (harvesting && nodes[i].load <= 0.0)
-                continue;  // maintenance top-up holds it at the top
-            // A draining full node: its dip below the threshold hands
-            // the cascade back to it. Aim just under the threshold so
-            // the landing is unambiguously non-full.
-            const CapacitorBank &b = nodes[i].bank;
-            double v_dip = vtopOf(i) - kVFullTol - kVTol;
-            if (voltOf(i) <= v_dip + kVTol)
-                continue;
-            Phase ph{nodePower(i, voltOf(i), t, false),
-                     b.capacitance(), b.spec().leakageResistance()};
-            consider(i, b.energyAtVoltage(v_dip), ph);
-        }
-
-        if (!std::isfinite(step)) {
-            // No boundary and no harvester change ahead: every node
-            // just relaxes toward its asymptote, so if the target's
-            // full threshold were reachable the consider() above
-            // would have found a finite crossing.
-            return kNever;
-        }
-
-        // Advance every node through the micro-phase.
-        for (std::size_t i = 0; i < n; ++i) {
-            double vtop = vtopOf(i);
-            double e_full = nodes[i].bank.energyAtVoltage(vtop);
-            if (harvesting && nodes[i].load <= 0.0 &&
-                static_cast<int>(i) != ci && fullAt(i)) {
-                peekEnergy[i] = e_full;  // maintenance top-up
-                continue;
-            }
-            Phase ph{nodePower(i, voltOf(i), t,
-                               static_cast<int>(i) == ci),
-                     nodes[i].bank.capacitance(),
-                     nodes[i].bank.spec().leakageResistance()};
-            double e = advanceEnergy(peekEnergy[i], ph, step);
-            if (static_cast<int>(i) == snap_node)
-                e = snap_energy;  // land exactly on the boundary
-            if (e > e_full)
-                e = e_full;  // keeper diode pins at the top
-            peekEnergy[i] = e;
-        }
-        t += step;
-        total += step;
-    }
-    return kNever;
+    if (nodeFull(idx))
+        return 0.0;
+    Stop stop;
+    stop.fullNode = idx;
+    return walkToStop(stop);
 }
 
 sim::Time
 FederatedStorage::timeToAnyBrownout() const
 {
-    // Analytic for each loaded node under current conditions, taking
-    // the cascade's charging assignment as fixed (conservative).
-    int ci = chargingNode();
-    sim::Time earliest = kNever;
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-        const NodeState &ns = nodes[i];
-        if (ns.load <= 0.0)
+    bool loaded = false;
+    for (int i = 0; i < numNodes(); ++i) {
+        if (nodes[static_cast<std::size_t>(i)].load <= 0.0)
             continue;
-        double v_bo = nodeBrownoutVoltage(int(i));
-        double v = ns.bank.voltage();
-        if (v <= v_bo + kVTol)
+        if (nodeVoltage(i) <= nodeBrownoutVoltage(i) + kVTol)
             return 0.0;
-        double p = nodePower(i, v, lastTime, int(i) == ci);
-        Phase ph{p, ns.bank.capacitance(),
-                 ns.bank.spec().leakageResistance()};
-        double tb = timeToEnergy(ns.bank.energy(),
-                                 ns.bank.energyAtVoltage(v_bo), ph);
-        earliest = std::min(earliest, tb);
+        loaded = true;
     }
-    return earliest;
+    if (!loaded)
+        return kNever;
+    Stop stop;
+    stop.brownout = true;
+    return walkToStop(stop);
 }
 
 } // namespace capy::power

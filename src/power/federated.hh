@@ -24,6 +24,7 @@
 #include "power/booster.hh"
 #include "power/capacitor.hh"
 #include "power/harvester.hh"
+#include "power/solver.hh"
 #include "sim/event.hh"
 
 namespace capy::power
@@ -34,6 +35,22 @@ namespace capy::power
  * harvester. Node 0 (the MCU's) has charging priority; each further
  * node charges only while every earlier node is full, like UFoP's
  * hardware charging chain.
+ *
+ * One walker evolves the cascade for advanceTo() and for both
+ * predictive queries, so a prediction is exactly what the advance that
+ * follows it does, and an advance does not depend on how the caller
+ * splits time. Within one harvester segment (harvester read at the
+ * segment start) each phase charges the first node that is not full;
+ * every other node only drains its load, its quiescent draw and its
+ * leakage. A phase ends when the charging node reaches an input
+ * converter breakpoint or its top, when a draining full node dips
+ * below its full threshold (which hands the cascade back to it), or
+ * at a query's stop.
+ *
+ * Hold rule: a full node that is not charging is held at its top while
+ * the input booster's output at the top covers its draw plus its
+ * leakage (the comparator reconnects it whenever it dips). A held
+ * node's upkeep is not deducted from the charging node's harvest.
  */
 class FederatedStorage
 {
@@ -79,15 +96,17 @@ class FederatedStorage
     bool allFull() const;
 
     /**
-     * Time until node @p idx reaches the charge target under current
-     * conditions (accounting for the cascade: earlier nodes charge
+     * Time until node @p idx reaches its top under current loads,
+     * walking the cascade as advanceTo() would (earlier nodes charge
      * first); kNever if unreachable.
      */
     sim::Time timeToNodeFull(int idx) const;
 
     /**
-     * Time until any *loaded* node crosses its brown-out floor;
-     * kNever when no load is active or no crossing occurs.
+     * Time until any loaded node that is not held at its top reaches
+     * its brown-out floor, walking the cascade as advanceTo() would;
+     * 0 when one is already at or below it, kNever when no load is
+     * active or no crossing occurs.
      */
     sim::Time timeToAnyBrownout() const;
 
@@ -104,30 +123,62 @@ class FederatedStorage
         double load = 0.0;  ///< rail W drawn from this node
     };
 
-    /** Net power into node @p idx at its present voltage, W. */
-    double nodePower(std::size_t idx, double v, sim::Time t,
-                     bool charging_here) const;
+    /** A predictive query's stop and the time walked to reach it. */
+    struct Stop
+    {
+        int fullNode = -1;      ///< stop when this node reaches its top
+        bool brownout = false;  ///< stop at a loaded node's floor
+        sim::Time elapsed = 0.0;
+    };
 
-    /** Index of the node the cascade is currently charging, or -1
-     *  when all nodes are full. */
-    int chargingNode() const;
+    /** How one node moves through the current phase. */
+    struct Motion
+    {
+        Phase phase{};
+        /** Parked for the phase at energy `level` (held at its top,
+         *  empty, or pinned between two converter regimes). */
+        bool parked = false;
+        /** Energy of the next level it reaches, J; < 0 for none. */
+        double level = -1.0;
+        bool stops = false;  ///< reaching `level` is the query's stop
+    };
 
-    /** Advance by at most @p dt with conditions held constant;
-     *  returns the time actually consumed (stops at node-full /
-     *  node-empty boundaries). */
-    double stepOnce(sim::Time t, double dt);
+    /** Charge target of node @p i, V. */
+    double topVoltage(std::size_t i) const;
+
+    /** Whether node @p i counts as full at energy @p e. */
+    bool fullAt(std::size_t i, double e) const;
+
+    /** Motion of node @p i at energy @p e; @p charging when it is the
+     *  cascade's charging node. */
+    Motion motion(std::size_t i, double e, bool charging, double p_h,
+                  double v_h, const Stop *stop) const;
+
+    /**
+     * The walker behind advanceTo() and both queries: evolve the node
+     * energies @p e over [t0, t0+span] with the harvester held at its
+     * t0 conditions. With @p stop, end where it is reached, adding
+     * the time walked to stop->elapsed. @return whether it stopped.
+     */
+    bool walkSegment(double *e, sim::Time t0, double span,
+                     Stop *stop) const;
+
+    /** Walk scratch copies of the nodes through harvester segments
+     *  from now until @p stop; its time, or kNever. */
+    sim::Time walkToStop(Stop &stop) const;
+
+    /** End of the harvester segment starting at @p t; always after
+     *  @p t, so every walk makes progress. */
+    sim::Time segmentEnd(sim::Time t) const;
 
     Spec spec;
     std::unique_ptr<Harvester> harvester;
     std::vector<NodeState> nodes;
     sim::Time lastTime = 0.0;
 
-    /**
-     * Scratch energies for timeToNodeFull's analytic peek, sized in
-     * addNode so the const query allocates nothing per call. Pure
-     * scratch: every use overwrites it first.
-     */
-    mutable std::vector<double> peekEnergy;
+    /** Node energies the walker works on, sized in addNode so no walk
+     *  allocates. Pure scratch: every use overwrites it first. */
+    mutable std::vector<double> scratch;
 };
 
 } // namespace capy::power

@@ -205,24 +205,16 @@ PowerSystem::phaseAt(const Node &node, double v, sim::Time t) const
 
     PhaseInfo info;
 
-    // Voltage levels at which the net power changes: the input
-    // booster's cold-start threshold, the bypass diode cutoff, and
-    // the effective charge target.
-    double bounds[3] = {spec.input.coldStartVoltage,
-                        spec.input.bypassEnabled
-                            ? vh - spec.input.bypassDiodeDrop
-                            : -1.0,
-                        vtop};
+    // Voltage levels at which the net power changes: the effective
+    // charge target and the input booster's regime breakpoints.
     info.boundAbove = vtop;
-    info.boundBelow = 0.0;
-    for (double b : bounds) {
+    info.boundBelow = vtop < v - kVTol ? vtop : 0.0;
+    for (double b : inputChargeBreakpoints(spec.input, vh)) {
         if (b > v + kVTol)
             info.boundAbove = std::min(info.boundAbove, b);
         if (b < v - kVTol && b > 0.0)
             info.boundBelow = std::max(info.boundBelow, b);
     }
-    // Never integrate above the charge target.
-    info.boundAbove = std::min(info.boundAbove, vtop);
 
     if (v >= vtop - kVTol) {
         double pc = inputChargePower(spec.input, ph, vh, vtop);

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "power/bankswitch.hh"
 #include "power/booster.hh"
@@ -69,6 +71,33 @@ TEST(InputBooster, BypassStopsAtDiodeCutoff)
     s.coldStartVoltage = 5.0;
     double p = inputChargePower(s, 10e-3, 3.3, v_storage);
     EXPECT_NEAR(p, s.coldStartFraction * 10e-3, 1e-12);
+}
+
+TEST(InputBooster, BreakpointsBoundTheRegimes)
+{
+    // Harvester at 1.2 V: bypass below 0.9 V, trickle up to the 1.0 V
+    // cold start, boosted above. The charge power is constant between
+    // consecutive breakpoints and changes across each one.
+    for (bool bypass : {true, false}) {
+        auto s = inSpec();
+        s.bypassEnabled = bypass;
+        std::vector<double> edges{0.0, 3.0};
+        for (double b : inputChargeBreakpoints(s, 1.2))
+            if (b > 0.0)
+                edges.push_back(b);
+        std::sort(edges.begin(), edges.end());
+        ASSERT_EQ(edges.size(), bypass ? 4u : 3u);
+        auto pc = [&](double v) {
+            return inputChargePower(s, 10e-3, 1.2, v);
+        };
+        for (std::size_t k = 0; k + 1 < edges.size(); ++k) {
+            EXPECT_EQ(pc(edges[k] + 1e-6), pc(edges[k + 1] - 1e-6));
+            if (k > 0) {
+                EXPECT_NE(pc(edges[k] - 1e-6), pc(edges[k] + 1e-6))
+                    << "breakpoint " << edges[k] << " V";
+            }
+        }
+    }
 }
 
 TEST(InputBooster, NoHarvestNoCharge)

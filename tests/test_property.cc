@@ -2,8 +2,9 @@
  * @file
  * Property and fuzz tests across layers: power-system invariants
  * under randomized operation sequences, energy-conservation checks,
- * crossing-time consistency, kernel progress under random harvest
- * conditions, and scoreboard accounting invariants.
+ * crossing-time consistency (single-node and federated), kernel
+ * progress under random harvest conditions, and scoreboard accounting
+ * invariants.
  */
 
 #include <gtest/gtest.h>
@@ -11,11 +12,13 @@
 #include <cmath>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/runtime.hh"
 #include "dev/device.hh"
 #include "env/light.hh"
 #include "env/scoring.hh"
+#include "power/federated.hh"
 #include "power/parts.hh"
 #include "power/power_system.hh"
 #include "power/solver.hh"
@@ -432,3 +435,141 @@ TEST_P(LatchDecaySweep, SplitInvariant)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LatchDecaySweep,
                          ::testing::Range(300, 330));
+
+namespace
+{
+
+/** A constant supply or a step trace; the same @p rng state builds
+ *  the same harvester. */
+std::unique_ptr<Harvester>
+randomStepSupply(sim::Rng &rng)
+{
+    if (rng.chance(0.5))
+        return std::make_unique<RegulatedSupply>(
+            rng.uniform(0.5e-3, 10e-3), 3.3);
+    std::vector<TraceHarvester::Sample> steps;
+    sim::Time t = 0.0;
+    for (int k = 0; k < 6; ++k) {
+        steps.push_back({t, rng.uniform(0.0, 10e-3)});
+        t += rng.uniform(5.0, 60.0);
+    }
+    return std::make_unique<TraceHarvester>(std::move(steps), 3.3,
+                                            false);
+}
+
+/**
+ * A random 2-4-node federated cascade on harvester @p h, advanced
+ * idle to @p start, then given random starting voltages and, on about
+ * half of its nodes, random loads. The same @p rng state builds the
+ * same cascade.
+ */
+std::unique_ptr<FederatedStorage>
+randomCascade(sim::Rng &rng, std::unique_ptr<Harvester> h,
+              sim::Time start = 0.0)
+{
+    auto fs = std::make_unique<FederatedStorage>(FederatedStorage::Spec{},
+                                                 std::move(h));
+    int n = static_cast<int>(rng.uniformInt(2, 4));
+    for (int i = 0; i < n; ++i) {
+        CapacitorSpec caps[] = {
+            parts::x5r100uF().parallel(rng.uniformInt(1, 8)),
+            parts::tant1000uF(), parts::edlc7_5mF(),
+            parts::cph3225a().parallel(rng.uniformInt(1, 3))};
+        fs->addNode("n" + std::to_string(i),
+                    caps[rng.uniformInt(0, 3)]);
+    }
+    fs->advanceTo(start);
+    for (int i = 0; i < n; ++i) {
+        fs->nodeForTest(i).setVoltage(rng.uniform(0.0, 3.0));
+        if (rng.chance(0.5))
+            fs->setNodeLoad(i, rng.uniform(0.1e-3, 8e-3));
+    }
+    return fs;
+}
+
+} // namespace
+
+/** The federated cascade is time-decomposition invariant: one advance
+ *  and random splits of it agree on every node. */
+class FederatedSplitInvariant : public ::testing::TestWithParam<int>
+{};
+
+TEST_P(FederatedSplitInvariant, OneAdvanceMatchesRandomSplits)
+{
+    auto build = [&] {
+        sim::Rng rng(std::uint64_t(GetParam()), 0xFED5);
+        return randomCascade(rng, randomStepSupply(rng));
+    };
+    auto one = build();
+    auto many = build();
+
+    sim::Rng rng(std::uint64_t(GetParam()), 0x5B1D);
+    double horizon = rng.uniform(1.0, 300.0);
+    one->advanceTo(horizon);
+    double t = 0.0;
+    while (t < horizon) {
+        t = std::min(horizon, t + rng.exponential(horizon / 8.0));
+        many->advanceTo(t);
+    }
+    for (int i = 0; i < one->numNodes(); ++i)
+        EXPECT_NEAR(one->nodeVoltage(i), many->nodeVoltage(i), 1e-3)
+            << "node " << i << " of " << one->numNodes()
+            << ", horizon " << horizon;
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FederatedSplitInvariant,
+                         ::testing::Range(400, 500));
+
+/** Federated predictions match the advance that follows them, on a
+ *  constant supply and on CapySat's orbit-light harvester. */
+class FederatedPredictThenAdvance : public ::testing::TestWithParam<int>
+{};
+
+TEST_P(FederatedPredictThenAdvance, LandsOnTheTarget)
+{
+    sim::Rng rng(std::uint64_t(GetParam()), 0x9E7F);
+    for (bool orbit : {false, true}) {
+        auto harvester = [&]() -> std::unique_ptr<Harvester> {
+            if (orbit)
+                return orbitSolar();
+            return std::make_unique<RegulatedSupply>(
+                rng.uniform(0.5e-3, 10e-3), 3.3);
+        };
+        sim::Time start = orbit ? rng.uniform(0.0, 5550.0) : 0.0;
+
+        // Fill a random node: it is full when the prediction says.
+        auto fs = randomCascade(rng, harvester(), start);
+        int idx = static_cast<int>(
+            rng.uniformInt(0, std::uint64_t(fs->numNodes() - 1)));
+        sim::Time dt = fs->timeToNodeFull(idx);
+        if (std::isfinite(dt)) {
+            fs->advanceTo(fs->time() + dt);
+            EXPECT_TRUE(fs->nodeFull(idx))
+                << (orbit ? "orbit" : "constant") << " supply, node "
+                << idx << " at " << fs->nodeVoltage(idx) << " V after "
+                << dt << " s";
+        }
+
+        // Brown a single loaded node out: it sits on its floor when
+        // the prediction says.
+        fs = randomCascade(rng, harvester(), start);
+        int loaded = static_cast<int>(
+            rng.uniformInt(0, std::uint64_t(fs->numNodes() - 1)));
+        for (int i = 0; i < fs->numNodes(); ++i)
+            fs->setNodeLoad(i, i == loaded ? rng.uniform(1e-3, 12e-3)
+                                           : 0.0);
+        fs->nodeForTest(loaded).setVoltage(
+            rng.uniform(fs->nodeBrownoutVoltage(loaded) + 0.01, 3.0));
+        dt = fs->timeToAnyBrownout();
+        if (std::isfinite(dt)) {
+            fs->advanceTo(fs->time() + dt);
+            EXPECT_NEAR(fs->nodeVoltage(loaded),
+                        fs->nodeBrownoutVoltage(loaded), 1e-3)
+                << (orbit ? "orbit" : "constant") << " supply, node "
+                << loaded << " after " << dt << " s";
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FederatedPredictThenAdvance,
+                         ::testing::Range(600, 700));
