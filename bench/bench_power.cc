@@ -2,15 +2,15 @@
  * @file
  * Power-layer microbenchmarks (google-benchmark): every simulated
  * second of a device run funnels through PowerSystem::advanceTo, the
- * closed-form solver and Harvester queries, and the runtime leans on
- * the predictive queries (timeToFull / timeToBrownout) to jump the
- * clock. The cases time that single-thread path directly:
+ * closed-form solver and Harvester queries, and the device leans on
+ * runLoad and the predictive queries (timeToFull) to jump the clock.
+ * The cases time that single-thread path directly:
  *
  *  - advance-heavy: many small advanceTo() steps against a looping
  *    288-sample harvest trace with periodic load changes (the
  *    trace-replay pattern of a deployed device);
- *  - query-heavy: workload bundles of advanceTo, setRailLoad and
- *    timeToBrownout, the call pattern of dev::Device::runWorkload;
+ *  - query-heavy: workload bundles of runLoad and the advanceTo to
+ *    the workload's end, the call pattern of dev::Device::runWorkload;
  *  - the solver's advance and crossing primitives, and one full
  *    charge/discharge cycle of a regulated-supply board.
  *
@@ -85,10 +85,11 @@ advanceHeavy(power::PowerSystem &ps, int steps)
     return sink;
 }
 
-/** One query-heavy pass: @p bundles workloads 10 ms apart, each
- *  issued as dev::Device::runWorkload does (advance to now, set the
- *  workload's rail load, predict its brown-out), alternating between
- *  two task loads. Returns a value sink. */
+/** One query-heavy pass: @p bundles back-to-back 10 ms workloads,
+ *  each issued as dev::Device::runWorkload does (run the workload's
+ *  load to its end, which walks once, then advance there, which
+ *  commits that walk), alternating between two task loads. Returns a
+ *  value sink. */
 double
 queryHeavy(power::PowerSystem &ps, int bundles)
 {
@@ -96,10 +97,10 @@ queryHeavy(power::PowerSystem &ps, int bundles)
     sim::Time t = ps.time();
     ps.setRailEnabled(true);
     for (int i = 0; i < bundles; ++i) {
-        t += 10e-3;
-        ps.advanceTo(t);
-        ps.setRailLoad(i % 2 == 0 ? 1e-3 : 3e-3);
-        sim::Time tb = ps.timeToBrownout();
+        sim::Time end = t + 10e-3;
+        sim::Time tb = ps.runLoad(i % 2 == 0 ? 1e-3 : 3e-3, end);
+        ps.advanceTo(end);
+        t = end;
         sink += std::isfinite(tb) ? tb : 0.0;
     }
     return sink;

@@ -140,10 +140,12 @@ Device::beginBoot()
     state = State::Booting;
     ps->advanceTo(sim.now());
     ps->setRailEnabled(true);
-    ps->setRailLoad(mcuSpec.activePower);
     transitionSpan("boot");
 
-    sim::Time t_bo = ps->timeToBrownout();
+    // One walk: the brown-out instant, or the end state onBootDone()'s
+    // advance commits.
+    sim::Time t_bo =
+        ps->runLoad(mcuSpec.activePower, sim.now() + mcuSpec.bootTime);
     if (t_bo < mcuSpec.bootTime - kRaceTol) {
         pendingIsFail = true;
         pendingEvent =
@@ -196,8 +198,9 @@ Device::runWorkload(double rail_power, double duration,
     }
 
     ps->advanceTo(sim.now());
-    ps->setRailLoad(rail_power);
-    sim::Time t_bo = ps->timeToBrownout();
+    // One walk: the brown-out instant, or the end state
+    // onWorkloadDone()'s advance commits.
+    sim::Time t_bo = ps->runLoad(rail_power, sim.now() + duration);
     if (t_bo < duration - kRaceTol) {
         ++devStats.workloadsAborted;
         pendingIsFail = true;

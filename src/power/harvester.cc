@@ -65,8 +65,12 @@ SolarArray::nextChange(sim::Time t) const
 {
     if (!illumination)
         return kNever;
-    // Boundaries on a fixed grid.
+    // Boundaries on a fixed grid, strictly after t: at a grid instant
+    // t / changePeriod can round to just below the integer k whose
+    // k * changePeriod rounds back to t.
     double steps = std::floor(t / changePeriod) + 1.0;
+    if (steps * changePeriod <= t)
+        steps += 1.0;
     return steps * changePeriod;
 }
 
@@ -137,32 +141,43 @@ TraceHarvester::seek(double local) const
 }
 
 double
-TraceHarvester::power(sim::Time t) const
+TraceHarvester::localTime(sim::Time t) const
 {
     capy_assert(t >= 0.0, "negative time");
-    double local = t;
-    if (looping) {
-        local = std::fmod(t, span);
-    } else if (t >= span) {
+    return looping ? std::fmod(t, span) : t;
+}
+
+double
+TraceHarvester::power(sim::Time t) const
+{
+    if (!looping && t >= span)
         return 0.0;
-    }
-    return trace[seek(local)].power;
+    return trace[seek(localTime(t))].power;
 }
 
 sim::Time
 TraceHarvester::nextChange(sim::Time t) const
 {
-    if (!looping && t >= span)
-        return kNever;
-    double cycles = looping ? std::floor(t / span) : 0.0;
-    double local = t - cycles * span;
+    if ((!looping && t >= span) || (looping && trace.size() == 1))
+        return kNever;  // past the end, or one sample looped forever
+    double local = localTime(t);
     std::size_t idx = seek(local);
+    bool wraps = looping && idx + 1 == trace.size();
     double next_local =
         idx + 1 < trace.size() ? trace[idx + 1].time : span;
-    double next = cycles * span + next_local;
-    // Guard FP: always strictly in the future.
-    if (next <= t)
-        next = t + 1e-9;
+    // Whether power(x), for x less than a loop after t, reads past
+    // sample idx. localTime() is exact, so it rises with x until the
+    // wrap, where it falls below local.
+    auto reads_next = [&](sim::Time x) {
+        double l = localTime(x);
+        return wraps ? l < local : l >= next_local;
+    };
+    // The loop's start (t - local) and the sum round: step up to the
+    // first instant that reads the next sample, so a walk split here
+    // sees the change. On a trace's first pass, next is exact.
+    sim::Time next = (t - local) + next_local;
+    while (next <= t || !reads_next(next))
+        next = std::nextafter(next, kNever);
     return next;
 }
 

@@ -178,6 +178,10 @@ class TraceHarvester : public Harvester
     /** Cursor-accelerated indexAt(). */
     std::size_t seek(double local) const;
 
+    /** Trace-local time of @p t: the one mapping power() and
+     *  nextChange() share, exact (fmod) when looping. */
+    double localTime(sim::Time t) const;
+
     std::vector<Sample> trace;
     double outputVoltage;
     bool looping;

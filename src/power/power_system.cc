@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "power/solver.hh"
 #include "sim/logging.hh"
@@ -54,6 +55,7 @@ int
 PowerSystem::addBank(const std::string &name, const CapacitorSpec &cap)
 {
     banks.push_back(BankState{CapacitorBank(name, cap), std::nullopt});
+    stage.reset();
     invalidateNode();
     return static_cast<int>(banks.size()) - 1;
 }
@@ -65,6 +67,7 @@ PowerSystem::addSwitchedBank(const std::string &name,
 {
     banks.push_back(BankState{CapacitorBank(name, cap),
                               BankSwitch(sw, lastTime)});
+    stage.reset();
     invalidateNode();
     return static_cast<int>(banks.size()) - 1;
 }
@@ -81,6 +84,7 @@ PowerSystem::bankForTest(int idx)
 {
     capy_assert(idx >= 0 && idx < numBanks(), "bank index %d", idx);
     // The caller may mutate bank energy through this handle.
+    stage.reset();
     invalidateNode();
     return banks[static_cast<std::size_t>(idx)].bank;
 }
@@ -379,35 +383,50 @@ PowerSystem::recordTrace()
         voltTrace->record(lastTime, storageVoltage());
 }
 
+double
+PowerSystem::segmentSpan(sim::Time from, sim::Time t) const
+{
+    double span = t - from;
+    if (!railOn) {
+        // Only an unpowered latch decays toward reverting.
+        sim::Time exp = nextLatchExpiry();
+        if (std::isfinite(exp) && exp < from + span)
+            span = std::max(0.0, exp - from);
+    }
+    sim::Time hb = harvester->nextChange(from);
+    if (std::isfinite(hb) && hb < from + span)
+        span = std::max(0.0, hb - from);
+    return span;
+}
+
 void
 PowerSystem::advanceTo(sim::Time t)
 {
     capy_assert(t >= lastTime, "advanceTo(%g) behind clock %g", t,
                 lastTime);
+    // runLoad()'s stage stands in for the first segment's walk when
+    // this advance ends where the run does; any other advance drops it.
+    std::optional<Staged> staged = std::exchange(stage, std::nullopt);
+    if (staged && (staged->from != lastTime || staged->to != t))
+        staged.reset();
     int guard = 0;
     while (true) {
         capy_assert(++guard < 1000000,
                     "advanceTo failed to make progress at t=%g",
                     lastTime);
-        double dt_max = t - lastTime;
-
-        // Bound the interval by the earliest latch reversion (only
-        // decaying while unpowered) and harvester condition changes.
-        if (!railOn) {
-            sim::Time exp = nextLatchExpiry();
-            if (std::isfinite(exp) && exp < lastTime + dt_max)
-                dt_max = std::max(0.0, exp - lastTime);
-        }
-        sim::Time hb = harvester->nextChange(lastTime);
-        if (std::isfinite(hb) && hb < lastTime + dt_max)
-            dt_max = std::max(0.0, hb - lastTime);
+        double dt_max = segmentSpan(lastTime, t);
 
         if (dt_max > 0.0) {
             Node node = activeNode();
             if (node.valid) {
-                ++sim::workCounts.advanceWalks;
-                walkSegment(node, lastTime, dt_max, nullptr,
-                            &energyStats);
+                if (staged) {
+                    node.energy = staged->energy;
+                    energyStats = staged->stats;
+                } else {
+                    ++sim::workCounts.advanceWalks;
+                    walkSegment(node, lastTime, dt_max, nullptr,
+                                &energyStats);
+                }
                 writebackActive(node);
                 // The cache must reflect the bank writeback exactly
                 // (the sum of per-bank energies, not the pre-split
@@ -417,6 +436,7 @@ PowerSystem::advanceTo(sim::Time t)
             decayInactive(dt_max);
             lastTime += dt_max;
         }
+        staged.reset();
 
         if (updateLatches(lastTime))
             rebuildAfterReconfig();
@@ -446,6 +466,7 @@ PowerSystem::commandSwitch(int idx, bool closed)
     capy_assert(bs.sw.has_value(), "bank %d ('%s') is hard-wired", idx,
                 bs.bank.name().c_str());
     bs.sw->command(closed, lastTime, railOn);
+    stage.reset();
     rebuildAfterReconfig();
     recordTrace();
 }
@@ -454,6 +475,8 @@ void
 PowerSystem::setRailLoad(double watts)
 {
     capy_assert(watts >= 0.0, "negative rail load %g", watts);
+    if (watts != loadPower)
+        stage.reset();
     loadPower = watts;
 }
 
@@ -462,6 +485,7 @@ PowerSystem::setRailEnabled(bool on)
 {
     if (railOn == on)
         return;
+    stage.reset();
     railOn = on;
     if (!on)
         loadPower = 0.0;
@@ -477,6 +501,7 @@ PowerSystem::setChargeCeiling(double v)
     capy_assert(v > spec.output.minInputStart,
                 "charge ceiling %g V below booster start %g V", v,
                 spec.output.minInputStart);
+    stage.reset();
     chargeCeiling = v;
     topDirty = true;
     wasFull = isFull();
@@ -495,6 +520,7 @@ PowerSystem::collapseToBrownout()
     if (node.energy <= floor_e)
         return 0.0;
     double drained = node.energy - floor_e;
+    stage.reset();
     node.energy = floor_e;
     writebackActive(node);
     invalidateNode();
@@ -506,6 +532,7 @@ PowerSystem::collapseToBrownout()
 void
 PowerSystem::clearChargeCeiling()
 {
+    stage.reset();
     chargeCeiling = kInf;
     topDirty = true;
     wasFull = isFull();
@@ -602,6 +629,44 @@ PowerSystem::timeToBrownout() const
     if (v <= floor_v + kVTol)
         return 0.0;
     return timeToVoltage(floor_v);
+}
+
+sim::Time
+PowerSystem::runLoad(double watts, sim::Time t_end)
+{
+    capy_assert(railOn, "runLoad while the rail is off");
+    capy_assert(t_end >= lastTime, "runLoad to %g behind clock %g",
+                t_end, lastTime);
+    setRailLoad(watts);
+    stage.reset();
+
+    // timeToBrownout()'s walk, cut at t_end: up to there it takes the
+    // same segments, so a brown-out it finds is bit-identical.
+    double floor_v = brownoutVoltageNow();
+    Node node = activeNode();
+    if (node.voltage() <= floor_v + kVTol)
+        return 0.0;
+    ++sim::workCounts.queryWalks;
+    Stop stop{floor_v};
+    Staged end{lastTime, t_end, 0.0, energyStats};
+    sim::Time t_abs = lastTime;
+    for (int guard = 0; t_abs < t_end; ++guard) {
+        capy_assert(guard < 1000000,
+                    "runLoad failed to make progress at t=%g", t_abs);
+        double span = segmentSpan(t_abs, t_end);
+        // The first segment is the one advanceTo(t_end) walks first:
+        // book its flows and stage its end.
+        EnergyStats *acc = guard == 0 ? &end.stats : nullptr;
+        if (walkSegment(node, t_abs, span, &stop, acc) ==
+            WalkEnd::Stopped)
+            return stop.elapsed;
+        if (acc) {
+            end.energy = node.energy;
+            stage = end;
+        }
+        t_abs += span;
+    }
+    return kNever;
 }
 
 sim::Time

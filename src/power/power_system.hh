@@ -39,10 +39,16 @@ namespace capy::power
  * and state queries apply at the current internal time — callers must
  * advanceTo(now) first.
  *
- * advanceTo() and the predictive queries walk the node with one phase
- * walker over the same harvester segments, each evaluated at its
- * start, so advanceTo(time() + timeToVoltage(v)) lands on v, up to
- * rounding, unless a latch reverts on the way.
+ * A constant-power run (a device workload or boot) is runLoad(watts,
+ * t_end) followed by advanceTo(t_end): runLoad walks once, returning
+ * the brown-out time or staging the end state, and the advance
+ * commits the stage instead of walking again unless something
+ * happened in between.
+ *
+ * advanceTo(), runLoad() and the predictive queries walk the node
+ * with one phase walker over the same harvester segments, each
+ * evaluated at its start, so advanceTo(time() + timeToVoltage(v))
+ * lands on v, up to rounding, unless a latch reverts on the way.
  */
 class PowerSystem
 {
@@ -103,8 +109,32 @@ class PowerSystem
     /// @name Time evolution
     /// @{
 
-    /** Advance internal state to absolute time @p t (>= time()). */
+    /**
+     * Advance internal state to absolute time @p t (>= time()).
+     * Commits runLoad()'s stage instead of walking its segment when
+     * @p t is the run's end and nothing happened since.
+     */
     void advanceTo(sim::Time t);
+
+    /**
+     * Run the rail at @p watts from now until the absolute time
+     * @p t_end: set the rail load and walk once toward t_end, with
+     * the brown-out floor as the stop. The rail must be on.
+     *
+     * When the rail holds, the walk's state at the end of its first
+     * harvester segment (active-node energy and EnergyStats) is
+     * staged, and advanceTo(t_end) commits it in place of walking
+     * that segment: with no harvester change before t_end, the whole
+     * run. Any control call that changes something,
+     * collapseToBrownout(), bankForTest(), an advanceTo() to another
+     * time or a second runLoad() drops the stage; re-setting the same
+     * rail load does not.
+     *
+     * @return the time from now until the rail browns out, if it
+     *         does by t_end (bit-identical to timeToBrownout()), else
+     *         kNever.
+     */
+    sim::Time runLoad(double watts, sim::Time t_end);
 
     /** Current internal time. */
     sim::Time time() const { return lastTime; }
@@ -311,6 +341,13 @@ class PowerSystem
     WalkEnd walkSegment(Node &node, sim::Time t0, double span,
                         Stop *stop, EnergyStats *acc) const;
 
+    /**
+     * Length of the segment advanceTo(@p t) walks next from @p from:
+     * up to t, cut at the next harvester change and, while the rail
+     * is off, at the next latch expiry (computed from time()).
+     */
+    double segmentSpan(sim::Time from, sim::Time t) const;
+
     /** Decay inactive banks over @p dt via their own leakage. */
     void decayInactive(double dt);
 
@@ -330,6 +367,17 @@ class PowerSystem
     bool wasFull = false;  ///< for charge-completion counting
     EnergyStats energyStats;
     sim::TimeSeries *voltTrace = nullptr;
+
+    /** runLoad()'s walk from @p from toward @p to, over the first
+     *  harvester segment. */
+    struct Staged
+    {
+        sim::Time from;
+        sim::Time to;
+        double energy;      ///< active-node energy after the segment
+        EnergyStats stats;  ///< energyStats after the segment
+    };
+    std::optional<Staged> stage;
 
     // --- Hot-path caches (pure memo state; a PowerSystem is owned by
     // one simulation, so the mutable members need no locking) ---

@@ -45,9 +45,13 @@ struct Phase
  * Small direct-mapped memo for exp(-dt / tau).
  *
  * The power-system hot path evaluates the same exponential repeatedly
- * for unchanged (dt, tau) pairs: a predictive query walks the phase
- * sequence, and the advanceTo() that follows re-walks the identical
- * segments; back-to-back queries between advances repeat them again.
+ * for unchanged (dt, tau) pairs: back-to-back workloads of one fixed
+ * duration on an unchanged node each step the same interval under the
+ * same time constant. On the Fig. 8 GRC-Fast Fixed cell (seed
+ * 20180324), 294,509 of 294,673 lookups hit, the same whether each
+ * workload is predicted and then advanced or walked once
+ * (PowerSystem::runLoad): a prediction's phase that ends on its stop
+ * voltage takes no exp.
  * Entries are keyed on the exact (dt, tau) bit patterns and store the
  * exp value computed the normal way, so a hit returns bit-identical
  * results — the memo can change nothing observable.

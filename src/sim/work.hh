@@ -19,9 +19,12 @@ namespace capy::sim
 struct WorkCounts
 {
     std::uint64_t crcCalls = 0;      ///< dev::nvCrc32 calls
-    std::uint64_t advanceWalks = 0;  ///< PowerSystem advance walks
-    std::uint64_t queryWalks = 0;    ///< predictive-query walks
-    std::uint64_t phases = 0;        ///< phase iterations of both walks
+    /** PowerSystem advance walks; committing runLoad()'s stage
+     *  instead of walking is not one. */
+    std::uint64_t advanceWalks = 0;
+    /** Predictive-query walks and PowerSystem::runLoad() walks. */
+    std::uint64_t queryWalks = 0;
+    std::uint64_t phases = 0;  ///< phase iterations of every walk
 };
 
 /** This thread's counters; only ever incremented. */

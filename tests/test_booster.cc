@@ -278,6 +278,23 @@ TEST(Harvester, SolarIlluminationScalesPower)
     EXPECT_DOUBLE_EQ(h.nextChange(1.0), 2.0);
 }
 
+/** At every grid instant, including those where t / period rounds
+ *  to just below an integer, the next change lies strictly ahead;
+ *  one at t itself would stall advanceTo(). */
+TEST(Harvester, SolarGridChangeIsStrictlyLater)
+{
+    for (double period : {0.7, 1.3373820634731044, 3.1}) {
+        SolarArray h(1, 10e-3, 2.5, [](double) { return 0.5; }, period);
+        sim::Time t = 0.0;
+        for (int k = 0; k < 100000; ++k) {
+            sim::Time next = h.nextChange(t);
+            ASSERT_GT(next, t) << "period " << period << ", step " << k;
+            ASSERT_LT(next, t + 1.5 * period) << "period " << period;
+            t = next;
+        }
+    }
+}
+
 TEST(Harvester, IlluminationClampedToUnit)
 {
     SolarArray h(1, 10e-3, 2.5, [](double) { return 3.0; }, 1.0);

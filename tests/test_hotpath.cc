@@ -183,6 +183,39 @@ TEST(HotPath, CursorSurvivesLoopWrap)
     }
 }
 
+/** Stepping from change to change through thousands of loop wraps,
+ *  as advanceTo() splits its segments: every instant nextChange()
+ *  returns reads the sample after the one active before it. */
+TEST(HotPath, LoopedChangeInstantReadsTheNewSample)
+{
+    sim::Rng rng(kSeed, 8);
+    auto samples = randomTrace(rng, 7);
+    TraceHarvester h(samples, 3.3, true);
+    double span = h.traceSpan();
+    // Sample index oracle, independent of TraceHarvester.
+    auto index = [&](double at) {
+        double local = std::fmod(at, span);
+        std::size_t i = 0;
+        while (i + 1 < samples.size() && samples[i + 1].time <= local)
+            ++i;
+        return i;
+    };
+    sim::Time t = 0.0;
+    for (int k = 0; k < 20000; ++k) {
+        sim::Time nc = h.nextChange(t);
+        ASSERT_GT(nc, t);
+        std::size_t next = (index(t) + 1) % samples.size();
+        ASSERT_EQ(index(nc), next)
+            << "change " << k << " at " << nc << ", loop "
+            << std::floor(nc / span);
+        ASSERT_EQ(h.power(nc), samples[next].power);
+        // Now and then query from inside a sample's step.
+        t = rng.chance(0.2) ? t + (nc - t) * rng.uniform(0.0, 1.0) : nc;
+    }
+    EXPECT_GT(t, 2000.0 * span) << "the walk should wrap thousands "
+                                   "of times";
+}
+
 TEST(HotPath, ExpMemoIsExact)
 {
     sim::Rng rng(kSeed, 4);
@@ -197,7 +230,7 @@ TEST(HotPath, ExpMemoIsExact)
             EXPECT_EQ(memo.expNegRatio(dt, tau), std::exp(-dt / tau));
     }
     // The memo's target access pattern is immediate repetition of one
-    // pair (a predictive query re-walked by the advance that follows).
+    // pair (back-to-back workloads of one duration on one node).
     for (auto [dt, tau] : pairs) {
         std::uint64_t h = memo.hits();
         (void)memo.expNegRatio(dt, tau);
@@ -243,8 +276,8 @@ TEST(HotPath, CachedQueriesMatchFreshOracleAfterEveryControlCall)
         }
         expectQueriesMatchFresh(*ps);
     }
-    // The walks reuse each other's exp(-dt/tau) (a query's phases
-    // re-walked by the next query or advance), so the memo must hit.
+    // Every query above is asked again after the cache drop and walks
+    // the same phases, so the memo must hit.
     EXPECT_GT(ps->cacheStats().expHits, 0u);
 }
 

@@ -25,6 +25,7 @@
 #include "rt/kernel.hh"
 #include "sim/random.hh"
 #include "sim/simulator.hh"
+#include "sim/work.hh"
 
 using namespace capy;
 using namespace capy::power;
@@ -439,22 +440,24 @@ INSTANTIATE_TEST_SUITE_P(Seeds, LatchDecaySweep,
 namespace
 {
 
-/** A constant supply or a step trace; the same @p rng state builds
- *  the same harvester. */
+/** A constant supply or a step trace, looping or not; the same
+ *  @p rng state builds the same harvester. A looping trace's steps
+ *  are short, so it wraps several times within a few minutes. */
 std::unique_ptr<Harvester>
 randomStepSupply(sim::Rng &rng)
 {
     if (rng.chance(0.5))
         return std::make_unique<RegulatedSupply>(
             rng.uniform(0.5e-3, 10e-3), 3.3);
+    bool loop = rng.chance(0.5);
     std::vector<TraceHarvester::Sample> steps;
     sim::Time t = 0.0;
     for (int k = 0; k < 6; ++k) {
         steps.push_back({t, rng.uniform(0.0, 10e-3)});
-        t += rng.uniform(5.0, 60.0);
+        t += loop ? rng.uniform(1.0, 12.0) : rng.uniform(5.0, 60.0);
     }
     return std::make_unique<TraceHarvester>(std::move(steps), 3.3,
-                                            false);
+                                            loop);
 }
 
 /**
@@ -573,3 +576,250 @@ TEST_P(FederatedPredictThenAdvance, LandsOnTheTarget)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FederatedPredictThenAdvance,
                          ::testing::Range(600, 700));
+
+namespace
+{
+
+/** dev::Device's margin: a brown-out aborts a workload only if it
+ *  comes at least this long before the workload's end. */
+constexpr double kRaceTol = 1e-9;
+
+/** Any harvester a device runs on: constant, solar on its change
+ *  grid, orbit light, or a step trace, looping or not. The same
+ *  @p rng state builds the same harvester. */
+std::unique_ptr<Harvester>
+randomRunSupply(sim::Rng &rng)
+{
+    switch (rng.uniformInt(0, 2)) {
+      case 0:
+        return orbitSolar();
+      case 1: {
+        double phase = rng.uniform(0.0, 6.0);
+        auto panels = unsigned(rng.uniformInt(1, 3));
+        double peak = rng.uniform(2e-3, 12e-3);
+        double grid = rng.uniform(0.5, 4.0);
+        return std::make_unique<SolarArray>(
+            panels, peak, 2.5,
+            [phase](sim::Time t) {
+                return 0.5 + 0.5 * std::sin(0.37 * t + phase);
+            },
+            grid);
+      }
+      default:
+        return randomStepSupply(rng);
+    }
+}
+
+/** A random 1-3 bank board: bank 0 hard-wired, the others hard-wired
+ *  or behind a latch switch. */
+std::unique_ptr<PowerSystem>
+randomBoard(sim::Rng &rng)
+{
+    auto ps = std::make_unique<PowerSystem>(PowerSystem::Spec{},
+                                            randomRunSupply(rng));
+    int n = static_cast<int>(rng.uniformInt(1, 3));
+    for (int i = 0; i < n; ++i) {
+        CapacitorSpec caps[] = {
+            parts::x5r100uF().parallel(rng.uniformInt(1, 8)),
+            parts::tant1000uF(), parts::edlc7_5mF(),
+            parts::cph3225a().parallel(rng.uniformInt(1, 3))};
+        CapacitorSpec cap = caps[rng.uniformInt(0, 3)];
+        std::string name = "b" + std::to_string(i);
+        if (i > 0 && rng.chance(0.6)) {
+            SwitchSpec sw;
+            sw.kind = rng.chance(0.5) ? SwitchKind::NormallyOpen
+                                      : SwitchKind::NormallyClosed;
+            ps->addSwitchedBank(name, cap, sw);
+        } else {
+            ps->addBank(name, cap);
+        }
+    }
+    return ps;
+}
+
+/** Every bank energy, every EnergyStats field and the charge-cycle
+ *  counts, bit for bit. */
+void
+expectSameState(const PowerSystem &a, const PowerSystem &b, int w)
+{
+    ASSERT_EQ(a.time(), b.time()) << "workload " << w;
+    for (int i = 0; i < a.numBanks(); ++i) {
+        EXPECT_EQ(a.bankActive(i), b.bankActive(i)) << "workload " << w;
+        EXPECT_EQ(a.bank(i).energy(), b.bank(i).energy())
+            << "bank " << i << ", workload " << w;
+        EXPECT_EQ(a.bank(i).cyclesUsed(), b.bank(i).cyclesUsed())
+            << "bank " << i << ", workload " << w;
+    }
+    const auto &sa = a.stats();
+    const auto &sb = b.stats();
+    EXPECT_EQ(sa.harvestedIn, sb.harvestedIn) << "workload " << w;
+    EXPECT_EQ(sa.drainedOut, sb.drainedOut) << "workload " << w;
+    EXPECT_EQ(sa.leaked, sb.leaked) << "workload " << w;
+    EXPECT_EQ(sa.faultDrained, sb.faultDrained) << "workload " << w;
+    EXPECT_EQ(sa.chargeCompletions, sb.chargeCompletions)
+        << "workload " << w;
+}
+
+} // namespace
+
+/**
+ * One walk per workload is the two-walk protocol, bit for bit: on
+ * twin boards, runLoad() + advanceTo(end) against setRailLoad() +
+ * timeToBrownout() + advanceTo(end), with the end at the brown-out
+ * when one comes kRaceTol before the workload's end, as dev::Device
+ * schedules it. Workloads stay inside one harvester segment, cross
+ * changes, brown out early, end within kRaceTol of the brown-out or
+ * sit limiter-pinned, and about half have a control call, a collapse,
+ * a test mutation, a second runLoad() or an advance to mid-workload
+ * between the two steps.
+ */
+class StagedRunLoad : public ::testing::TestWithParam<int>
+{};
+
+TEST_P(StagedRunLoad, MatchesPredictThenAdvance)
+{
+    auto build = [&] {
+        sim::Rng rng(std::uint64_t(GetParam()), 0x57A6);
+        return randomBoard(rng);
+    };
+    auto one = build();  // runLoad, then advanceTo
+    auto two = build();  // setRailLoad, timeToBrownout, advanceTo
+    PowerSystem *both[] = {one.get(), two.get()};
+    sim::Rng rng(std::uint64_t(GetParam()), 0x10AD);
+
+    sim::Time now = rng.uniform(0.0, 6000.0);
+    for (PowerSystem *ps : both)
+        ps->advanceTo(now);
+    // Rail on, every bank at one voltage; a fifth of the time at the
+    // charge target, where a strong supply pins the node.
+    auto restart = [&] {
+        for (PowerSystem *ps : both)
+            ps->setRailEnabled(true);
+        double top = one->topVoltage();
+        double v = rng.chance(0.2) ? top : rng.uniform(1.0, top);
+        for (int i = 0; i < one->numBanks(); ++i) {
+            double rated = one->bank(i).spec().ratedVoltage;
+            double vi = rated > 0.0 ? std::min(v, rated) : v;
+            for (PowerSystem *ps : both)
+                ps->bankForTest(i).setVoltage(vi);
+        }
+    };
+    restart();
+
+    int switched = -1;
+    for (int i = 0; i < one->numBanks(); ++i)
+        if (one->bankSwitch(i))
+            switched = i;
+
+    // Both twins take the same workload; returns whether it browns
+    // out first, and sets where the device would advance to.
+    sim::Time stop = now;
+    auto start = [&](double watts, double dur, int w) {
+        sim::Time tb_one = one->runLoad(watts, now + dur);
+        two->setRailLoad(watts);
+        sim::Time tb_two = two->timeToBrownout();
+        bool fails = tb_two < dur - kRaceTol;
+        if (std::isfinite(tb_one))
+            EXPECT_EQ(tb_one, tb_two) << "workload " << w;
+        else
+            EXPECT_FALSE(fails) << "runLoad missed a brown-out at "
+                                << tb_two << " s, workload " << w;
+        EXPECT_EQ(tb_one < dur - kRaceTol, fails) << "workload " << w;
+        stop = fails ? now + tb_two : now + dur;
+        return fails;
+    };
+
+    int commits = 0;
+    for (int w = 0; w < 60; ++w) {
+        double watts = rng.chance(0.3) ? rng.uniform(5e-3, 40e-3)
+                                       : rng.uniform(0.0, 4e-3);
+        two->setRailLoad(watts);
+        sim::Time probe = two->timeToBrownout();
+        double dur;
+        switch (rng.uniformInt(0, 2)) {
+          case 0:  // most likely inside one harvester segment
+            dur = rng.uniform(1e-4, 0.05);
+            break;
+          case 1:  // often across harvester changes
+            dur = rng.exponential(20.0);
+            break;
+          default:  // ends within kRaceTol of the brown-out
+            dur = std::isfinite(probe)
+                      ? std::max(0.0, probe + rng.uniform(-2.0, 2.0) *
+                                                  kRaceTol)
+                      : 1.0;
+            break;
+        }
+        bool fails = start(watts, dur, w);
+
+        switch (rng.uniformInt(0, 19)) {
+          case 0: {
+            sim::Time mid = now + (stop - now) * rng.uniform(0.0, 1.0);
+            for (PowerSystem *ps : both)
+                ps->advanceTo(mid);
+            break;
+          }
+          case 1: {
+            double other = rng.uniform(0.0, 10e-3);
+            for (PowerSystem *ps : both)
+                ps->setRailLoad(other);
+            break;
+          }
+          case 2:  // the same load again keeps the stage
+            for (PowerSystem *ps : both)
+                ps->setRailLoad(watts);
+            break;
+          case 3:
+            if (switched >= 0) {
+                bool closed = !one->bankActive(switched);
+                for (PowerSystem *ps : both)
+                    ps->commandSwitch(switched, closed);
+            }
+            break;
+          case 4: {
+            double ceiling = rng.uniform(1.9, 2.9);
+            for (PowerSystem *ps : both)
+                ps->setChargeCeiling(ceiling);
+            break;
+          }
+          case 5:
+            for (PowerSystem *ps : both)
+                ps->clearChargeCeiling();
+            break;
+          case 6:
+            for (PowerSystem *ps : both)
+                ps->collapseToBrownout();
+            break;
+          case 7: {
+            double v = rng.uniform(1.0, 2.5);
+            for (PowerSystem *ps : both)
+                ps->bankForTest(0).setVoltage(v);
+            break;
+          }
+          case 8:  // a second workload replaces the first
+            fails = start(rng.uniform(0.0, 20e-3),
+                          rng.exponential(2.0), w);
+            break;
+          case 9:
+            for (PowerSystem *ps : both)
+                ps->setRailEnabled(false);
+            break;
+          default:
+            break;
+        }
+
+        std::uint64_t walks = sim::workCounts.advanceWalks;
+        one->advanceTo(stop);
+        if (stop > now && sim::workCounts.advanceWalks == walks)
+            ++commits;
+        two->advanceTo(stop);
+        expectSameState(*one, *two, w);
+        now = stop;
+        if (fails || !one->railEnabled() || rng.chance(0.1))
+            restart();
+    }
+    EXPECT_GT(commits, 0) << "no workload committed a staged walk";
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, StagedRunLoad,
+                         ::testing::Range(800, 900));

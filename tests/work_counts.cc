@@ -13,9 +13,11 @@
  *                checkpoint rig; samples + packets on CapySat, whose
  *                kernels commit one self-transition per body)
  *   crc          dev::nvCrc32 calls
- *   advances     PowerSystem advance walks
+ *   advances     PowerSystem advance walks; an advance that commits
+ *                PowerSystem::runLoad's staged walk is not one
  *   queries      predictive-query walks (one per timeToVoltage call)
- *   phases       phase iterations of the power walker, both uses
+ *                and runLoad walks (one per device workload or boot)
+ *   phases       phase iterations of the power walker, all uses
  *   cb_heap      sim::Callback heap fallbacks
  *   new          operator new calls
  *   heap_peak    peak live bytes requested through operator new
