@@ -1,7 +1,10 @@
 #include "apps/experiment.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
+
+#include "sim/logging.hh"
 
 namespace capy::apps
 {
@@ -24,7 +27,8 @@ grcSchedule(std::uint64_t seed)
 void
 collectMetrics(RunMetrics &out, env::Scoreboard &&sb,
                const dev::Device &device, const rt::Kernel &kernel,
-               const core::Runtime &runtime, const dev::Radio &radio)
+               const core::Runtime &runtime, const dev::Radio &radio,
+               double stored_at_start)
 {
     out.policy = runtime.policy();
     out.summary = sb.summarize();
@@ -55,6 +59,14 @@ collectMetrics(RunMetrics &out, env::Scoreboard &&sb,
                                     ps.bank(i).cyclesUsed());
     }
     out.taskEnergy = kernel.energyByTask();
+
+    const auto &st = ps.stats();
+    double residual = st.harvestedIn - st.drainedOut - st.leaked -
+                      st.faultDrained - st.sharingLoss -
+                      (ps.storedEnergy() - stored_at_start);
+    capy_assert(std::abs(residual) <= 1e-6 * st.harvestedIn + 1e-12,
+                "energy ledger misses %g J of %g J harvested", residual,
+                st.harvestedIn);
 }
 
 sim::BatchRunner &

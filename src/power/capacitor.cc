@@ -149,14 +149,18 @@ equalizeParallel(std::vector<CapacitorBank *> &banks)
     capy_assert(!banks.empty(), "equalize of no banks");
     double total_q = 0.0;
     double total_c = 0.0;
+    double lost = 0.0;
     for (CapacitorBank *b : banks) {
         total_q += b->charge();
         total_c += b->capacitance();
+        lost += b->energy();
     }
     double v = total_q / total_c;
-    for (CapacitorBank *b : banks)
+    for (CapacitorBank *b : banks) {
         b->setVoltage(v);
-    return v;
+        lost -= b->energy();
+    }
+    return lost;
 }
 
 } // namespace capy::power

@@ -119,7 +119,7 @@ class CapacitorBank
  * energy is not (the physical redistribution loss when connecting
  * capacitors at different voltages).
  *
- * @return the common voltage after redistribution.
+ * @return the energy dissipated, J.
  */
 double equalizeParallel(std::vector<CapacitorBank *> &banks);
 

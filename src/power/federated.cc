@@ -115,65 +115,42 @@ FederatedStorage::motion(std::size_t i, double e, bool charging,
 {
     const NodeState &ns = nodes[i];
     const CapacitorBank &b = ns.bank;
-    const double v = std::sqrt(2.0 * e / b.capacitance());
     const double vtop = topVoltage(i);
-    const double r = b.spec().leakageResistance();
+    const bool full = fullAt(i, e);
     const double pd = (ns.load > 0.0
                            ? storageDrawPower(spec.output, ns.load)
                            : 0.0) +
                       spec.nodeQuiescentPower;
+    Motion m{phaseStep(spec.input, p_h, v_h,
+                       {e, b.capacitance(), b.spec().leakageResistance(),
+                        vtop, pd, charging, full})};
+    PhaseStep &s = m.step;
+    if (s.parked)
+        return m;
+    if (s.level > e) {
+        m.stops = stop && static_cast<int>(i) == stop->fullNode &&
+                  s.level == b.energyAtVoltage(vtop);
+        return m;
+    }
 
-    // Nearest levels above and below v where the motion changes, and
-    // the net power on either side of v. Each side's regime is read
-    // mid-way to its level, so a node sitting on a breakpoint sees
-    // the regime it would move into.
-    double up = kNever;
-    double dn = 0.0;
-    double p_up = -pd;
-    double p_dn = -pd;
-    if (charging) {
-        up = vtop;
-        for (double bp : inputChargeBreakpoints(spec.input, v_h)) {
-            if (bp > v + kVTol)
-                up = std::min(up, bp);
-            if (bp < v - kVTol)
-                dn = std::max(dn, bp);
-        }
-        p_up += inputChargePower(spec.input, p_h, v_h, 0.5 * (v + up));
-        p_dn += inputChargePower(spec.input, p_h, v_h, 0.5 * (dn + v));
-    } else if (fullAt(i, e)) {
-        double leak = std::isfinite(r) ? vtop * vtop / r : 0.0;
-        if (inputChargePower(spec.input, p_h, v_h, vtop) >= pd + leak)
-            return Motion{{}, true, b.energyAtVoltage(vtop), false};
+    // Falling: the cascade's own levels below the node.
+    const double v = std::sqrt(2.0 * e / b.capacitance());
+    if (full && !charging) {
         // Aim just under the full threshold so the landing is
         // unambiguously not full: the dip hands the cascade back.
         double dip = vtop - kVFullTol - kVTol;
         if (dip < v - kVTol)
-            dn = dip;
+            s.level = b.energyAtVoltage(dip);
     }
-    bool dn_stops = false;
     if (stop && stop->brownout && ns.load > 0.0) {
         double floor_v = nodeBrownoutVoltage(static_cast<int>(i));
-        if (floor_v > dn && floor_v < v - kVTol) {
-            dn = floor_v;
-            dn_stops = true;
+        double floor_e = b.energyAtVoltage(floor_v);
+        if (floor_e > s.level && floor_v < v - kVTol) {
+            s.level = floor_e;
+            m.stops = true;
         }
     }
-
-    Phase rise{p_up, b.capacitance(), r};
-    Phase fall{p_dn, b.capacitance(), r};
-    if (steadyStateEnergy(rise) > e) {
-        bool stops = stop && static_cast<int>(i) == stop->fullNode &&
-                     up == vtop;
-        return Motion{rise, false, b.energyAtVoltage(up), stops};
-    }
-    if (steadyStateEnergy(fall) < e) {
-        double level = dn > 0.0 ? b.energyAtVoltage(dn) : -1.0;
-        return Motion{fall, false, level, dn_stops};
-    }
-    // Empty, at equilibrium, or pushed back from both sides of a
-    // converter breakpoint: the node stays where it is.
-    return Motion{{}, true, e, false};
+    return m;
 }
 
 bool
@@ -196,11 +173,12 @@ FederatedStorage::walkSegment(double *e, sim::Time t0, double span,
         double step = remaining;
         std::size_t win = n;
         bool stops = false;
+        // A node draining to empty clamps there without ending it.
         for (std::size_t i = 0; i < n; ++i) {
             Motion m = motion(i, e[i], i == ci, p_h, v_h, stop);
-            if (m.parked || m.level < 0.0)
+            if (m.step.parked || m.step.level <= 0.0)
                 continue;
-            double tb = timeToEnergy(e[i], m.level, m.phase);
+            double tb = timeToEnergy(e[i], m.step.level, m.step.phase);
             if (tb <= step) {
                 step = tb;
                 win = i;
@@ -211,11 +189,12 @@ FederatedStorage::walkSegment(double *e, sim::Time t0, double span,
             return false;  // nothing changes for the rest of time
 
         for (std::size_t i = 0; i < n; ++i) {
-            Motion m = motion(i, e[i], i == ci, p_h, v_h, stop);
-            if (m.parked || i == win)
-                e[i] = m.level;  // land exactly on the level
+            const PhaseStep s =
+                motion(i, e[i], i == ci, p_h, v_h, stop).step;
+            if (s.parked || i == win)
+                e[i] = s.level;  // land exactly on the level
             else
-                e[i] = advanceEnergy(e[i], m.phase, step);
+                e[i] = advanceEnergy(e[i], s.phase, step);
         }
         if (stop)
             stop->elapsed += step;

@@ -42,10 +42,11 @@ namespace capy::power
  * splits time. Within one harvester segment (harvester read at the
  * segment start) each phase charges the first node that is not full;
  * every other node only drains its load, its quiescent draw and its
- * leakage. A phase ends when the charging node reaches an input
- * converter breakpoint or its top, when a draining full node dips
- * below its full threshold (which hands the cascade back to it), or
- * at a query's stop.
+ * leakage. Each node moves by phaseStep() (solver.hh), the phase step
+ * PowerSystem's walker takes too. A phase ends when the charging node
+ * reaches an input converter breakpoint or its top, when a draining
+ * full node dips below its full threshold (which hands the cascade
+ * back to it), or at a query's stop.
  *
  * Hold rule: a full node that is not charging is held at its top while
  * the input booster's output at the top covers its draw plus its
@@ -131,16 +132,12 @@ class FederatedStorage
         sim::Time elapsed = 0.0;
     };
 
-    /** How one node moves through the current phase. */
+    /** How one node moves through the current phase: the shared
+     *  phaseStep() with the cascade's own levels below it. */
     struct Motion
     {
-        Phase phase{};
-        /** Parked for the phase at energy `level` (held at its top,
-         *  empty, or pinned between two converter regimes). */
-        bool parked = false;
-        /** Energy of the next level it reaches, J; < 0 for none. */
-        double level = -1.0;
-        bool stops = false;  ///< reaching `level` is the query's stop
+        PhaseStep step;
+        bool stops = false;  ///< reaching step.level is the query's stop
     };
 
     /** Charge target of node @p i, V. */
@@ -150,7 +147,7 @@ class FederatedStorage
     bool fullAt(std::size_t i, double e) const;
 
     /** Motion of node @p i at energy @p e; @p charging when it is the
-     *  cascade's charging node. */
+     *  cascade's charging node, which alone the input booster feeds. */
     Motion motion(std::size_t i, double e, bool charging, double p_h,
                   double v_h, const Stop *stop) const;
 

@@ -41,9 +41,9 @@ SolarArray::power(sim::Time t) const
 {
     if (!illumination)
         return double(nSeries) * peakPower;
-    // Memo keyed on the exact query time: the transient walk asks for
-    // the same instant once per phase iteration, and the answer is a
-    // pure function of t.
+    // Memo keyed on the exact query time: the power walks read the
+    // same segment start again (a query, then the advance it
+    // predicted), and the answer is a pure function of t.
     if (t == cachedTime) {
         ++cacheHitCount;
         return double(nSeries) * peakPower * cachedScale;

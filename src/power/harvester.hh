@@ -99,7 +99,7 @@ class SolarArray : public Harvester
 
     /// @name Query-cursor observability
     /// The power system evaluates power(t) many times at one instant
-    /// (once per phase iteration of the transient walk); the last
+    /// (once per walk of the segment starting there); the last
     /// evaluation of the illumination std::function is memoized by
     /// exact query time, so repeats cost a comparison instead of an
     /// indirect call. Same-instance/single-owner caveat as

@@ -18,7 +18,7 @@ namespace
 /** Voltage tolerance for boundary/fullness comparisons. */
 constexpr double kVTol = 1e-6;
 
-/** Time below which a step counts as a stall. */
+/** Span below which a walk has nothing left to do. */
 constexpr double kTimeTol = 1e-12;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -184,7 +184,7 @@ double
 PowerSystem::topVoltage() const
 {
     // Cached: the target changes only on reconfiguration and ceiling
-    // control calls, but phaseAt() asks on every phase iteration.
+    // control calls, but every walk asks for it.
     if (!topDirty)
         return topCache;
     double top = std::min(spec.maxStorageVoltage, chargeCeiling);
@@ -197,138 +197,72 @@ PowerSystem::topVoltage() const
     return top;
 }
 
-PowerSystem::PhaseInfo
-PowerSystem::phaseAt(const Node &node, double v, sim::Time t) const
-{
-    double vh = limitedVoltage(spec.limiter, harvester->voltage(t));
-    double ph = harvester->power(t);
-    double vtop = topVoltage();
-    double pd = (railOn ? storageDrawPower(spec.output, loadPower)
-                        : 0.0) +
-                spec.systemQuiescentPower;
-
-    PhaseInfo info;
-
-    // Voltage levels at which the net power changes: the effective
-    // charge target and the input booster's regime breakpoints.
-    info.boundAbove = vtop;
-    info.boundBelow = vtop < v - kVTol ? vtop : 0.0;
-    for (double b : inputChargeBreakpoints(spec.input, vh)) {
-        if (b > v + kVTol)
-            info.boundAbove = std::min(info.boundAbove, b);
-        if (b < v - kVTol && b > 0.0)
-            info.boundBelow = std::max(info.boundBelow, b);
-    }
-
-    if (v >= vtop - kVTol) {
-        double pc = inputChargePower(spec.input, ph, vh, vtop);
-        double leak_p = std::isfinite(node.leakRes)
-                            ? vtop * vtop / node.leakRes
-                            : 0.0;
-        if (pc >= pd + leak_p) {
-            // Limiter shunts the excess; the node holds at the top.
-            info.pinned = true;
-            info.power = 0.0;
-            return info;
-        }
-        info.power = pc - pd;
-        return info;
-    }
-
-    double pc = inputChargePower(spec.input, ph, vh, v);
-    info.power = pc - pd;
-    return info;
-}
-
-PowerSystem::WalkEnd
+bool
 PowerSystem::walkSegment(Node &node, sim::Time t0, double span,
                          Stop *stop, EnergyStats *acc) const
 {
-    double remaining = span;
-    int stalls = 0;
+    const double p_h = harvester->power(t0);
+    const double v_h = limitedVoltage(spec.limiter, harvester->voltage(t0));
+    const double vtop = topVoltage();
     const double pd = (railOn ? storageDrawPower(spec.output, loadPower)
                               : 0.0) +
                       spec.systemQuiescentPower;
     const double e_stop = stop ? node.energyAt(stop->voltage) : 0.0;
-
-    // Parked at voltage v for the rest of the span: the ledger books
-    // the harvest as exactly covering the drain and the leakage.
-    auto hold = [&](double v) {
-        if (stop) {
-            if (std::abs(node.voltage() - stop->voltage) <= kVTol)
-                return WalkEnd::Stopped;
-            stop->elapsed += remaining;
-        }
-        if (acc) {
-            double leak_p =
-                std::isfinite(node.leakRes) ? v * v / node.leakRes : 0.0;
-            acc->harvestedIn += (pd + leak_p) * remaining;
-            acc->drainedOut += pd * remaining;
-            acc->leaked += leak_p * remaining;
-        }
-        return WalkEnd::Held;
-    };
+    double remaining = span;
 
     for (int guard = 0; remaining > kTimeTol; ++guard) {
+        capy_assert(guard < 100000, "power walk stalled at t=%g", t0);
         ++sim::workCounts.phases;
-        double v = node.voltage();
-        PhaseInfo info = phaseAt(node, v, t0);
-        if (guard >= 64) {
-            // Many alternating micro-phases: the node is chattering
-            // around a converter boundary (e.g. charging just below
-            // the cold-start threshold, discharging just above it).
-            // Physically it pins there.
-            return hold(v);
-        }
-        if (info.pinned) {
-            // Held at the top by the limiter.
-            double vtop = topVoltage();
-            node.energy = node.energyAt(vtop);
-            return hold(vtop);
+        PhaseStep s = phaseStep(
+            spec.input, p_h, v_h,
+            {node.energy, node.capacitance, node.leakRes, vtop, pd, true,
+             node.voltage() >= vtop - kVTol});
+
+        if (s.parked) {
+            // Parked for the rest of the span, taking in s.input: what
+            // does not leak away serves the draw.
+            node.energy = s.level;
+            if (stop) {
+                if (std::abs(node.voltage() - stop->voltage) <= kVTol)
+                    return true;
+                stop->elapsed += remaining;
+            }
+            if (acc) {
+                double v = node.voltage();
+                double leak_p =
+                    std::isfinite(node.leakRes) ? v * v / node.leakRes : 0.0;
+                acc->harvestedIn += s.input * remaining;
+                acc->drainedOut += (s.input - leak_p) * remaining;
+                acc->leaked += leak_p * remaining;
+            }
+            return false;
         }
 
-        Phase phase{info.power, node.capacitance, node.leakRes};
-        double einf = steadyStateEnergy(phase);
-        bool rising = std::isinf(einf) ? info.power > 0.0
-                                       : einf > node.energy;
-        double e_bound =
-            node.energyAt(rising ? info.boundAbove : info.boundBelow);
-        double tb = timeToEnergy(node.energy, e_bound, phase);
+        double tb = timeToEnergy(node.energy, s.level, s.phase);
         if (stop) {
-            double tt = timeToEnergy(node.energy, e_stop, phase);
+            double tt = timeToEnergy(node.energy, e_stop, s.phase);
             if (tt <= std::min(tb, remaining)) {
                 stop->elapsed += tt;
-                return WalkEnd::Stopped;
+                return true;
             }
         }
 
         double step = std::min(remaining, tb);
-        if (step <= kTimeTol) {
-            // Parked against a boundary the next phase pushes back
-            // into: the converter modes fight to a standstill there.
-            if (++stalls >= 2)
-                return hold(v);
-            node.energy = e_bound;
-            continue;
-        }
-        stalls = 0;
-
         double e0 = node.energy;
-        node.energy = advanceEnergy(e0, phase, step, &expMemo);
-        if (step == tb && std::isfinite(tb))
-            node.energy = e_bound;  // land exactly on the boundary
+        node.energy = advanceEnergy(e0, s.phase, step, &expMemo);
+        if (step == tb)
+            node.energy = s.level;  // land exactly on the level
 
         if (stop)
             stop->elapsed += step;
         if (acc) {
-            double pc = info.power + pd;
-            acc->harvestedIn += pc * step;
+            acc->harvestedIn += s.input * step;
             acc->drainedOut += pd * step;
-            acc->leaked += info.power * step - (node.energy - e0);
+            acc->leaked += s.phase.power * step - (node.energy - e0);
         }
         remaining -= step;
     }
-    return WalkEnd::RanOut;
+    return false;
 }
 
 void
@@ -372,7 +306,7 @@ PowerSystem::rebuildAfterReconfig()
             active.push_back(&banks[static_cast<std::size_t>(i)].bank);
     }
     if (active.size() > 1)
-        equalizeParallel(active);
+        energyStats.sharingLoss += equalizeParallel(active);
     wasFull = isFull();
 }
 
@@ -438,9 +372,8 @@ PowerSystem::advanceTo(sim::Time t)
         }
         staged.reset();
 
-        if (updateLatches(lastTime))
-            rebuildAfterReconfig();
-
+        // A node that filled during the segment counts before a latch
+        // reverting at its end reconfigures it.
         bool full_now = isFull();
         if (full_now && !wasFull) {
             ++energyStats.chargeCompletions;
@@ -450,6 +383,8 @@ PowerSystem::advanceTo(sim::Time t)
             }
         }
         wasFull = full_now;
+        if (updateLatches(lastTime))
+            rebuildAfterReconfig();
         recordTrace();
 
         if (lastTime >= t)
@@ -563,6 +498,15 @@ PowerSystem::activeEnergy() const
 }
 
 double
+PowerSystem::storedEnergy() const
+{
+    double e = 0.0;
+    for (const auto &bs : banks)
+        e += bs.bank.energy();
+    return e;
+}
+
+double
 PowerSystem::brownoutVoltageNow() const
 {
     return brownoutVoltage(spec.output, loadPower, activeEsr());
@@ -601,8 +545,7 @@ PowerSystem::timeToVoltage(double target_v) const
         sim::Time hb = harvester->nextChange(t_abs);
         // Past the last harvester change, one long walk decides.
         double span = std::isfinite(hb) ? hb - t_abs : 1e9;
-        if (walkSegment(node, t_abs, span, &stop, nullptr) ==
-            WalkEnd::Stopped)
+        if (walkSegment(node, t_abs, span, &stop, nullptr))
             return stop.elapsed;
         if (!std::isfinite(hb))
             return kNever;
@@ -657,8 +600,7 @@ PowerSystem::runLoad(double watts, sim::Time t_end)
         // The first segment is the one advanceTo(t_end) walks first:
         // book its flows and stage its end.
         EnergyStats *acc = guard == 0 ? &end.stats : nullptr;
-        if (walkSegment(node, t_abs, span, &stop, acc) ==
-            WalkEnd::Stopped)
+        if (walkSegment(node, t_abs, span, &stop, acc))
             return stop.elapsed;
         if (acc) {
             end.energy = node.energy;

@@ -78,6 +78,9 @@ class PowerSystem
         double leaked = 0.0;        ///< J lost to storage leakage
         /** J dumped by injected supply collapses (fault harness). */
         double faultDrained = 0.0;
+        /** J dissipated sharing charge when a reconfiguration connects
+         *  banks at different voltages. */
+        double sharingLoss = 0.0;
         std::uint64_t chargeCompletions = 0;  ///< times node hit full
     };
 
@@ -190,6 +193,9 @@ class PowerSystem
     double activeEsr() const;
     /** Stored energy across active banks, J. */
     double activeEnergy() const;
+    /** Stored energy across all banks, J: harvestedIn - drainedOut -
+     *  leaked - faultDrained - sharingLoss is its change. */
+    double storedEnergy() const;
 
     /** Effective charge target: min(design, active rating, ceiling). */
     double topVoltage() const;
@@ -290,18 +296,8 @@ class PowerSystem
         double energyAt(double v) const;
     };
 
-    /** One constant-power phase with its validity bounds in voltage. */
-    struct PhaseInfo
-    {
-        double power = 0.0;   ///< net W into the node
-        bool pinned = false;  ///< held at the top by the limiter
-        double boundAbove = 0.0;  ///< next V where conditions change
-        double boundBelow = 0.0;
-    };
-
     Node snapshotActive() const;
     void writebackActive(const Node &node);
-    PhaseInfo phaseAt(const Node &node, double v, sim::Time t) const;
 
     /**
      * Cached snapshotActive(): rebuilt only when a control call or
@@ -313,16 +309,6 @@ class PowerSystem
      *  mutation): drop the node snapshot and the charge target. */
     void invalidateNode() const;
 
-    /** How a walkSegment() call ended. */
-    enum class WalkEnd
-    {
-        Stopped,  ///< the node reached the stop voltage
-        RanOut,   ///< the node moved through the whole span
-        /** Parked for the rest of the span: boundary chatter after
-         *  64 phases, limiter pinning, or two stalls in a row. */
-        Held,
-    };
-
     /** A predictive query's stop: where to end and the time walked. */
     struct Stop
     {
@@ -331,15 +317,16 @@ class PowerSystem
     };
 
     /**
-     * The phase walker behind both advanceTo() and timeToVoltage():
-     * evolve @p node over [t0, t0+span] with the harvester held at its
-     * t0 conditions for every phase (callers split spans at harvester
-     * changes). With @p stop, end where the node reaches
-     * stop->voltage and add the time walked to stop->elapsed; with
-     * @p acc, book the energy flows into it.
+     * The phase walker behind advanceTo(), runLoad() and
+     * timeToVoltage(): evolve @p node in phaseStep() phases over
+     * [t0, t0+span], the harvester held at its t0 conditions (callers
+     * split spans at harvester changes). With @p stop, end where the
+     * node reaches stop->voltage and add the time walked to
+     * stop->elapsed; with @p acc, book the energy flows into it.
+     * @return whether the node reached the stop.
      */
-    WalkEnd walkSegment(Node &node, sim::Time t0, double span,
-                        Stop *stop, EnergyStats *acc) const;
+    bool walkSegment(Node &node, sim::Time t0, double span, Stop *stop,
+                     EnergyStats *acc) const;
 
     /**
      * Length of the segment advanceTo(@p t) walks next from @p from:

@@ -14,6 +14,9 @@ namespace
 /** Relative tolerance for "already at target" checks. */
 constexpr double kRelTol = 1e-12;
 
+/** A level this close to a node's voltage counts as reached. */
+constexpr double kVTol = 1e-6;
+
 bool
 lossless(const Phase &ph)
 {
@@ -93,6 +96,46 @@ timeToEnergy(double e0, double target, const Phase &ph)
     if (ratio >= 1.0)
         return kNever;  // target behind the start, moving away
     return -tau * std::log(ratio);
+}
+
+PhaseStep
+phaseStep(const InputBoosterSpec &booster, double p_h, double v_h,
+          const StepNode &n)
+{
+    const double v = std::sqrt(2.0 * n.energy / n.capacitance);
+    auto energyAt = [&](double u) { return 0.5 * n.capacitance * u * u; };
+    auto upkeep = [&](double u) {
+        return n.draw +
+               (std::isfinite(n.leakRes) ? u * u / n.leakRes : 0.0);
+    };
+    auto input = [&](double u) {
+        return n.fed ? inputChargePower(booster, p_h, v_h, u) : 0.0;
+    };
+
+    if (n.full && inputChargePower(booster, p_h, v_h, n.top) >=
+                      upkeep(n.top))
+        return {Phase{}, upkeep(n.top), energyAt(n.top), true};
+
+    // Nearest levels above and below v where the motion changes.
+    double up = n.top;
+    double dn = n.top < v - kVTol ? n.top : 0.0;
+    if (n.fed) {
+        for (double bp : inputChargeBreakpoints(booster, v_h)) {
+            if (bp > v + kVTol)
+                up = std::min(up, bp);
+            if (bp < v - kVTol)
+                dn = std::max(dn, bp);
+        }
+    }
+    const double in_up = input(0.5 * (v + up));
+    const double in_dn = input(0.5 * (dn + v));
+    const Phase rise{in_up - n.draw, n.capacitance, n.leakRes};
+    const Phase fall{in_dn - n.draw, n.capacitance, n.leakRes};
+    if (steadyStateEnergy(rise) > n.energy)
+        return {rise, in_up, energyAt(up), false};
+    if (steadyStateEnergy(fall) < n.energy)
+        return {fall, in_dn, energyAt(dn), false};
+    return {Phase{}, std::min(upkeep(v), in_dn), n.energy, true};
 }
 
 } // namespace capy::power

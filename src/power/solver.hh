@@ -24,6 +24,8 @@
 #include <cstdint>
 #include <limits>
 
+#include "power/booster.hh"
+
 namespace capy::power
 {
 
@@ -128,6 +130,41 @@ double timeToEnergy(double e0, double target, const Phase &ph);
  * phase with positive power.
  */
 double steadyStateEnergy(const Phase &ph);
+
+/** A storage node as phaseStep() sees it. */
+struct StepNode
+{
+    double energy = 0.0;       ///< J
+    double capacitance = 0.0;  ///< F
+    double leakRes = std::numeric_limits<double>::infinity();  ///< ohm
+    double top = 0.0;          ///< charge target, V
+    double draw = 0.0;         ///< W for the load and overhead
+    bool fed = false;          ///< the input booster feeds it
+    bool full = false;         ///< counts as charged to its top
+};
+
+/** A constant-power phase up to a level, or a park at one. */
+struct PhaseStep
+{
+    Phase phase{};        ///< net power into the node
+    double input = 0.0;   ///< W the input booster delivers meanwhile
+    double level = 0.0;   ///< J where it ends (0: empty) or parks
+    bool parked = false;  ///< pinned, empty, or pushed back both ways
+};
+
+/**
+ * The phase step of both power walkers, under a harvester delivering
+ * @p p_harvest W at @p v_harvest V (post-limiter). The motion changes
+ * at 0, at the top and, for a fed node, at the input booster's regime
+ * breakpoints. Each side of the node's voltage is read mid-way to its
+ * nearest level, so a node on a breakpoint sees the regime it would
+ * move into, and a node that both sides push back parks. A full node
+ * is pinned at its top while inputChargePower() there covers its draw
+ * plus leakage. A parked node takes in its draw plus leakage, or when
+ * empty what the booster delivers there.
+ */
+PhaseStep phaseStep(const InputBoosterSpec &booster, double p_harvest,
+                    double v_harvest, const StepNode &node);
 
 } // namespace capy::power
 

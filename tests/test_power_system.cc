@@ -284,6 +284,27 @@ TEST(PowerSystem, NoActiveBanksMeansNoCharge)
     EXPECT_DOUBLE_EQ(ps->bank(b).energy(), 0.0);
 }
 
+/** A parked empty node books only what the input booster delivers at
+ *  0 V, all of it drained: nothing with no harvest, the cold-start
+ *  trickle under a weak one, not the quiescent draw it cannot meet. */
+TEST(PowerSystem, EmptyNodeBooksOnlyWhatArrives)
+{
+    auto spec = defaultSpec();
+    spec.input.bypassEnabled = false;
+    for (double harvest : {0.0, 1e-6}) {
+        PowerSystem ps(spec,
+                       std::make_unique<RegulatedSupply>(harvest, 3.3));
+        ps.addBank("b", parts::x5r100uF().parallel(4));
+        ps.advanceTo(100.0);
+        double trickle = spec.input.coldStartFraction * harvest * 100.0;
+        EXPECT_EQ(ps.activeEnergy(), 0.0);
+        EXPECT_NEAR(ps.stats().harvestedIn, trickle, 1e-12)
+            << harvest << " W";
+        EXPECT_NEAR(ps.stats().drainedOut, trickle, 1e-12)
+            << harvest << " W";
+    }
+}
+
 TEST(PowerSystem, WeakHarvestNeverFills)
 {
     // Trickle below leakage: the node can never reach the target.

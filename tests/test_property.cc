@@ -215,6 +215,46 @@ TEST_P(ConservationSweep, OrbitLightBalances)
            "stored energy across harvester segments";
 }
 
+/** The ledger with latch-switched banks: switch commands and latch
+ *  reversions connect banks at different voltages, and the energy the
+ *  charge sharing dissipates closes the balance over every bank. */
+TEST_P(ConservationSweep, SwitchedBanksBalance)
+{
+    sim::Rng rng(std::uint64_t(GetParam()), 0x5A17);
+    auto ps = randomSystem(rng);
+    for (int i = 0; i < ps->numBanks(); ++i)
+        ps->bankForTest(i).setVoltage(rng.uniform(0.0, 2.9));
+
+    double initial = ps->storedEnergy();
+    sim::Time now = 0.0;
+    bool rail_on = false;
+    for (int i = 0; i < 60; ++i) {
+        // Now and then long enough off for a latch to revert.
+        now += rng.exponential(rng.chance(0.1) ? 200.0 : 5.0);
+        ps->advanceTo(now);
+        if (rng.chance(0.3)) {
+            rail_on = !rail_on;
+            ps->setRailEnabled(rail_on);
+            if (rail_on)
+                ps->setRailLoad(rng.uniform(0.0, 25e-3));
+        } else if (rail_on && rng.chance(0.5)) {
+            int idx = int(
+                rng.uniformInt(1, std::uint64_t(ps->numBanks() - 1)));
+            ps->commandSwitch(idx, !ps->bankActive(idx));
+        }
+    }
+    ps->advanceTo(now + 10.0);
+
+    const auto &st = ps->stats();
+    EXPECT_GT(st.sharingLoss, 0.0) << "no bank joined at another voltage";
+    double balance = st.harvestedIn - st.drainedOut - st.leaked -
+                     st.faultDrained - st.sharingLoss;
+    EXPECT_NEAR(balance, ps->storedEnergy() - initial,
+                std::max(1e-9, st.harvestedIn * 1e-6))
+        << "harvested - drained - leaked - shared must equal the change "
+           "in energy stored across all banks";
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, ConservationSweep,
                          ::testing::Range(100, 120));
 
@@ -522,6 +562,70 @@ TEST_P(FederatedSplitInvariant, OneAdvanceMatchesRandomSplits)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FederatedSplitInvariant,
                          ::testing::Range(400, 500));
+
+/**
+ * PowerSystem is time-decomposition invariant too: one advance and
+ * random splits of it agree. Half the boards start near the 1.0 V
+ * cold-start threshold with the rail on, below its brown-out floor,
+ * half of those drawing between the converter's output above the
+ * threshold and the bypass diode's below it at the supply's first
+ * level, where the node parks on the threshold.
+ */
+class PowerSystemSplitInvariant : public ::testing::TestWithParam<int>
+{};
+
+TEST_P(PowerSystemSplitInvariant, OneAdvanceMatchesRandomSplits)
+{
+    auto build = [&] {
+        sim::Rng rng(std::uint64_t(GetParam()), 0x5B17);
+        PowerSystem::Spec spec;
+        auto ps =
+            std::make_unique<PowerSystem>(spec, randomStepSupply(rng));
+        int n = static_cast<int>(rng.uniformInt(1, 2));
+        for (int i = 0; i < n; ++i) {
+            CapacitorSpec caps[] = {
+                parts::x5r100uF().parallel(rng.uniformInt(1, 8)),
+                parts::tant1000uF(), parts::edlc7_5mF(),
+                parts::cph3225a().parallel(rng.uniformInt(1, 3))};
+            ps->addBank("b" + std::to_string(i),
+                        caps[rng.uniformInt(0, 3)]);
+        }
+        bool threshold = rng.chance(0.5);
+        double v = threshold ? rng.uniform(0.9, 1.1) : rng.uniform(0.0, 3.0);
+        for (int i = 0; i < n; ++i)
+            ps->bankForTest(i).setVoltage(v);
+        if (threshold || rng.chance(0.5)) {
+            ps->setRailEnabled(true);
+            double p_h = ps->harvesterRef().power(0.0);
+            double draw = p_h * rng.uniform(0.8, 0.9);
+            double load = threshold && rng.chance(0.5)
+                              ? (draw - spec.systemQuiescentPower -
+                                 spec.output.quiescentPower) *
+                                    spec.output.efficiency
+                              : rng.uniform(0.0, 10e-3);
+            ps->setRailLoad(std::max(0.0, load));
+        }
+        return ps;
+    };
+    auto one = build();
+    auto many = build();
+
+    sim::Rng rng(std::uint64_t(GetParam()), 0x5B18);
+    double horizon = rng.uniform(1.0, 300.0);
+    one->advanceTo(horizon);
+    double t = 0.0;
+    while (t < horizon) {
+        t = std::min(horizon, t + rng.exponential(horizon / 8.0));
+        many->advanceTo(t);
+    }
+    for (int i = 0; i < one->numBanks(); ++i)
+        EXPECT_NEAR(one->bank(i).voltage(), many->bank(i).voltage(), 1e-3)
+            << "bank " << i << " of " << one->numBanks() << ", horizon "
+            << horizon;
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PowerSystemSplitInvariant,
+                         ::testing::Range(1000, 1100));
 
 /** Federated predictions match the advance that follows them, on a
  *  constant supply and on CapySat's orbit-light harvester. */
