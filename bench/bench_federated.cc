@@ -63,8 +63,8 @@ federatedBlackout()
     int radio = fs.addNode("radio",
                            parallelCompose({parts::tant1000uF(),
                                             parts::edlc7_5mF()}));
-    fs.nodeForTest(mcu).setVoltage(3.0);
-    fs.nodeForTest(radio).setVoltage(3.0);
+    fs.setNodeVoltageForTest(mcu, 3.0);
+    fs.setNodeVoltageForTest(radio, 3.0);
     out.totalEnergy = fs.totalStoredEnergy();
 
     // Sample loop: pay one sample from the MCU node, stop at its
@@ -106,8 +106,8 @@ capybaraBlackout()
         parallelCompose({parts::tant1000uF(), parts::edlc7_5mF()}),
         SwitchSpec{});
     (void)small;
-    ps->bankForTest(0).setVoltage(3.0);
-    ps->bankForTest(1).setVoltage(3.0);
+    ps->setBankVoltageForTest(0, 3.0);
+    ps->setBankVoltageForTest(1, 3.0);
     PowerSystem *psr = ps.get();
     dev::Device device(simulator, std::move(ps), dev::msp430fr5969(),
                        dev::Device::PowerMode::Intermittent);

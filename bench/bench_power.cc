@@ -62,8 +62,8 @@ makeBenchSystem()
         std::make_unique<power::TraceHarvester>(solarDayTrace(), 3.3));
     ps->addBank("small", power::parts::x5r100uF().parallel(4));
     ps->addBank("big", power::parts::edlc7_5mF());
-    ps->bankForTest(0).setVoltage(1.5);
-    ps->bankForTest(1).setVoltage(1.5);
+    ps->setBankVoltageForTest(0, 1.5);
+    ps->setBankVoltageForTest(1, 1.5);
     return ps;
 }
 

@@ -126,6 +126,7 @@ runVtopTempAlarm(std::uint64_t seed, double horizon)
     runtime.install();
     kernel.start();
     simulator.runUntil(horizon);
+    assertLedgerBalances(device.powerSystem());
 
     out.summary = sb.summarize();
     out.samples = sb.sampleCount();

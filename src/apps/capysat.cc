@@ -3,6 +3,7 @@
 #include <memory>
 #include <optional>
 
+#include "apps/experiment.hh"
 #include "dev/mcu.hh"
 #include "dev/peripheral.hh"
 #include "dev/radio.hh"
@@ -144,6 +145,8 @@ runCapySat(double orbits, std::uint64_t seed,
     kernel_sample.start();
     kernel_comm.start();
     simulator.runUntil(orbits * orbit.spec().orbitPeriod);
+    assertLedgerBalances(mcu_sample.powerSystem());
+    assertLedgerBalances(mcu_comm.powerSystem());
 
     if (injector) {
         result.faults.attempts = injector->attempts();

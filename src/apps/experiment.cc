@@ -27,8 +27,7 @@ grcSchedule(std::uint64_t seed)
 void
 collectMetrics(RunMetrics &out, env::Scoreboard &&sb,
                const dev::Device &device, const rt::Kernel &kernel,
-               const core::Runtime &runtime, const dev::Radio &radio,
-               double stored_at_start)
+               const core::Runtime &runtime, const dev::Radio &radio)
 {
     out.policy = runtime.policy();
     out.summary = sb.summarize();
@@ -60,13 +59,17 @@ collectMetrics(RunMetrics &out, env::Scoreboard &&sb,
     }
     out.taskEnergy = kernel.energyByTask();
 
-    const auto &st = ps.stats();
-    double residual = st.harvestedIn - st.drainedOut - st.leaked -
-                      st.faultDrained - st.sharingLoss -
-                      (ps.storedEnergy() - stored_at_start);
-    capy_assert(std::abs(residual) <= 1e-6 * st.harvestedIn + 1e-12,
+    assertLedgerBalances(ps);
+}
+
+void
+assertLedgerBalances(const power::PowerSystem &ps)
+{
+    double residual = ps.ledgerResidual();
+    double harvested = ps.stats().harvestedIn;
+    capy_assert(std::abs(residual) <= 1e-6 * harvested + 1e-12,
                 "energy ledger misses %g J of %g J harvested", residual,
-                st.harvestedIn);
+                harvested);
 }
 
 sim::BatchRunner &

@@ -82,15 +82,20 @@ env::EventSchedule grcSchedule(std::uint64_t seed);
  * Fill the bookkeeping shared by all runs (device/kernel/runtime
  * stats, radio counters, scoreboard summary, charge spans). Takes
  * the scoreboard's sample log over for `out.intervals`. Asserts that
- * the power system's energy ledger balances against
- * @p stored_at_start, its stored energy when the run started, within
- * 1e-6 of the harvest.
+ * the power system's energy ledger balances (assertLedgerBalances()).
  */
 void collectMetrics(RunMetrics &out, env::Scoreboard &&sb,
                     const dev::Device &device,
                     const rt::Kernel &kernel,
                     const core::Runtime &runtime,
-                    const dev::Radio &radio, double stored_at_start);
+                    const dev::Radio &radio);
+
+/**
+ * Assert that @p ps's energy ledger balances at the end of a run:
+ * PowerSystem::ledgerResidual() within 1e-6 of the harvest (plus
+ * 1e-12 J), so a walker that books a flow wrong aborts the run.
+ */
+void assertLedgerBalances(const power::PowerSystem &ps);
 
 /** Look up a bank's recorded cycles in @p m; 0 when absent. */
 std::uint64_t bankCyclesFor(const RunMetrics &m,

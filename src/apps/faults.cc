@@ -3,6 +3,7 @@
 #include <memory>
 #include <utility>
 
+#include "apps/experiment.hh"
 #include "dev/mcu.hh"
 #include "power/parts.hh"
 #include "rt/checkpoint.hh"
@@ -103,6 +104,7 @@ runCheckpointCrashWorkload(const FaultSpec *faults, double total_work,
 
     kernel.start();
     simulator.runUntil(horizon);
+    assertLedgerBalances(device.powerSystem());
 
     CheckpointCrashMetrics out;
     out.finished = complete;

@@ -160,13 +160,12 @@ runGestureRemote(GrcVariant variant, core::Policy policy,
         harness->watchKernel(kernel);
     }
 
-    const double stored_at_start = board.ps->storedEnergy();
     kernel.start();
     simulator.runUntil(horizon);
 
     RunMetrics out;
     collectMetrics(out, std::move(sb), *board.device, kernel, runtime,
-                   radio, stored_at_start);
+                   radio);
     if (harness)
         out.faults = harness->finish();
     return out;

@@ -43,11 +43,11 @@ FederatedStorage::node(int idx) const
     return nodes[static_cast<std::size_t>(idx)].bank;
 }
 
-CapacitorBank &
-FederatedStorage::nodeForTest(int idx)
+void
+FederatedStorage::setNodeVoltageForTest(int idx, double v)
 {
     capy_assert(idx >= 0 && idx < numNodes(), "node index %d", idx);
-    return nodes[static_cast<std::size_t>(idx)].bank;
+    nodes[static_cast<std::size_t>(idx)].bank.setVoltage(v);
 }
 
 void

@@ -78,7 +78,9 @@ class FederatedStorage
 
     int numNodes() const { return static_cast<int>(nodes.size()); }
     const CapacitorBank &node(int idx) const;
-    CapacitorBank &nodeForTest(int idx);
+
+    /** Preset node @p idx to @p v volts (test and bench set-up). */
+    void setNodeVoltageForTest(int idx, double v);
 
     /** Advance all nodes to absolute time @p t. */
     void advanceTo(sim::Time t);

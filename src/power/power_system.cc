@@ -49,6 +49,7 @@ PowerSystem::PowerSystem(Spec system_spec,
                 "storage target %g V below output booster start %g V: "
                 "the device could never boot",
                 spec.maxStorageVoltage, spec.output.minInputStart);
+    compose();
 }
 
 int
@@ -56,7 +57,7 @@ PowerSystem::addBank(const std::string &name, const CapacitorSpec &cap)
 {
     banks.push_back(BankState{CapacitorBank(name, cap), std::nullopt});
     stage.reset();
-    invalidateNode();
+    compose();
     return static_cast<int>(banks.size()) - 1;
 }
 
@@ -68,7 +69,7 @@ PowerSystem::addSwitchedBank(const std::string &name,
     banks.push_back(BankState{CapacitorBank(name, cap),
                               BankSwitch(sw, lastTime)});
     stage.reset();
-    invalidateNode();
+    compose();
     return static_cast<int>(banks.size()) - 1;
 }
 
@@ -79,14 +80,16 @@ PowerSystem::bank(int idx) const
     return banks[static_cast<std::size_t>(idx)].bank;
 }
 
-CapacitorBank &
-PowerSystem::bankForTest(int idx)
+void
+PowerSystem::setBankVoltageForTest(int idx, double v)
 {
     capy_assert(idx >= 0 && idx < numBanks(), "bank index %d", idx);
-    // The caller may mutate bank energy through this handle.
+    CapacitorBank &b = banks[static_cast<std::size_t>(idx)].bank;
+    openingEnergy -= b.energy();
+    b.setVoltage(v);
+    openingEnergy += b.energy();
     stage.reset();
-    invalidateNode();
-    return banks[static_cast<std::size_t>(idx)].bank;
+    compose();
 }
 
 const BankSwitch *
@@ -105,43 +108,17 @@ PowerSystem::bankActive(int idx) const
     return bs.sw ? bs.sw->closed() : true;
 }
 
-const PowerSystem::Node &
-PowerSystem::activeNode() const
-{
-    if (nodeDirty) {
-        ++nodeMissCount;
-        nodeCache = snapshotActive();
-        nodeDirty = false;
-    } else {
-        ++nodeHitCount;
-    }
-    return nodeCache;
-}
-
-void
-PowerSystem::invalidateNode() const
-{
-    nodeDirty = true;
-    topDirty = true;
-}
-
 PowerSystem::CacheStats
 PowerSystem::cacheStats() const
 {
-    return {nodeHitCount, nodeMissCount, expMemo.hits(),
-            expMemo.misses()};
+    return {expMemo.hits(), expMemo.misses()};
 }
 
 void
-PowerSystem::invalidateCachesForTest() const
+PowerSystem::compose()
 {
-    invalidateNode();
-}
-
-PowerSystem::Node
-PowerSystem::snapshotActive() const
-{
-    Node node;
+    node = Node{};
+    top = std::min(spec.maxStorageVoltage, chargeCeiling);
     double inv_leak = 0.0;
     double inv_esr = 0.0;
     for (int i = 0; i < numBanks(); ++i) {
@@ -157,57 +134,46 @@ PowerSystem::snapshotActive() const
             inv_esr += 1.0 / b.esr();
         else
             inv_esr = kInf;
+        if (b.spec().ratedVoltage > 0.0)
+            top = std::min(top, b.spec().ratedVoltage);
     }
     node.leakRes = inv_leak > 0.0 ? 1.0 / inv_leak : kInf;
     node.esr = (inv_esr > 0.0 && std::isfinite(inv_esr))
                    ? 1.0 / inv_esr
                    : 0.0;
     node.valid = node.capacitance > 0.0;
-    return node;
 }
 
 void
-PowerSystem::writebackActive(const Node &node)
+PowerSystem::writeback()
 {
     if (!node.valid)
         return;
+    // The re-sum, not the walked total, is the node's energy: they
+    // differ by ulps, and every later walk must start from what the
+    // banks hold. Keeping the walked total moves the grcf_capyp and
+    // csr_capyp digests of the work-count gate.
+    double sum = 0.0;
     for (int i = 0; i < numBanks(); ++i) {
         if (!bankActive(i))
             continue;
-        BankState &bs = banks[static_cast<std::size_t>(i)];
-        bs.bank.setEnergy(node.energy * bs.bank.capacitance() /
-                          node.capacitance);
+        CapacitorBank &b = banks[static_cast<std::size_t>(i)].bank;
+        b.setEnergy(node.energy * b.capacitance() / node.capacitance);
+        sum += b.energy();
     }
-}
-
-double
-PowerSystem::topVoltage() const
-{
-    // Cached: the target changes only on reconfiguration and ceiling
-    // control calls, but every walk asks for it.
-    if (!topDirty)
-        return topCache;
-    double top = std::min(spec.maxStorageVoltage, chargeCeiling);
-    for (int i = 0; i < numBanks(); ++i) {
-        if (bankActive(i) && bank(i).spec().ratedVoltage > 0.0)
-            top = std::min(top, bank(i).spec().ratedVoltage);
-    }
-    topCache = top;
-    topDirty = false;
-    return top;
+    node.energy = sum;
 }
 
 bool
-PowerSystem::walkSegment(Node &node, sim::Time t0, double span,
+PowerSystem::walkSegment(Node &n, sim::Time t0, double span,
                          Stop *stop, EnergyStats *acc) const
 {
     const double p_h = harvester->power(t0);
     const double v_h = limitedVoltage(spec.limiter, harvester->voltage(t0));
-    const double vtop = topVoltage();
     const double pd = (railOn ? storageDrawPower(spec.output, loadPower)
                               : 0.0) +
                       spec.systemQuiescentPower;
-    const double e_stop = stop ? node.energyAt(stop->voltage) : 0.0;
+    const double e_stop = stop ? n.energyAt(stop->voltage) : 0.0;
     double remaining = span;
 
     for (int guard = 0; remaining > kTimeTol; ++guard) {
@@ -215,22 +181,22 @@ PowerSystem::walkSegment(Node &node, sim::Time t0, double span,
         ++sim::workCounts.phases;
         PhaseStep s = phaseStep(
             spec.input, p_h, v_h,
-            {node.energy, node.capacitance, node.leakRes, vtop, pd, true,
-             node.voltage() >= vtop - kVTol});
+            {n.energy, n.capacitance, n.leakRes, top, pd, true,
+             n.voltage() >= top - kVTol});
 
         if (s.parked) {
             // Parked for the rest of the span, taking in s.input: what
             // does not leak away serves the draw.
-            node.energy = s.level;
+            n.energy = s.level;
             if (stop) {
-                if (std::abs(node.voltage() - stop->voltage) <= kVTol)
+                if (std::abs(n.voltage() - stop->voltage) <= kVTol)
                     return true;
                 stop->elapsed += remaining;
             }
             if (acc) {
-                double v = node.voltage();
+                double v = n.voltage();
                 double leak_p =
-                    std::isfinite(node.leakRes) ? v * v / node.leakRes : 0.0;
+                    std::isfinite(n.leakRes) ? v * v / n.leakRes : 0.0;
                 acc->harvestedIn += s.input * remaining;
                 acc->drainedOut += (s.input - leak_p) * remaining;
                 acc->leaked += leak_p * remaining;
@@ -238,9 +204,9 @@ PowerSystem::walkSegment(Node &node, sim::Time t0, double span,
             return false;
         }
 
-        double tb = timeToEnergy(node.energy, s.level, s.phase);
+        double tb = timeToEnergy(n.energy, s.level, s.phase);
         if (stop) {
-            double tt = timeToEnergy(node.energy, e_stop, s.phase);
+            double tt = timeToEnergy(n.energy, e_stop, s.phase);
             if (tt <= std::min(tb, remaining)) {
                 stop->elapsed += tt;
                 return true;
@@ -248,17 +214,17 @@ PowerSystem::walkSegment(Node &node, sim::Time t0, double span,
         }
 
         double step = std::min(remaining, tb);
-        double e0 = node.energy;
-        node.energy = advanceEnergy(e0, s.phase, step, &expMemo);
+        double e0 = n.energy;
+        n.energy = advanceEnergy(e0, s.phase, step, &expMemo);
         if (step == tb)
-            node.energy = s.level;  // land exactly on the level
+            n.energy = s.level;  // land exactly on the level
 
         if (stop)
             stop->elapsed += step;
         if (acc) {
             acc->harvestedIn += s.input * step;
             acc->drainedOut += pd * step;
-            acc->leaked += s.phase.power * step - (node.energy - e0);
+            acc->leaked += s.phase.power * step - (n.energy - e0);
         }
         remaining -= step;
     }
@@ -299,7 +265,6 @@ PowerSystem::updateLatches(sim::Time t)
 void
 PowerSystem::rebuildAfterReconfig()
 {
-    invalidateNode();
     std::vector<CapacitorBank *> active;
     for (int i = 0; i < numBanks(); ++i) {
         if (bankActive(i))
@@ -307,6 +272,7 @@ PowerSystem::rebuildAfterReconfig()
     }
     if (active.size() > 1)
         energyStats.sharingLoss += equalizeParallel(active);
+    compose();
     wasFull = isFull();
 }
 
@@ -351,7 +317,6 @@ PowerSystem::advanceTo(sim::Time t)
         double dt_max = segmentSpan(lastTime, t);
 
         if (dt_max > 0.0) {
-            Node node = activeNode();
             if (node.valid) {
                 if (staged) {
                     node.energy = staged->energy;
@@ -361,11 +326,7 @@ PowerSystem::advanceTo(sim::Time t)
                     walkSegment(node, lastTime, dt_max, nullptr,
                                 &energyStats);
                 }
-                writebackActive(node);
-                // The cache must reflect the bank writeback exactly
-                // (the sum of per-bank energies, not the pre-split
-                // total), so rebuild lazily rather than storing node.
-                nodeDirty = true;
+                writeback();
             }
             decayInactive(dt_max);
             lastTime += dt_max;
@@ -426,8 +387,8 @@ PowerSystem::setRailEnabled(bool on)
         loadPower = 0.0;
     // Latch replenishment state changed; refresh latches at this time
     // (a reversion here changes the active set).
-    updateLatches(lastTime);
-    invalidateNode();
+    if (updateLatches(lastTime))
+        rebuildAfterReconfig();
 }
 
 void
@@ -438,14 +399,13 @@ PowerSystem::setChargeCeiling(double v)
                 spec.output.minInputStart);
     stage.reset();
     chargeCeiling = v;
-    topDirty = true;
+    compose();
     wasFull = isFull();
 }
 
 double
 PowerSystem::collapseToBrownout()
 {
-    Node node = activeNode();
     if (!node.valid)
         return 0.0;
     // Land just below the floor so the rail cannot restart without a
@@ -457,8 +417,8 @@ PowerSystem::collapseToBrownout()
     double drained = node.energy - floor_e;
     stage.reset();
     node.energy = floor_e;
-    writebackActive(node);
-    invalidateNode();
+    writeback();
+    wasFull = isFull();  // so the recharge to full counts
     energyStats.faultDrained += drained;
     recordTrace();
     return drained;
@@ -469,32 +429,32 @@ PowerSystem::clearChargeCeiling()
 {
     stage.reset();
     chargeCeiling = kInf;
-    topDirty = true;
+    compose();
     wasFull = isFull();
 }
 
 double
 PowerSystem::storageVoltage() const
 {
-    return activeNode().voltage();
+    return node.voltage();
 }
 
 double
 PowerSystem::activeCapacitance() const
 {
-    return activeNode().capacitance;
+    return node.capacitance;
 }
 
 double
 PowerSystem::activeEsr() const
 {
-    return activeNode().esr;
+    return node.esr;
 }
 
 double
 PowerSystem::activeEnergy() const
 {
-    return activeNode().energy;
+    return node.energy;
 }
 
 double
@@ -504,6 +464,15 @@ PowerSystem::storedEnergy() const
     for (const auto &bs : banks)
         e += bs.bank.energy();
     return e;
+}
+
+double
+PowerSystem::ledgerResidual() const
+{
+    const EnergyStats &st = energyStats;
+    return (storedEnergy() - openingEnergy) -
+           (st.harvestedIn - st.drainedOut - st.leaked - st.faultDrained -
+            st.sharingLoss);
 }
 
 double
@@ -521,8 +490,7 @@ PowerSystem::startupVoltage(double rail_load) const
 bool
 PowerSystem::isFull() const
 {
-    const Node &node = activeNode();
-    return node.valid && node.voltage() >= topVoltage() - kVTol;
+    return node.valid && node.voltage() >= top - kVTol;
 }
 
 sim::Time
@@ -531,7 +499,6 @@ PowerSystem::timeToVoltage(double target_v) const
     capy_assert(target_v >= 0.0, "negative target voltage %g",
                 target_v);
     ++sim::workCounts.queryWalks;
-    Node node = activeNode();
     if (!node.valid)
         return kNever;
     if (std::abs(node.voltage() - target_v) <= kVTol)
@@ -539,13 +506,14 @@ PowerSystem::timeToVoltage(double target_v) const
 
     // Walk a copy of the node through the harvester segments
     // advanceTo() would take, with the target as the stop.
+    Node n = node;
     Stop stop{target_v};
     sim::Time t_abs = lastTime;
     for (int iter = 0; iter < 100000; ++iter) {
         sim::Time hb = harvester->nextChange(t_abs);
         // Past the last harvester change, one long walk decides.
         double span = std::isfinite(hb) ? hb - t_abs : 1e9;
-        if (walkSegment(node, t_abs, span, &stop, nullptr))
+        if (walkSegment(n, t_abs, span, &stop, nullptr))
             return stop.elapsed;
         if (!std::isfinite(hb))
             return kNever;
@@ -561,7 +529,11 @@ PowerSystem::timeToVoltage(double target_v) const
 sim::Time
 PowerSystem::timeToFull() const
 {
-    return timeToVoltage(topVoltage());
+    // A node above a lowered target is full already; walking to the
+    // target would time its drain.
+    if (isFull())
+        return 0.0;
+    return timeToVoltage(top);
 }
 
 sim::Time
@@ -586,10 +558,10 @@ PowerSystem::runLoad(double watts, sim::Time t_end)
     // timeToBrownout()'s walk, cut at t_end: up to there it takes the
     // same segments, so a brown-out it finds is bit-identical.
     double floor_v = brownoutVoltageNow();
-    Node node = activeNode();
     if (node.voltage() <= floor_v + kVTol)
         return 0.0;
     ++sim::workCounts.queryWalks;
+    Node n = node;
     Stop stop{floor_v};
     Staged end{lastTime, t_end, 0.0, energyStats};
     sim::Time t_abs = lastTime;
@@ -600,10 +572,10 @@ PowerSystem::runLoad(double watts, sim::Time t_end)
         // The first segment is the one advanceTo(t_end) walks first:
         // book its flows and stage its end.
         EnergyStats *acc = guard == 0 ? &end.stats : nullptr;
-        if (walkSegment(node, t_abs, span, &stop, acc))
+        if (walkSegment(n, t_abs, span, &stop, acc))
             return stop.elapsed;
         if (acc) {
-            end.energy = node.energy;
+            end.energy = n.energy;
             stage = end;
         }
         t_abs += span;

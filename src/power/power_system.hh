@@ -49,6 +49,9 @@ namespace capy::power
  * with one phase walker over the same harvester segments, each
  * evaluated at its start, so advanceTo(time() + timeToVoltage(v))
  * lands on v, up to rounding, unless a latch reverts on the way.
+ * The state is the banks plus the active node (the connected banks as
+ * one capacitor) and the charge target, which compose() rebuilds
+ * where the active set or the target changes.
  */
 class PowerSystem
 {
@@ -101,7 +104,9 @@ class PowerSystem
 
     int numBanks() const { return static_cast<int>(banks.size()); }
     const CapacitorBank &bank(int idx) const;
-    CapacitorBank &bankForTest(int idx);
+    /** Preset bank @p idx to @p v volts (test and bench set-up); the
+     *  energy this adds counts as the ledger's opening balance. */
+    void setBankVoltageForTest(int idx, double v);
     /** Switch behind bank @p idx; nullptr for hard-wired banks. */
     const BankSwitch *bankSwitch(int idx) const;
 
@@ -129,9 +134,9 @@ class PowerSystem
      * staged, and advanceTo(t_end) commits it in place of walking
      * that segment: with no harvester change before t_end, the whole
      * run. Any control call that changes something,
-     * collapseToBrownout(), bankForTest(), an advanceTo() to another
-     * time or a second runLoad() drops the stage; re-setting the same
-     * rail load does not.
+     * collapseToBrownout(), setBankVoltageForTest(), an advanceTo()
+     * to another time or a second runLoad() drops the stage;
+     * re-setting the same rail load does not.
      *
      * @return the time from now until the rail browns out, if it
      *         does by t_end (bit-identical to timeToBrownout()), else
@@ -161,7 +166,9 @@ class PowerSystem
 
     /**
      * Cap the charge target at @p v (pre-charge mode); use
-     * clearChargeCeiling() to restore the design target.
+     * clearChargeCeiling() to restore the design target. A node left
+     * above a lowered target is not charged: it drains by its draw and
+     * leakage down to the target, then pins there.
      */
     void setChargeCeiling(double v);
     void clearChargeCeiling();
@@ -197,8 +204,13 @@ class PowerSystem
      *  leaked - faultDrained - sharingLoss is its change. */
     double storedEnergy() const;
 
+    /** What the ledger misses, J: storedEnergy() less the opening
+     *  balance, minus harvestedIn - drainedOut - leaked - faultDrained
+     *  - sharingLoss. Zero up to rounding. */
+    double ledgerResidual() const;
+
     /** Effective charge target: min(design, active rating, ceiling). */
-    double topVoltage() const;
+    double topVoltage() const { return top; }
 
     /** Brown-out voltage at the current rail load and active ESR. */
     double brownoutVoltageNow() const;
@@ -219,7 +231,8 @@ class PowerSystem
      */
     sim::Time timeToVoltage(double target_v) const;
 
-    /** Time until the node reaches the effective charge target. */
+    /** Time until the node reaches the effective charge target; 0
+     *  when isFull(). */
     sim::Time timeToFull() const;
 
     /** Time until the rail browns out at the current load. */
@@ -238,32 +251,20 @@ class PowerSystem
     const EnergyStats &stats() const { return energyStats; }
 
     /**
-     * Hot-path cache effectiveness counters. The composed active-node
-     * snapshot and the effective charge target are cached behind
-     * dirty flags (invalidated by control calls and time
-     * advancement), and the solver memoizes exp(-dt/tau); all caches
-     * are pure memoization — query results are bit-identical to a
-     * cold rebuild. Predictive queries are not cached: every call
-     * walks. test_hotpath asserts that each cache hits, so a fast
-     * path that silently stops hitting fails a test, not just a
-     * timing.
+     * Hit counters of the solver's exp(-dt/tau) memo, the power
+     * system's one cache. It is pure memoization (results are
+     * bit-identical without it); test_hotpath asserts that it hits,
+     * so a fast path that silently stops hitting fails a test, not
+     * just a timing. Predictive queries are not cached: every call
+     * walks.
      */
     struct CacheStats
     {
-        std::uint64_t nodeHits = 0;    ///< snapshot served from cache
-        std::uint64_t nodeMisses = 0;  ///< snapshot rebuilt from banks
-        std::uint64_t expHits = 0;     ///< solver exp memo hits
+        std::uint64_t expHits = 0;  ///< solver exp memo hits
         std::uint64_t expMisses = 0;
     };
 
     CacheStats cacheStats() const;
-
-    /**
-     * Drop all cached state (test hook): the next query recomputes
-     * from the banks. Query results must be unchanged — the property
-     * tests compare cached answers against a post-invalidation oracle.
-     */
-    void invalidateCachesForTest() const;
 
     /** Record storage voltage into @p ts on every internal step. */
     void attachVoltageTrace(sim::TimeSeries *ts) { voltTrace = ts; }
@@ -283,7 +284,7 @@ class PowerSystem
         std::optional<BankSwitch> sw;
     };
 
-    /** Scalar snapshot of the active composite node. */
+    /** The active banks as one capacitor. */
     struct Node
     {
         double energy = 0.0;
@@ -296,18 +297,13 @@ class PowerSystem
         double energyAt(double v) const;
     };
 
-    Node snapshotActive() const;
-    void writebackActive(const Node &node);
+    /** Rebuild the node and the charge target from the banks, the
+     *  design target and the ceiling. */
+    void compose();
 
-    /**
-     * Cached snapshotActive(): rebuilt only when a control call or
-     * time advance dirtied the active node since the last query.
-     */
-    const Node &activeNode() const;
-
-    /** Active-node composition changed (reconfig, writeback, test
-     *  mutation): drop the node snapshot and the charge target. */
-    void invalidateNode() const;
+    /** Split the node's energy into the active banks (e_i = E·c_i/C)
+     *  and re-sum them into the node. */
+    void writeback();
 
     /** A predictive query's stop: where to end and the time walked. */
     struct Stop
@@ -318,14 +314,14 @@ class PowerSystem
 
     /**
      * The phase walker behind advanceTo(), runLoad() and
-     * timeToVoltage(): evolve @p node in phaseStep() phases over
+     * timeToVoltage(): evolve @p n in phaseStep() phases over
      * [t0, t0+span], the harvester held at its t0 conditions (callers
      * split spans at harvester changes). With @p stop, end where the
      * node reaches stop->voltage and add the time walked to
      * stop->elapsed; with @p acc, book the energy flows into it.
      * @return whether the node reached the stop.
      */
-    bool walkSegment(Node &node, sim::Time t0, double span, Stop *stop,
+    bool walkSegment(Node &n, sim::Time t0, double span, Stop *stop,
                      EnergyStats *acc) const;
 
     /**
@@ -352,7 +348,11 @@ class PowerSystem
     double loadPower = 0.0;
     double chargeCeiling;  ///< +inf when cleared
     bool wasFull = false;  ///< for charge-completion counting
+    Node node;             ///< the active banks, from compose()
+    double top = 0.0;      ///< effective charge target, from compose()
     EnergyStats energyStats;
+    /** Energy preset through setBankVoltageForTest(), J. */
+    double openingEnergy = 0.0;
     sim::TimeSeries *voltTrace = nullptr;
 
     /** runLoad()'s walk from @p from toward @p to, over the first
@@ -366,16 +366,9 @@ class PowerSystem
     };
     std::optional<Staged> stage;
 
-    // --- Hot-path caches (pure memo state; a PowerSystem is owned by
-    // one simulation, so the mutable members need no locking) ---
-
-    mutable Node nodeCache;
-    mutable bool nodeDirty = true;
-    mutable double topCache = 0.0;
-    mutable bool topDirty = true;
+    /** The solver's exp memo (pure memo state; a PowerSystem is
+     *  owned by one simulation, so it needs no locking). */
     mutable ExpCache expMemo;
-    mutable std::uint64_t nodeHitCount = 0;
-    mutable std::uint64_t nodeMissCount = 0;
 };
 
 } // namespace capy::power

@@ -112,13 +112,19 @@ phaseStep(const InputBoosterSpec &booster, double p_h, double v_h,
         return n.fed ? inputChargePower(booster, p_h, v_h, u) : 0.0;
     };
 
+    if (v > n.top + kVTol) {
+        // Above its top (a lowered ceiling): the booster stops
+        // charging, and the node drains down to the top.
+        return {Phase{-n.draw, n.capacitance, n.leakRes}, 0.0,
+                energyAt(n.top), false};
+    }
     if (n.full && inputChargePower(booster, p_h, v_h, n.top) >=
                       upkeep(n.top))
         return {Phase{}, upkeep(n.top), energyAt(n.top), true};
 
     // Nearest levels above and below v where the motion changes.
     double up = n.top;
-    double dn = n.top < v - kVTol ? n.top : 0.0;
+    double dn = 0.0;
     if (n.fed) {
         for (double bp : inputChargeBreakpoints(booster, v_h)) {
             if (bp > v + kVTol)

@@ -160,7 +160,9 @@ struct PhaseStep
  * nearest level, so a node on a breakpoint sees the regime it would
  * move into, and a node that both sides push back parks. A full node
  * is pinned at its top while inputChargePower() there covers its draw
- * plus leakage. A parked node takes in its draw plus leakage, or when
+ * plus leakage. A node above its top (a lowered charge ceiling) is
+ * neither fed nor pinned: it drains by its draw plus leakage down to
+ * the top. A parked node takes in its draw plus leakage, or when
  * empty what the booster delivers there.
  */
 PhaseStep phaseStep(const InputBoosterSpec &booster, double p_harvest,

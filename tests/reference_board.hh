@@ -16,7 +16,11 @@
  * limitedVoltage) and nothing else: no closed-form solver, no phase
  * walker, no predictive query. A node held between two converter
  * regimes, the limiter pin and an empty node are not rules here; they
- * come out of the stepping.
+ * come out of the stepping. The board's rules of its own: the input
+ * booster charges only up to the charge target (a node above a
+ * lowered ceiling is not fed), and a supply collapse drops the active
+ * banks just below the brown-out floor the board computes from its
+ * own composite ESR.
  */
 
 #ifndef CAPY_TESTS_REFERENCE_BOARD_HH
@@ -25,6 +29,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "power/booster.hh"
@@ -72,6 +77,7 @@ struct Ledger
     double drainedOut = 0.0;   ///< served to the load and overhead
     double leaked = 0.0;       ///< lost to storage leakage
     double sharingLoss = 0.0;  ///< dissipated sharing charge
+    double faultDrained = 0.0; ///< dumped by supply collapses
 };
 
 /**
@@ -165,6 +171,39 @@ class ReferenceBoard
 
     void setRailLoad(double watts) { load = watts; }
 
+    /** Cap the charge target at @p v. */
+    void
+    setChargeCeiling(double v)
+    {
+        ceiling = v;
+        wasFull = full();
+    }
+
+    /**
+     * PowerSystem::collapseToBrownout(): drop the active banks to just
+     * below the brown-out floor, booking what that dumps.
+     * @return the joules dumped.
+     */
+    double
+    collapseToBrownout()
+    {
+        double c = 0.0, e = 0.0;
+        for (const Bank &b : banks) {
+            if (b.active()) {
+                c += b.cap.capacitance;
+                e += b.energy;
+            }
+        }
+        double floor_e = energyAt(c, brownoutVoltage() * (1.0 - 1e-9));
+        if (c <= 0.0 || e <= floor_e)
+            return 0.0;
+        for (Bank &b : banks)
+            if (b.active())
+                b.energy = floor_e / c * b.cap.capacitance;
+        book.faultDrained += e - floor_e;
+        return e - floor_e;
+    }
+
     /** Drive bank @p idx's switch (the rail must be on). */
     void
     commandSwitch(int idx, bool closed)
@@ -239,11 +278,11 @@ class ReferenceBoard
         return voltageOf(c, e);
     }
 
-    /** Charge target of the active banks, V. */
+    /** Charge target of the active banks under the ceiling, V. */
     double
     topVoltage() const
     {
-        double top = spec.maxStorageVoltage;
+        double top = std::min(spec.maxStorageVoltage, ceiling);
         for (const Bank &b : banks)
             if (b.active() && b.cap.ratedVoltage > 0.0)
                 top = std::min(top, b.cap.ratedVoltage);
@@ -305,8 +344,13 @@ class ReferenceBoard
             double draw =
                 (railOn ? power::storageDrawPower(spec.output, load) : 0.0) +
                 spec.systemQuiescentPower;
-            double in = power::inputChargePower(spec.input, p_h, v_h, v);
-            e = feedStep(e, in, draw, g * v * v, energyAt(c, top), dt, book);
+            // The booster charges only up to the top: a node above it
+            // (under a lowered ceiling) drains.
+            double e_top = energyAt(c, top);
+            double in = e <= e_top * (1.0 + 1e-9)
+                            ? power::inputChargePower(spec.input, p_h, v_h, v)
+                            : 0.0;
+            e = feedStep(e, in, draw, g * v * v, e_top, dt, book);
             const double per_farad = e / c;  // one voltage across them
             for (Bank &b : banks)
                 if (b.active())
@@ -421,6 +465,7 @@ class ReferenceBoard
     double now = 0.0;
     bool railOn = false;
     double load = 0.0;
+    double ceiling = std::numeric_limits<double>::infinity();
     bool wasFull = false;
     std::uint64_t completions = 0;
     Ledger book;

@@ -121,7 +121,7 @@ TEST(Federated, LoadsDrainOnlyTheirNode)
 TEST(Federated, BrownoutPrediction)
 {
     auto fs = makeFederation(0.0);  // no harvest
-    fs->nodeForTest(0).setVoltage(3.0);
+    fs->setNodeVoltageForTest(0, 3.0);
     fs->setNodeLoad(0, 22e-3);
     sim::Time t_bo = fs->timeToAnyBrownout();
     ASSERT_TRUE(std::isfinite(t_bo));

@@ -1,16 +1,18 @@
 /**
  * @file
- * Property tests for the single-core hot-path caches: the harvester
- * query cursor, the PowerSystem active-node snapshot and charge
- * target, and the solver exp memo. Every cache is pure
- * memoization, so each test compares cached answers against a freshly
- * recomputed oracle and requires *exact* equality — a single ulp of
- * drift would break the byte-identical sweep guarantee.
+ * Property tests for the single-core hot-path caches, the harvester
+ * query cursor and the solver exp memo, and for the PowerSystem
+ * active node they feed. Each cache is pure memoization, so each
+ * test compares cached answers against a freshly recomputed oracle
+ * and requires *exact* equality — a single ulp of drift would break
+ * the byte-identical sweep guarantee.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -77,45 +79,57 @@ makeTraceSystem(sim::Rng &rng)
         std::make_unique<TraceHarvester>(randomTrace(rng, 24), 3.3));
     ps->addBank("small", parts::x5r100uF().parallel(4));
     ps->addSwitchedBank("big", parts::edlc7_5mF(), SwitchSpec{});
-    ps->bankForTest(0).setVoltage(1.5);
-    ps->bankForTest(1).setVoltage(1.5);
+    ps->setBankVoltageForTest(0, 1.5);
+    ps->setBankVoltageForTest(1, 1.5);
     return ps;
 }
 
 /**
- * Compare every const query against the same query after a full cache
- * drop. Exact equality: the caches must be unobservable.
+ * The composition invariant: the active node is the active banks as
+ * one capacitor, and the charge target is the lowest of the design
+ * target, @p ceiling and the active banks' ratings. Recomputed here
+ * from the bank specs; exact equality.
  */
 void
-expectQueriesMatchFresh(const PowerSystem &ps)
+expectComposed(const PowerSystem &ps, double ceiling)
+{
+    double energy = 0.0, cap = 0.0, inv_esr = 0.0;
+    double top = std::min(ps.systemSpec().maxStorageVoltage, ceiling);
+    bool shorted = false;  // a zero-ESR bank makes the node's ESR 0
+    for (int i = 0; i < ps.numBanks(); ++i) {
+        if (!ps.bankActive(i))
+            continue;
+        const CapacitorSpec &spec = ps.bank(i).spec();
+        energy += ps.bank(i).energy();
+        cap += spec.capacitance;
+        if (spec.esr > 0.0)
+            inv_esr += 1.0 / spec.esr;
+        else
+            shorted = true;
+        if (spec.ratedVoltage > 0.0)
+            top = std::min(top, spec.ratedVoltage);
+    }
+    EXPECT_EQ(ps.activeEnergy(), energy);
+    EXPECT_EQ(ps.activeCapacitance(), cap);
+    EXPECT_EQ(ps.activeEsr(),
+              shorted || inv_esr == 0.0 ? 0.0 : 1.0 / inv_esr);
+    EXPECT_EQ(ps.topVoltage(), top);
+}
+
+/** Every predictive query asked twice: the second walk is served by
+ *  the exp memo and must match the first exactly. */
+void
+expectQueriesRepeat(const PowerSystem &ps)
 {
     double targets[4] = {0.5, 1.8, ps.topVoltage(),
                          ps.brownoutVoltageNow()};
-
-    double v_c = ps.storageVoltage();
-    double e_c = ps.activeEnergy();
-    double c_c = ps.activeCapacitance();
-    double r_c = ps.activeEsr();
-    bool full_c = ps.isFull();
-    sim::Time tf_c = ps.timeToFull();
-    sim::Time tb_c = ps.timeToBrownout();
-    sim::Time tv_c[4];
-    for (int i = 0; i < 4; ++i)
-        tv_c[i] = ps.timeToVoltage(targets[i]);
-
-    ps.invalidateCachesForTest();
-
-    EXPECT_EQ(v_c, ps.storageVoltage());
-    EXPECT_EQ(e_c, ps.activeEnergy());
-    EXPECT_EQ(c_c, ps.activeCapacitance());
-    EXPECT_EQ(r_c, ps.activeEsr());
-    EXPECT_EQ(full_c, ps.isFull());
-    EXPECT_EQ(tf_c, ps.timeToFull());
-    EXPECT_EQ(tb_c, ps.timeToBrownout());
-    for (int i = 0; i < 4; ++i) {
-        ps.invalidateCachesForTest();
-        EXPECT_EQ(tv_c[i], ps.timeToVoltage(targets[i]))
-            << "target " << targets[i];
+    sim::Time tf = ps.timeToFull();
+    sim::Time tb = ps.timeToBrownout();
+    EXPECT_EQ(tf, ps.timeToFull());
+    EXPECT_EQ(tb, ps.timeToBrownout());
+    for (double v : targets) {
+        sim::Time tv = ps.timeToVoltage(v);
+        EXPECT_EQ(tv, ps.timeToVoltage(v)) << "target " << v;
     }
 }
 
@@ -239,11 +253,13 @@ TEST(HotPath, ExpMemoIsExact)
     }
 }
 
-TEST(HotPath, CachedQueriesMatchFreshOracleAfterEveryControlCall)
+TEST(HotPath, NodeMatchesItsBanksAfterEveryControlCall)
 {
     sim::Rng rng(kSeed, 5);
     auto ps = makeTraceSystem(rng);
-    expectQueriesMatchFresh(*ps);
+    double ceiling = std::numeric_limits<double>::infinity();
+    expectComposed(*ps, ceiling);
+    expectQueriesRepeat(*ps);
 
     sim::Time now = 0.0;
     for (int step = 0; step < 120; ++step) {
@@ -264,33 +280,21 @@ TEST(HotPath, CachedQueriesMatchFreshOracleAfterEveryControlCall)
             ps->setRailEnabled(!ps->railEnabled());
             break;
         case 5:
-            if (rng.chance(0.5))
-                ps->setChargeCeiling(rng.uniform(1.9, 2.9));
-            else
+            if (rng.chance(0.5)) {
+                ceiling = rng.uniform(1.9, 2.9);
+                ps->setChargeCeiling(ceiling);
+            } else {
+                ceiling = std::numeric_limits<double>::infinity();
                 ps->clearChargeCeiling();
+            }
             break;
         case 6:
             if (ps->railEnabled())
                 ps->commandSwitch(1, rng.chance(0.5));
             break;
         }
-        expectQueriesMatchFresh(*ps);
+        expectComposed(*ps, ceiling);
+        expectQueriesRepeat(*ps);
     }
-    // Every query above is asked again after the cache drop and walks
-    // the same phases, so the memo must hit.
     EXPECT_GT(ps->cacheStats().expHits, 0u);
-}
-
-TEST(HotPath, AdvanceUsesCachedSnapshotBetweenQueries)
-{
-    sim::Rng rng(kSeed, 7);
-    auto ps = makeTraceSystem(rng);
-    for (int i = 0; i < 100; ++i) {
-        ps->advanceTo(double(i) * 0.5);
-        (void)ps->storageVoltage();
-        (void)ps->isFull();
-    }
-    auto stats = ps->cacheStats();
-    EXPECT_GT(stats.nodeHits, stats.nodeMisses)
-        << "query-heavy usage should mostly hit the node cache";
 }

@@ -4,9 +4,11 @@
  * (reference_board.hh). Seeded random PowerSystem boards and
  * FederatedStorage cascades are advanced and queried side by side
  * with fixed-step twins that share only the component formulas with
- * them: final voltages agree within 1 mV, brown-out, full and runLoad
+ * them: voltages agree within 1 mV, brown-out, full and runLoad
  * instants within 10 reference steps, charge completions exactly and
- * the energy ledger within 0.1% of its flows.
+ * the energy ledger within 0.1% of its flows. Some boards run under a
+ * charge ceiling, some of them starting above it, and some take a
+ * supply collapse.
  *
  * Run alone with `ctest -L oracle`.
  */
@@ -84,6 +86,14 @@ struct Twin
         ps->advanceTo(t);
         ref->advanceTo(t);
     }
+
+    void
+    collapseToBrownout()
+    {
+        double dumped = ps->collapseToBrownout();
+        EXPECT_NEAR(dumped, ref->collapseToBrownout(),
+                    1e-6 * dumped + 1e-12);
+    }
 };
 
 /**
@@ -127,7 +137,7 @@ randomTwin(sim::Rng &rng)
     double v = breakpoint ? rng.uniform(0.9, 1.1) : rng.uniform(0.0, 2.9);
     for (int i = 0; i < n; ++i) {
         double vi = tw.ps->bankActive(i) ? v : rng.uniform(0.0, 2.9);
-        tw.ps->bankForTest(i).setVoltage(vi);
+        tw.ps->setBankVoltageForTest(i, vi);
         tw.ref->setBankVoltage(i, vi);
     }
     tw.setRailEnabled(true);
@@ -154,6 +164,56 @@ randomTwin(sim::Rng &rng)
     return tw;
 }
 
+/** A seed's charge ceiling and supply collapse. */
+struct Upsets
+{
+    std::string what;       ///< for failure messages
+    bool above = false;     ///< the board starts above its ceiling
+    bool collapse = false;  ///< the run takes a supply collapse
+    double when = 0.0;      ///< where in the run, as a fraction
+};
+
+/**
+ * Draw @p seed's upsets from a stream of their own, so the boards of
+ * the other seeds stay as they were, and apply the ceiling to @p tw.
+ * A third of the seeds get a ceiling, half of those below the start
+ * voltage (the active banks are raised above it first); a quarter get
+ * a collapse.
+ */
+Upsets
+drawUpsets(Twin &tw, int seed)
+{
+    sim::Rng rng(std::uint64_t(seed), 0x0AC4);
+    Upsets u;
+    if (rng.chance(1.0 / 3.0)) {
+        double ceiling;
+        if (rng.chance(0.5)) {
+            ceiling = rng.uniform(1.7, 2.6);
+            double v = rng.uniform(ceiling + 0.05, 2.95);
+            for (int i = 0; i < tw.ps->numBanks(); ++i) {
+                if (tw.ps->bankActive(i)) {
+                    tw.ps->setBankVoltageForTest(i, v);
+                    tw.ref->setBankVoltage(i, v);
+                }
+            }
+            u.above = true;
+            u.what = ", ceiling below the start";
+        } else {
+            ceiling = rng.uniform(
+                std::max(tw.ps->storageVoltage(), 1.7) + 0.02, 2.98);
+            u.what = ", ceiling";
+        }
+        tw.ps->setChargeCeiling(ceiling);
+        tw.ref->setChargeCeiling(ceiling);
+        u.what += " " + std::to_string(ceiling) + " V";
+    }
+    u.collapse = rng.chance(0.25);
+    u.when = rng.uniform(0.0, 1.0);
+    if (u.collapse)
+        u.what += ", collapse";
+    return u;
+}
+
 /** The walker's instant @p walk (relative, kNever for none) against
  *  the reference's @p ref (kNone when it found none within
  *  @p horizon). */
@@ -178,6 +238,23 @@ expectSameFlow(double walk, double ref, const std::string &what)
     EXPECT_NEAR(walk, ref, tol) << what;
 }
 
+/** The ledgers agree flow by flow, and the walker's balances. */
+void
+expectSameLedger(const Twin &tw, const std::string &where)
+{
+    const auto &st = tw.ps->stats();
+    const oracle::Ledger &book = tw.ref->ledger();
+    expectSameFlow(st.harvestedIn, book.harvestedIn, "harvestedIn" + where);
+    expectSameFlow(st.drainedOut, book.drainedOut, "drainedOut" + where);
+    expectSameFlow(st.leaked, book.leaked, "leaked" + where);
+    expectSameFlow(st.sharingLoss, book.sharingLoss, "sharingLoss" + where);
+    expectSameFlow(st.faultDrained, book.faultDrained,
+                   "faultDrained" + where);
+    EXPECT_NEAR(tw.ps->ledgerResidual(), 0.0,
+                1e-6 * st.harvestedIn + 1e-12)
+        << where;
+}
+
 void
 expectSameBoard(const Twin &tw, const std::string &where)
 {
@@ -194,10 +271,12 @@ expectSameBoard(const Twin &tw, const std::string &where)
 
 /**
  * One random board advanced through random splits of up to a minute:
- * bank voltages, charge completions and the ledger match the
- * reference's. Three in five boards with a switch run 185-240 s with
- * the rail off and every switch commanded away from its default, so
- * its latch decays (in about 181 s) and the switch reverts on the way.
+ * bank voltages after every split, and charge completions and the
+ * ledger at the end, match the reference's. Three in five boards with
+ * a switch run 185-240 s with the rail off and every switch commanded
+ * away from its default, so its latch decays (in about 181 s) and the
+ * switch reverts on the way. A collapse, when the seed draws one,
+ * lands at a random instant.
  */
 class ReferenceBoardAdvance : public ::testing::TestWithParam<int>
 {};
@@ -206,9 +285,11 @@ TEST_P(ReferenceBoardAdvance, MatchesTheReference)
 {
     sim::Rng rng(std::uint64_t(GetParam()), 0x0AC1);
     Twin tw = randomTwin(rng);
+    Upsets upsets = drawUpsets(tw, GetParam());
     std::string where = ", seed " + std::to_string(GetParam()) +
                         ", start " +
-                        std::to_string(tw.ps->storageVoltage()) + " V";
+                        std::to_string(tw.ps->storageVoltage()) + " V" +
+                        upsets.what;
 
     bool switched = false;
     for (int i = 0; i < tw.ps->numBanks(); ++i)
@@ -226,21 +307,27 @@ TEST_P(ReferenceBoardAdvance, MatchesTheReference)
         }
         tw.setRailEnabled(false);
     }
+    if (upsets.above) {
+        // Draining from above the ceiling is quick under a load.
+        tw.advanceTo(0.05);
+        expectSameBoard(tw, " at 0.05 s" + where);
+    }
+    double t_collapse = upsets.collapse ? upsets.when * horizon : kNever;
     for (sim::Time t = 0.0; t < horizon;) {
         t = std::min(horizon, t + rng.exponential(horizon / 6.0));
+        if (t_collapse <= t) {
+            tw.advanceTo(t_collapse);
+            tw.collapseToBrownout();
+            t_collapse = kNever;
+        }
         tw.advanceTo(t);
+        expectSameBoard(tw, " at " + std::to_string(t) + " s" + where);
     }
-    expectSameBoard(tw, where);
     EXPECT_EQ(tw.ps->stats().chargeCompletions,
               tw.ref->chargeCompletions())
         << where;
 
-    const auto &st = tw.ps->stats();
-    const oracle::Ledger &book = tw.ref->ledger();
-    expectSameFlow(st.harvestedIn, book.harvestedIn, "harvestedIn" + where);
-    expectSameFlow(st.drainedOut, book.drainedOut, "drainedOut" + where);
-    expectSameFlow(st.leaked, book.leaked, "leaked" + where);
-    expectSameFlow(st.sharingLoss, book.sharingLoss, "sharingLoss" + where);
+    expectSameLedger(tw, where);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ReferenceBoardAdvance,
@@ -249,7 +336,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ReferenceBoardAdvance,
 /**
  * The predictive queries and runLoad() from a random board's start:
  * timeToFull() and timeToBrownout() within a 30 s horizon, then a
- * workload run to its end, where the bank voltages match.
+ * workload run to its end, where the bank voltages and the ledger
+ * match, and, when the seed draws a collapse, timeToFull() from the
+ * floor after it.
  */
 class ReferenceBoardQueries : public ::testing::TestWithParam<int>
 {};
@@ -259,9 +348,11 @@ TEST_P(ReferenceBoardQueries, MatchTheReference)
     constexpr double kHorizon = 30.0;
     sim::Rng rng(std::uint64_t(GetParam()), 0x0AC2);
     Twin tw = randomTwin(rng);
+    Upsets upsets = drawUpsets(tw, GetParam());
     std::string where = ", seed " + std::to_string(GetParam()) +
                         ", start " +
-                        std::to_string(tw.ps->storageVoltage()) + " V";
+                        std::to_string(tw.ps->storageVoltage()) + " V" +
+                        upsets.what;
 
     expectSameInstant(tw.ps->timeToFull(), tw.ref->timeToFull(kHorizon),
                       kHorizon, "timeToFull" + where);
@@ -276,6 +367,14 @@ TEST_P(ReferenceBoardQueries, MatchTheReference)
                       tw.ref->runLoad(watts, dur), dur, "runLoad" + where);
     tw.advanceTo(dur);
     expectSameBoard(tw, " after runLoad" + where);
+    expectSameLedger(tw, " after runLoad" + where);
+
+    if (upsets.collapse) {
+        tw.collapseToBrownout();
+        expectSameInstant(tw.ps->timeToFull(),
+                          tw.ref->timeToFull(kHorizon), kHorizon,
+                          "timeToFull after the collapse" + where);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ReferenceBoardQueries,
@@ -306,7 +405,7 @@ TEST_P(ReferenceCascadeMatch, MatchesTheReference)
         fs->addNode("n" + std::to_string(i), cap);
         ref.addNode(cap);
         double v = rng.uniform(0.0, 2.9);
-        fs->nodeForTest(i).setVoltage(v);
+        fs->setNodeVoltageForTest(i, v);
         ref.setNodeVoltage(i, v);
         if (rng.chance(0.5)) {
             double load = rng.uniform(0.1e-3, 8e-3);

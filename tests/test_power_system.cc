@@ -89,7 +89,7 @@ TEST(PowerSystem, DischargeUnderLoadBrownsOut)
 {
     auto ps = makeSystem(0.0);  // no harvest
     ps->addBank("b", parts::x5r100uF().parallel(4));
-    ps->bankForTest(0).setVoltage(3.0);
+    ps->setBankVoltageForTest(0, 3.0);
     ps->setRailEnabled(true);
     ps->setRailLoad(8e-3);
     sim::Time t_bo = ps->timeToBrownout();
@@ -103,13 +103,13 @@ TEST(PowerSystem, LargerBankRunsLonger)
 {
     auto small = makeSystem(0.0);
     small->addBank("b", parts::x5r100uF().parallel(4));
-    small->bankForTest(0).setVoltage(3.0);
+    small->setBankVoltageForTest(0, 3.0);
     small->setRailEnabled(true);
     small->setRailLoad(8e-3);
 
     auto large = makeSystem(0.0);
     large->addBank("b", parts::edlc7_5mF());
-    large->bankForTest(0).setVoltage(3.0);
+    large->setBankVoltageForTest(0, 3.0);
     large->setRailEnabled(true);
     large->setRailLoad(8e-3);
 
@@ -134,7 +134,7 @@ TEST(PowerSystem, SwitchedBankJoinsAndRedistributes)
     EXPECT_TRUE(ps->bankActive(base));
     EXPECT_FALSE(ps->bankActive(big));
 
-    ps->bankForTest(base).setVoltage(3.0);
+    ps->setBankVoltageForTest(base, 3.0);
     ps->setRailEnabled(true);
     double c_before = ps->activeCapacitance();
     ps->commandSwitch(big, true);
@@ -170,7 +170,7 @@ TEST(PowerSystem, NormallyOpenLatchExpiryDisconnects)
     ps->addBank("base", parts::x5r100uF().parallel(4));
     SwitchSpec sw;  // NO
     int big = ps->addSwitchedBank("big", parts::edlc7_5mF(), sw);
-    ps->bankForTest(0).setVoltage(3.0);
+    ps->setBankVoltageForTest(0, 3.0);
     ps->setRailEnabled(true);
     ps->commandSwitch(big, true);
     ps->setRailEnabled(false);  // power lost; latch starts decaying
@@ -190,7 +190,7 @@ TEST(PowerSystem, NormallyClosedLatchExpiryReconnects)
     SwitchSpec sw;
     sw.kind = SwitchKind::NormallyClosed;
     int big = ps->addSwitchedBank("big", parts::edlc7_5mF(), sw);
-    ps->bankForTest(0).setVoltage(3.0);
+    ps->setBankVoltageForTest(0, 3.0);
     ps->setRailEnabled(true);
     ps->commandSwitch(big, false);
     EXPECT_FALSE(ps->bankActive(big));
@@ -228,6 +228,37 @@ TEST(PowerSystem, ChargeCeilingCapsPrecharge)
     ASSERT_TRUE(std::isfinite(more));
     ps->advanceTo(ps->time() + more + 1.0);
     EXPECT_NEAR(ps->storageVoltage(), 3.0, 1e-3);
+}
+
+/** A ceiling set below the node's voltage: the booster stops feeding
+ *  it, it drains by its draw and leakage down to the ceiling and pins
+ *  there, and the ledger books every joule on the way. */
+TEST(PowerSystem, CeilingBelowNodeDrainsAndBooks)
+{
+    auto ps = makeSystem();
+    ps->addBank("b", parts::x5r100uF().parallel(4));
+    ps->setBankVoltageForTest(0, 3.0);
+    ps->setChargeCeiling(2.5);
+    EXPECT_TRUE(ps->isFull());
+    EXPECT_EQ(ps->timeToFull(), 0.0);
+
+    // Rail off: only the board overhead and leakage drain it.
+    ps->advanceTo(10.0);
+    EXPECT_GT(ps->storageVoltage(), 2.9);
+    EXPECT_LT(ps->storageVoltage(), 3.0);
+    EXPECT_EQ(ps->stats().harvestedIn, 0.0);
+    EXPECT_NEAR(ps->ledgerResidual(), 0.0, 1e-12);
+
+    // A 5 mW load takes the 0.55 mJ above the ceiling in about 0.1 s;
+    // then the 10 mW supply pins the node at the ceiling.
+    ps->setRailEnabled(true);
+    ps->setRailLoad(5e-3);
+    ps->advanceTo(20.0);
+    EXPECT_NEAR(ps->storageVoltage(), 2.5, 1e-6);
+    EXPECT_TRUE(ps->isFull());
+    EXPECT_GT(ps->stats().harvestedIn, 0.0);
+    EXPECT_NEAR(ps->ledgerResidual(), 0.0,
+                1e-9 * ps->stats().harvestedIn + 1e-12);
 }
 
 TEST(PowerSystem, EnergyAccountingBalances)
@@ -359,7 +390,7 @@ TEST(PowerSystem, TimeToVoltageZeroWhenAtTarget)
 {
     auto ps = makeSystem();
     ps->addBank("b", parts::x5r100uF().parallel(4));
-    ps->bankForTest(0).setVoltage(2.0);
+    ps->setBankVoltageForTest(0, 2.0);
     EXPECT_DOUBLE_EQ(ps->timeToVoltage(2.0), 0.0);
 }
 
