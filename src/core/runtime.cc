@@ -35,6 +35,14 @@ void
 Runtime::annotate(const rt::Task *task, Annotation ann)
 {
     capy_assert(task != nullptr, "annotate(nullptr)");
+    // The gate reads the table resolved at install(); a later
+    // annotation would be silently ignored.
+    capy_assert(!installed, "annotate('%s') after install()",
+                task->name.c_str());
+    const rt::App &app = kernel.app();
+    capy_assert(app.taskAt(task->index) == task,
+                "annotated task '%s' is not one of the kernel's app",
+                task->name.c_str());
     if (ann.kind == AnnKind::Config || ann.kind == AnnKind::Burst) {
         capy_assert(ann.mode != kNoMode, "%s needs a mode",
                     annKindName(ann.kind));
@@ -43,7 +51,9 @@ Runtime::annotate(const rt::Task *task, Annotation ann)
         capy_assert(ann.mode != kNoMode && ann.burstMode != kNoMode,
                     "preburst needs bmode and emode");
     }
-    annotations[task] = ann;
+    if (annotations.size() < app.taskCount())
+        annotations.resize(app.taskCount());
+    annotations[task->index] = ann;
 }
 
 void
@@ -51,34 +61,31 @@ Runtime::install()
 {
     capy_assert(!installed, "runtime already installed");
     installed = true;
+    annotations.resize(kernel.app().taskCount());
+    for (Annotation &ann : annotations)
+        ann = effectiveAnnotation(ann);
     kernel.setPreTaskGate(
         [this](const rt::Task &task) { return gate(task); });
 }
 
 Annotation
-Runtime::effectiveAnnotation(const rt::Task &task) const
+Runtime::effectiveAnnotation(const Annotation &ann) const
 {
     switch (activePolicy) {
       case Policy::Continuous:
       case Policy::Fixed:
         // These systems have no reconfiguration capability; the
-        // annotations compile away, so the lookup is skipped.
+        // annotations compile away.
         return Annotation{};
       case Policy::CapyR:
-      case Policy::CapyP: {
-        auto it = annotations.find(&task);
-        if (it == annotations.end())
-            return Annotation{};
-        const Annotation &ann = it->second;
         // Capy-R has no burst support (§6): bursts recharge on the
         // critical path; prebursts degrade to configs of the
         // execution mode.
-        if (activePolicy == Policy::CapyR &&
-            (ann.kind == AnnKind::Burst ||
-             ann.kind == AnnKind::Preburst))
+        if (ann.kind == AnnKind::Burst || ann.kind == AnnKind::Preburst)
             return Annotation::config(ann.mode);
         return ann;
-      }
+      case Policy::CapyP:
+        return ann;
     }
     capy_panic("unknown Policy");
 }
@@ -86,7 +93,9 @@ Runtime::effectiveAnnotation(const rt::Task &task) const
 bool
 Runtime::gate(const rt::Task &task)
 {
-    Annotation ann = effectiveAnnotation(task);
+    capy_assert(task.index < annotations.size(),
+                "task '%s' added after install()", task.name.c_str());
+    const Annotation ann = annotations[task.index];
 
     // On the first gate after any boot, forget the believed hardware
     // configuration: a power failure may have outlived the latches.

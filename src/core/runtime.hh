@@ -11,7 +11,7 @@
 #ifndef CAPY_CORE_RUNTIME_HH
 #define CAPY_CORE_RUNTIME_HH
 
-#include <unordered_map>
+#include <vector>
 
 #include "core/energy_mode.hh"
 #include "dev/nvmem.hh"
@@ -71,10 +71,12 @@ class Runtime
     Runtime(rt::Kernel &kernel, ModeRegistry registry, Policy policy,
             dev::NvMemory *nv = nullptr);
 
-    /** Attach an energy annotation to @p task. */
+    /** Attach an energy annotation to @p task, one of the kernel's
+     *  app; must precede install(). */
     void annotate(const rt::Task *task, Annotation ann);
 
-    /** Install the gate on the kernel; call before Kernel::start(). */
+    /** Resolve every task's annotation under the policy and install
+     *  the gate on the kernel; call before Kernel::start(). */
     void install();
 
     const Stats &stats() const { return rtStats; }
@@ -105,7 +107,9 @@ class Runtime
      * The handle* helpers return the same verdict.
      */
     bool gate(const rt::Task &task);
-    Annotation effectiveAnnotation(const rt::Task &task) const;
+    /** What @p ann does under the policy: nothing under Pwr and
+     *  Fixed, a config of its mode for a Capy-R burst or preburst. */
+    Annotation effectiveAnnotation(const Annotation &ann) const;
 
     bool handleConfig(ModeId mode);
     bool handleBurst(const rt::Task &task, ModeId mode);
@@ -127,7 +131,9 @@ class Runtime
     rt::Kernel &kernel;
     ModeRegistry registry;
     Policy activePolicy;
-    std::unordered_map<const rt::Task *, Annotation> annotations;
+    /** By rt::Task::index: as annotated until install(), then
+     *  effectiveAnnotation() of that, which gate() reads. */
+    std::vector<Annotation> annotations;
     Stats rtStats;
 
     /** Set while parked charging a preburst's banks (accounting). */

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "sim/logging.hh"
+#include "sim/work.hh"
 
 namespace capy::env
 {
@@ -79,8 +80,8 @@ EventSchedule::lastTime() const
     return list.back().time;
 }
 
-int
-EventSchedule::eventCovering(sim::Time t, double dur, double span) const
+std::size_t
+EventSchedule::firstUnexpired(sim::Time t, double span) const
 {
     // e.time + span is monotone in e.time (IEEE addition is), so the
     // unexpired events form a suffix; the earliest of them is the
@@ -88,9 +89,47 @@ EventSchedule::eventCovering(sim::Time t, double dur, double span) const
     auto it = std::partition_point(
         list.begin(), list.end(),
         [&](const EnvEvent &e) { return !(t < e.time + span); });
-    if (it != list.end() && it->time < t + dur)
-        return it->id;
+    return std::size_t(it - list.begin());
+}
+
+int
+EventSchedule::coveringFrom(std::size_t i, sim::Time t, double dur) const
+{
+    if (i < list.size() && list[i].time < t + dur)
+        return list[i].id;
     return -1;
+}
+
+int
+EventSchedule::eventCovering(sim::Time t, double dur, double span) const
+{
+    return coveringFrom(firstUnexpired(t, span), t, dur);
+}
+
+int
+EventSchedule::eventCovering(sim::Time t, double dur, double span,
+                             Cursor &cursor) const
+{
+    constexpr std::size_t kMaxScan = 8;
+    auto expired = [&](std::size_t i) {
+        return !(t < list[i].time + span);
+    };
+    // The first unexpired event lies at or past index i exactly when
+    // the event before i has expired: then scan forward from the
+    // cursor, a few events at most.
+    std::size_t i = std::min(cursor.next, list.size());
+    if (i == 0 || expired(i - 1)) {
+        const std::size_t end = std::min(list.size(), i + kMaxScan);
+        while (i < end && expired(i))
+            ++i;
+        if (i < end || i == list.size()) {
+            cursor.next = i;
+            return coveringFrom(i, t, dur);
+        }
+    }
+    ++sim::workCounts.seeks;
+    cursor.next = firstUnexpired(t, span);
+    return coveringFrom(cursor.next, t, dur);
 }
 
 std::vector<int>

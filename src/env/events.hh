@@ -83,10 +83,38 @@ class EventSchedule
      */
     int eventCovering(sim::Time t, double dur, double span) const;
 
+    /**
+     * Where the last eventCovering() with this cursor left off: the
+     * index of the first event unexpired at its query time. A run's
+     * queries mostly move forward, so the next answer lies at or a
+     * few events past it. The cursor belongs to the querying rig,
+     * never to the shared schedule, so concurrent runs cannot race
+     * on it.
+     */
+    struct Cursor
+    {
+        std::size_t next = 0;
+    };
+
+    /**
+     * eventCovering() resumed from @p cursor: a short forward scan,
+     * and a binary search only when the query moved backward past
+     * the cursor or far ahead (counted in sim::WorkCounts::seeks).
+     * The answer is the same as without the cursor for any sequence
+     * of queries and spans.
+     */
+    int eventCovering(sim::Time t, double dur, double span,
+                      Cursor &cursor) const;
+
     /** Ids of events with time in the open interval (t0, t1). */
     std::vector<int> eventsBetween(sim::Time t0, sim::Time t1) const;
 
   private:
+    /** Index of the first event unexpired at @p t (binary search). */
+    std::size_t firstUnexpired(sim::Time t, double span) const;
+    /** Event @p i's id if it starts before t + @p dur, else -1. */
+    int coveringFrom(std::size_t i, sim::Time t, double dur) const;
+
     std::vector<EnvEvent> list;
 };
 

@@ -14,30 +14,31 @@ Pendulum::Pendulum(const EventSchedule &schedule, Spec spec)
 }
 
 bool
-Pendulum::objectPresent(sim::Time t) const
+Pendulum::objectPresent(sim::Time t)
 {
     return eventAt(t) >= 0;
 }
 
 double
-Pendulum::fieldStrength(sim::Time t) const
+Pendulum::fieldStrength(sim::Time t)
 {
     // Normalized field: strong while the magnet is overhead.
     return eventAt(t) >= 0 ? 1.0 : 0.05;
 }
 
 int
-Pendulum::eventAt(sim::Time t) const
+Pendulum::eventAt(sim::Time t)
 {
-    return events.eventCovering(t, 0.0, pendulumSpec.swingDuration);
+    return events.eventCovering(t, 0.0, pendulumSpec.swingDuration,
+                                cursor);
 }
 
 Pendulum::GestureResult
 Pendulum::senseGesture(sim::Time start, double duration, sim::Rng &rng,
-                       int *event_id) const
+                       int *event_id)
 {
     int id = events.eventCovering(start, duration,
-                                  pendulumSpec.swingDuration);
+                                  pendulumSpec.swingDuration, cursor);
     if (event_id)
         *event_id = id;
     if (id < 0)

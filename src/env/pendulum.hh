@@ -52,14 +52,14 @@ class Pendulum
 
     /** Is the pendulum over the board at time @p t? (proximity /
      *  phototransistor signal) */
-    bool objectPresent(sim::Time t) const;
+    bool objectPresent(sim::Time t);
 
     /** Magnetic field magnitude at @p t (arbitrary units; elevated
      *  while the magnet swings by). */
-    double fieldStrength(sim::Time t) const;
+    double fieldStrength(sim::Time t);
 
     /** Id of the swing active at @p t; -1 if none. */
-    int eventAt(sim::Time t) const;
+    int eventAt(sim::Time t);
 
     /** Outcome of a gesture-sensing window. */
     enum class GestureResult
@@ -75,11 +75,13 @@ class Pendulum
      * @param event_id out: the swing involved, or -1.
      */
     GestureResult senseGesture(sim::Time start, double duration,
-                               sim::Rng &rng, int *event_id) const;
+                               sim::Rng &rng, int *event_id);
 
   private:
     const EventSchedule &events;
     Spec pendulumSpec;
+    /** Where this rig's last schedule lookup left off. */
+    EventSchedule::Cursor cursor;
 };
 
 } // namespace capy::env

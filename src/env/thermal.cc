@@ -56,25 +56,32 @@ ThermalRig::outOfRangeDuration() const
 }
 
 double
-ThermalRig::temperature(sim::Time t) const
+ThermalRig::temperature(sim::Time t)
 {
     int id;
     return temperature(t, id);
 }
 
 double
-ThermalRig::temperature(sim::Time t, int &id) const
+ThermalRig::temperature(sim::Time t, int &id)
 {
+    if (t == memoTime) {
+        id = memoId;
+        return memoTemp;
+    }
     double temp =
         rigSpec.baseTemp +
         rigSpec.wanderAmp *
             std::sin(2.0 * M_PI * t / rigSpec.wanderPeriod);
-    id = events.eventCovering(t, 0.0, excursionDuration());
+    id = events.eventCovering(t, 0.0, excursionDuration(), cursor);
     if (id >= 0) {
         double dt = t - events.at(static_cast<std::size_t>(id)).time;
         // The control loop suspends the wander during an excursion.
         temp = rigSpec.baseTemp + excursionShape(dt);
     }
+    memoTime = t;
+    memoTemp = temp;
+    memoId = id;
     return temp;
 }
 
@@ -85,13 +92,13 @@ ThermalRig::outOfBand(double temp) const
 }
 
 bool
-ThermalRig::outOfRange(sim::Time t) const
+ThermalRig::outOfRange(sim::Time t)
 {
     return outOfBand(temperature(t));
 }
 
 int
-ThermalRig::alarmEventAt(sim::Time t) const
+ThermalRig::alarmEventAt(sim::Time t)
 {
     int id;
     return outOfBand(temperature(t, id)) ? id : -1;

@@ -9,6 +9,8 @@
 #ifndef CAPY_ENV_THERMAL_HH
 #define CAPY_ENV_THERMAL_HH
 
+#include <limits>
+
 #include "env/events.hh"
 
 namespace capy::env
@@ -43,14 +45,14 @@ class ThermalRig
     const Spec &spec() const { return rigSpec; }
 
     /** Heatsink temperature at @p t, C. */
-    double temperature(sim::Time t) const;
+    double temperature(sim::Time t);
 
     /** Whether the temperature is outside the alarm band at @p t. */
-    bool outOfRange(sim::Time t) const;
+    bool outOfRange(sim::Time t);
 
     /** Id of the excursion that makes @p t out-of-range; -1 if the
      *  temperature is in band at @p t. */
-    int alarmEventAt(sim::Time t) const;
+    int alarmEventAt(sim::Time t);
 
     /** Total duration of one excursion (ramp + hold + ramp), s. */
     double excursionDuration() const;
@@ -61,7 +63,7 @@ class ThermalRig
   private:
     /** temperature(), also setting @p id to the excursion covering
      *  @p t (-1 when none). */
-    double temperature(sim::Time t, int &id) const;
+    double temperature(sim::Time t, int &id);
 
     bool outOfBand(double temp) const;
 
@@ -71,6 +73,14 @@ class ThermalRig
 
     const EventSchedule &events;
     Spec rigSpec;
+    /** Where this rig's last schedule lookup left off. */
+    EventSchedule::Cursor cursor;
+    /** The last temperature(t, id) answer, by exact time: the TA
+     *  sample task reads temperature() and then alarmEventAt() at one
+     *  instant, and the second read reuses the first. */
+    sim::Time memoTime = std::numeric_limits<double>::quiet_NaN();
+    double memoTemp = 0.0;
+    int memoId = -1;
 };
 
 } // namespace capy::env

@@ -111,7 +111,8 @@ PowerSystem::bankActive(int idx) const
 PowerSystem::CacheStats
 PowerSystem::cacheStats() const
 {
-    return {expMemo.hits(), expMemo.misses()};
+    return {expMemo.hits(), expMemo.misses(), decayMemo.hits(),
+            decayMemo.misses()};
 }
 
 void
@@ -204,9 +205,22 @@ PowerSystem::walkSegment(Node &n, sim::Time t0, double span,
             return false;
         }
 
-        double tb = timeToEnergy(n.energy, s.level, s.phase);
+        // Where the phase leaves the node after the whole span. A
+        // target that step clearly misses is crossed after the span
+        // (stepMisses), if ever, so it needs no crossing solve: its
+        // time counts as never, which picks the same step.
+        const double e0 = n.energy;
+        double e1 = advanceEnergy(e0, s.phase, remaining, &expMemo);
+        auto crossing = [&](double target) {
+            if (stepMisses(e0, e1, target, s.phase))
+                return kNever;
+            ++sim::workCounts.solves;
+            return timeToEnergy(e0, target, s.phase);
+        };
+        const double tb = crossing(s.level);
         if (stop) {
-            double tt = timeToEnergy(n.energy, e_stop, s.phase);
+            // A stop on the level (a walk to full) crosses with it.
+            double tt = e_stop == s.level ? tb : crossing(e_stop);
             if (tt <= std::min(tb, remaining)) {
                 stop->elapsed += tt;
                 return true;
@@ -214,10 +228,9 @@ PowerSystem::walkSegment(Node &n, sim::Time t0, double span,
         }
 
         double step = std::min(remaining, tb);
-        double e0 = n.energy;
-        n.energy = advanceEnergy(e0, s.phase, step, &expMemo);
         if (step == tb)
-            n.energy = s.level;  // land exactly on the level
+            e1 = s.level;  // land exactly on the level
+        n.energy = e1;
 
         if (stop)
             stop->elapsed += step;
@@ -241,7 +254,7 @@ PowerSystem::decayInactive(double dt)
         double leak_r = bs.bank.spec().leakageResistance();
         Phase phase{0.0, bs.bank.capacitance(), leak_r};
         double e0 = bs.bank.energy();
-        double e1 = advanceEnergy(e0, phase, dt);
+        double e1 = advanceEnergy(e0, phase, dt, &decayMemo);
         bs.bank.setEnergy(e1);
         energyStats.leaked += e0 - e1;
     }

@@ -251,17 +251,20 @@ class PowerSystem
     const EnergyStats &stats() const { return energyStats; }
 
     /**
-     * Hit counters of the solver's exp(-dt/tau) memo, the power
-     * system's one cache. It is pure memoization (results are
-     * bit-identical without it); test_hotpath asserts that it hits,
-     * so a fast path that silently stops hitting fails a test, not
-     * just a timing. Predictive queries are not cached: every call
-     * walks.
+     * Hit counters of the power system's two exp(-dt/tau) memos: the
+     * walker's, and the one decaying the inactive banks, kept apart
+     * so neither evicts the other's entries. They are pure
+     * memoization (results are bit-identical without them);
+     * test_hotpath asserts that both hit, so a fast path that
+     * silently stops hitting fails a test, not just a timing.
+     * Predictive queries are not cached: every call walks.
      */
     struct CacheStats
     {
-        std::uint64_t expHits = 0;  ///< solver exp memo hits
+        std::uint64_t expHits = 0;  ///< walker exp memo hits
         std::uint64_t expMisses = 0;
+        std::uint64_t decayHits = 0;  ///< inactive-bank memo hits
+        std::uint64_t decayMisses = 0;
     };
 
     CacheStats cacheStats() const;
@@ -366,9 +369,11 @@ class PowerSystem
     };
     std::optional<Staged> stage;
 
-    /** The solver's exp memo (pure memo state; a PowerSystem is
+    /** The walker's exp memo (pure memo state; a PowerSystem is
      *  owned by one simulation, so it needs no locking). */
     mutable ExpCache expMemo;
+    /** decayInactive()'s exp memo: the banks' own time constants. */
+    ExpCache decayMemo;
 };
 
 } // namespace capy::power

@@ -98,6 +98,22 @@ timeToEnergy(double e0, double target, const Phase &ph)
     return -tau * std::log(ratio);
 }
 
+bool
+stepMisses(double e0, double e1, double target, const Phase &ph)
+{
+    // advanceEnergy() and timeToEnergy() each land a few ulps of the
+    // largest energy involved (e0, e1, the target, |einf|) off the
+    // exact trajectory, and timeToEnergy() returns 0 for a target
+    // within kRelTol of e0. A margin of 2 kRelTol of that scale,
+    // about 9000 ulps, covers all three.
+    double scale = std::max(e0 + e1 + target, 1e-30);
+    if (!lossless(ph))
+        scale += std::abs(ph.power * (ph.leakRes * ph.capacitance * 0.5));
+    const double margin = 2.0 * kRelTol * scale;
+    return target < std::min(e0, e1) - margin ||
+           target > std::max(e0, e1) + margin;
+}
+
 PhaseStep
 phaseStep(const InputBoosterSpec &booster, double p_h, double v_h,
           const StepNode &n)

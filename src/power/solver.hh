@@ -50,10 +50,8 @@ struct Phase
  * for unchanged (dt, tau) pairs: back-to-back workloads of one fixed
  * duration on an unchanged node each step the same interval under the
  * same time constant. On the Fig. 8 GRC-Fast Fixed cell (seed
- * 20180324), 294,509 of 294,673 lookups hit, the same whether each
- * workload is predicted and then advanced or walked once
- * (PowerSystem::runLoad): a prediction's phase that ends on its stop
- * voltage takes no exp.
+ * 20180324), where every walked phase looks up one exp, 294,561 of
+ * 294,764 lookups hit.
  * Entries are keyed on the exact (dt, tau) bit patterns and store the
  * exp value computed the normal way, so a hit returns bit-identical
  * results — the memo can change nothing observable.
@@ -124,6 +122,17 @@ double advanceEnergy(double e0, const Phase &ph, double dt,
  *         positive crossing time in seconds.
  */
 double timeToEnergy(double e0, double target, const Phase &ph);
+
+/**
+ * Whether a step of @p ph from @p e0 that ends at @p e1 (what
+ * advanceEnergy() returns for it) certainly misses @p target: the
+ * target lies outside [min(e0, e1), max(e0, e1)] by more than the
+ * rounding of advanceEnergy() and timeToEnergy() together. Then
+ * timeToEnergy(e0, target, ph) exceeds the step's dt, so a walker
+ * can take the whole step without solving for the crossing. false
+ * means the target may be reached: solve.
+ */
+bool stepMisses(double e0, double e1, double target, const Phase &ph);
 
 /**
  * Asymptotic energy of the phase (P R C / 2); kNever for a lossless

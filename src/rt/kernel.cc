@@ -110,12 +110,18 @@ Kernel::completeTask(const Task *task)
 Kernel::TaskEnergyUse &
 Kernel::energyOf(const Task *task)
 {
-    for (const auto &[key, use] : energyIndex)
-        if (key == task)
-            return *use;
-    TaskEnergyUse &use = taskEnergy[task->name];
-    energyIndex.emplace_back(task, &use);
-    return use;
+    const std::size_t i = task->index;
+    if (i < energyIndex.size() && energyIndex[i].task == task)
+        return *energyIndex[i].use;
+    // The task's first attempt. The address check catches a task of
+    // another App whose index happens to be in range here.
+    capy_assert(application.taskAt(i) == task,
+                "task '%s' is not one of the kernel's app",
+                task->name.c_str());
+    if (i >= energyIndex.size())
+        energyIndex.resize(application.taskCount());
+    energyIndex[i] = {task, &taskEnergy[task->name]};
+    return *energyIndex[i].use;
 }
 
 void

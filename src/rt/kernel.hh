@@ -17,7 +17,6 @@
 #include <functional>
 #include <map>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "dev/device.hh"
@@ -124,10 +123,16 @@ class Kernel
     PreTaskGate preTaskGate;
     Stats kernelStats;
     std::map<std::string, TaskEnergyUse> taskEnergy;
-    /** Task* -> its taskEnergy node (map nodes are stable), so the
+    /** A task and its taskEnergy node (map nodes are stable). */
+    struct EnergySlot
+    {
+        const Task *task = nullptr;
+        TaskEnergyUse *use = nullptr;
+    };
+    /** By Task::index, filled on the task's first attempt, so the
      *  per-transition accounting skips the string-keyed lookup. Tasks
      *  sharing a name share a node. */
-    std::vector<std::pair<const Task *, TaskEnergyUse *>> energyIndex;
+    std::vector<EnergySlot> energyIndex;
     bool started = false;
     bool isHalted = false;
     bool inTask = false;

@@ -16,7 +16,7 @@ App::addTask(std::string name, double duration, double extra_power,
     capy_assert(body != nullptr, "task '%s': missing body",
                 name.c_str());
     tasks.push_back(Task{std::move(name), duration, extra_power, 0.0,
-                         std::move(body), sleep_after});
+                         std::move(body), sleep_after, tasks.size()});
     Task *t = &tasks.back();
     if (!entryTask)
         entryTask = t;

@@ -15,9 +15,12 @@
 #ifndef CAPY_RT_TASK_HH
 #define CAPY_RT_TASK_HH
 
+#include <cstddef>
 #include <deque>
 #include <functional>
 #include <string>
+
+#include "sim/logging.hh"
 
 namespace capy::rt
 {
@@ -59,6 +62,9 @@ struct Task
      * pacing between samples; the device stays on at sleep power).
      */
     double sleepAfter = 0.0;
+    /** Position in the owning App (App::taskAt), set by
+     *  App::addTask; per-task tables index by it. */
+    std::size_t index = 0;
 };
 
 /**
@@ -80,11 +86,21 @@ class App
 
     std::size_t taskCount() const { return tasks.size(); }
 
+    /** The task at @p index (Task::index); panics when out of range. */
+    const Task *
+    taskAt(std::size_t index) const
+    {
+        capy_assert(index < tasks.size(), "task index %zu of %zu", index,
+                    tasks.size());
+        return &tasks[index];
+    }
+
     /** Look up a task by name; nullptr when absent. */
     const Task *find(const std::string &name) const;
 
     /** Whether @p task is one of this app's tasks (audit check on a
-     *  pointer recovered from non-volatile memory). */
+     *  pointer recovered from non-volatile memory). Compares
+     *  addresses only, so it never dereferences @p task. */
     bool owns(const Task *task) const;
 
   private:

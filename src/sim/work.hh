@@ -25,6 +25,13 @@ struct WorkCounts
     /** Predictive-query walks and PowerSystem::runLoad() walks. */
     std::uint64_t queryWalks = 0;
     std::uint64_t phases = 0;  ///< phase iterations of every walk
+    /** Crossing-time solves (power::timeToEnergy) in the
+     *  PowerSystem walker; a phase that clearly misses its level and
+     *  stop (power::stepMisses) takes none. */
+    std::uint64_t solves = 0;
+    /** env::EventSchedule cursor lookups that fell back to a binary
+     *  search (a backward or a long forward jump). */
+    std::uint64_t seeks = 0;
 };
 
 /** This thread's counters; only ever incremented. */

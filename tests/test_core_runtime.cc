@@ -171,6 +171,22 @@ TEST(Runtime, FixedPolicyIgnoresAnnotations)
     EXPECT_FALSE(board.ps->bankActive(board.bigBank));
 }
 
+TEST(RuntimeDeathTest, AnnotateAfterInstallAborts)
+{
+    // install() resolves every task's annotation once; the gate would
+    // never see a later one.
+    Board board;
+    Task *t = board.app.addTask("tx", 1e-3, 0.0,
+                                [](Kernel &) -> const Task * {
+                                    return nullptr;
+                                });
+    Kernel kernel(*board.device, board.app);
+    Runtime rt(kernel, board.registry, Policy::CapyP);
+    rt.install();
+    EXPECT_DEATH(rt.annotate(t, Annotation::config(board.bigMode)),
+                 "after install");
+}
+
 TEST(Runtime, PreburstChargesBurstBanksAheadOfTime)
 {
     Board board;

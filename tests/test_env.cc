@@ -16,6 +16,7 @@
 #include "env/scoring.hh"
 #include "env/thermal.hh"
 #include "sim/random.hh"
+#include "sim/work.hh"
 
 using namespace capy;
 using namespace capy::env;
@@ -178,7 +179,68 @@ TEST(EventSchedule, LookupsMatchLinearScans)
                     << "seed " << seed << " t=" << t
                     << " len=" << len;
         }
+
+        // The cursor form, over the same instants (boundary ties
+        // included) in the orders a run makes them: forward; forward
+        // with each query followed by one up to a span earlier, on
+        // the grid so ties still tie (a gesture window opening before
+        // the last sample); and random jumps.
+        std::vector<sim::Time> forward = ts;
+        std::sort(forward.begin(), forward.end());
+        std::vector<sim::Time> jumps = ts;
+        for (std::size_t i = jumps.size(); i > 1; --i)
+            std::swap(jumps[i - 1], jumps[rng.uniformInt(0, i - 1)]);
+        for (double span : spans) {
+            std::vector<sim::Time> jittered;
+            for (sim::Time t : forward) {
+                jittered.push_back(t);
+                auto steps = std::uint64_t(span / 0.25);
+                if (steps > 0)
+                    jittered.push_back(
+                        t - 0.25 * double(rng.uniformInt(0, steps - 1)));
+            }
+            for (const auto *seq : {&forward, &jittered, &jumps}) {
+                for (double dur : durs) {
+                    EventSchedule::Cursor cursor;
+                    for (sim::Time t : *seq)
+                        ASSERT_EQ(s.eventCovering(t, dur, span, cursor),
+                                  refEventCovering(s, t, dur, span))
+                            << "seed " << seed << " order "
+                            << (seq == &forward    ? "forward"
+                                : seq == &jittered ? "jittered"
+                                                   : "jumps")
+                            << " t=" << t << " dur=" << dur
+                            << " span=" << span;
+                }
+            }
+        }
     }
+}
+
+TEST(EventSchedule, CursorSeeksOnlyOnJumps)
+{
+    // 100 events 1 s apart, each spanning 0.6 s.
+    std::vector<sim::Time> times;
+    for (int i = 0; i < 100; ++i)
+        times.push_back(double(i));
+    EventSchedule s(std::move(times));
+    EventSchedule::Cursor cursor;
+    auto seeks = [] { return sim::workCounts.seeks; };
+
+    std::uint64_t before = seeks();
+    for (int i = 0; i < 398; ++i)  // up to 99.25 s
+        s.eventCovering(0.25 * i, 0.0, 0.6, cursor);
+    EXPECT_EQ(seeks(), before) << "monotone queries scan forward";
+
+    // Back within the span of the cursor's event: still no seek.
+    EXPECT_EQ(s.eventCovering(99.5, 0.0, 0.6, cursor), 99);
+    EXPECT_EQ(s.eventCovering(99.1, 0.0, 0.6, cursor), 99);
+    EXPECT_EQ(seeks(), before);
+    // Back past an expired event, then far ahead: one seek each.
+    EXPECT_EQ(s.eventCovering(10.2, 0.0, 0.6, cursor), 10);
+    EXPECT_EQ(seeks(), before + 1);
+    EXPECT_EQ(s.eventCovering(60.3, 0.0, 0.6, cursor), 60);
+    EXPECT_EQ(seeks(), before + 2);
 }
 
 TEST(Pendulum, ProximityDuringSwingOnly)
@@ -295,6 +357,24 @@ TEST(ThermalRig, AlarmEventIsTheCoveringExcursionWhenOutOfBand)
         int covering = s.eventCovering(t, 0.0, rig.excursionDuration());
         EXPECT_EQ(rig.alarmEventAt(t), rig.outOfRange(t) ? covering : -1)
             << "t=" << t;
+    }
+}
+
+TEST(ThermalRig, ReadsDoNotDependOnQueryOrder)
+{
+    // The rig keeps a schedule cursor and its last answer; a read in
+    // any order, repeated or not, matches a fresh rig's.
+    EventSchedule s({100.0, 110.0, 400.0});
+    ThermalRig rig(s);
+    sim::Rng rng(7);
+    for (int i = 0; i < 2000; ++i) {
+        double t = rng.chance(0.7) ? 0.125 * double(rng.uniformInt(0, 4000))
+                                   : rng.uniform(0.0, 500.0);
+        ThermalRig fresh(s);
+        for (int rep = 0; rep < 2; ++rep) {
+            ASSERT_EQ(rig.temperature(t), fresh.temperature(t)) << t;
+            ASSERT_EQ(rig.alarmEventAt(t), fresh.alarmEventAt(t)) << t;
+        }
     }
 }
 

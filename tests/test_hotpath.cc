@@ -1,7 +1,7 @@
 /**
  * @file
  * Property tests for the single-core hot-path caches, the harvester
- * query cursor and the solver exp memo, and for the PowerSystem
+ * query cursor and the solver exp memos, and for the PowerSystem
  * active node they feed. Each cache is pure memoization, so each
  * test compares cached answers against a freshly recomputed oracle
  * and requires *exact* equality — a single ulp of drift would break
@@ -251,6 +251,29 @@ TEST(HotPath, ExpMemoIsExact)
         EXPECT_EQ(memo.expNegRatio(dt, tau), std::exp(-dt / tau));
         EXPECT_GE(memo.hits(), h + 1);
     }
+}
+
+TEST(HotPath, WalkerAndDecayMemosBothHit)
+{
+    // Back-to-back workloads of one length on one node, with a
+    // switched-out bank decaying alongside: each memo serves its own
+    // (dt, tau) pair, and neither evicts the other's.
+    PowerSystem ps(defaultSpec(),
+                   std::make_unique<RegulatedSupply>(5e-3, 3.3));
+    ps.addBank("small", parts::x5r100uF().parallel(4));
+    ps.addSwitchedBank("big", parts::edlc7_5mF(), SwitchSpec{});
+    ps.setBankVoltageForTest(0, 2.5);
+    ps.setBankVoltageForTest(1, 2.0);
+    ASSERT_FALSE(ps.bankActive(1));
+    ps.setRailEnabled(true);
+    constexpr double kDt = 1.0 / 1024.0;  // exact multiples
+    for (int i = 1; i <= 100; ++i) {
+        ASSERT_EQ(ps.runLoad(1e-3, i * kDt), kNever);
+        ps.advanceTo(i * kDt);
+    }
+    const PowerSystem::CacheStats st = ps.cacheStats();
+    EXPECT_GE(st.expHits, 90u);
+    EXPECT_GE(st.decayHits, 90u);
 }
 
 TEST(HotPath, NodeMatchesItsBanksAfterEveryControlCall)

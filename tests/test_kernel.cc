@@ -299,6 +299,10 @@ TEST(Kernel, TasksSharingANameShareOneEnergyEntry)
                                  return nullptr;
                              });
     rig.app.setEntry(first);
+    // Distinct tasks, so distinct dense indices, one name entry.
+    EXPECT_EQ(first->index, 0u);
+    EXPECT_EQ(second->index, 1u);
+    EXPECT_EQ(doomed->index, 2u);
     Kernel k(*rig.device, rig.app);
     k.start();
     rig.sim.runUntil(60.0);
@@ -314,6 +318,37 @@ TEST(Kernel, TasksSharingANameShareOneEnergyEntry)
     EXPECT_EQ(twin.failedAttempts, k.stats().taskRestarts);
     EXPECT_GT(twin.failedAttempts, 0u);
     EXPECT_GT(twin.wastedEnergy, 0.0);
+}
+
+TEST(KernelDeathTest, TaskOfAnotherAppIsCaught)
+{
+    // The alien task's index (0) is in range for the kernel's app, so
+    // only the address check behind the dense index can tell.
+    EXPECT_DEATH(
+        {
+            Rig rig;
+            App other;
+            const Task *alien = other.addTask(
+                "alien", 1e-3, 0.0,
+                [](Kernel &) -> const Task * { return nullptr; });
+            rig.app.addTask("home", 1e-3, 0.0,
+                            [alien](Kernel &) { return alien; });
+            Kernel k(*rig.device, rig.app);
+            k.start();
+            rig.sim.runUntil(30.0);
+        },
+        "not one of the kernel's app");
+}
+
+TEST(Kernel, AppIndexesTasksInAddOrder)
+{
+    App app;
+    for (const char *name : {"a", "b", "c"})
+        app.addTask(name, 1e-3, 0.0,
+                    [](Kernel &) -> const Task * { return nullptr; });
+    for (std::size_t i = 0; i < app.taskCount(); ++i)
+        EXPECT_EQ(app.taskAt(i)->index, i);
+    EXPECT_EQ(app.taskAt(1), app.find("b"));
 }
 
 TEST(Kernel, AppFindByName)

@@ -2,16 +2,21 @@
  * @file
  * Property tests for the closed-form transient solver: agreement with
  * fine-step RK4 integration across a parameter sweep, crossing-time
- * correctness, monotonicity, and clamping behaviour.
+ * correctness, monotonicity, and clamping behaviour; and the
+ * soundness of stepMisses(), the power walker's skip rule.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <iomanip>
 #include <tuple>
+#include <vector>
 
 #include "power/solver.hh"
 #include "power/units.hh"
+#include "sim/random.hh"
 
 using namespace capy;
 using namespace capy::power;
@@ -282,4 +287,127 @@ TEST(Solver, SemigroupProperty)
     double one_shot = advanceEnergy(e0, ph, 7.0);
     double two_step = advanceEnergy(advanceEnergy(e0, ph, 3.0), ph, 4.0);
     EXPECT_NEAR(one_shot, two_step, one_shot * 1e-12);
+}
+
+namespace
+{
+
+/** Log-uniform draw from [lo, hi). */
+double
+logUniform(sim::Rng &rng, double lo, double hi)
+{
+    return std::exp(rng.uniform(std::log(lo), std::log(hi)));
+}
+
+/** @p x stepped @p k ulps toward @p dir (k may be 0). */
+double
+ulpsFrom(double x, int k, double dir)
+{
+    for (int i = 0; i < k; ++i)
+        x = std::nextafter(x, dir);
+    return x;
+}
+
+/** A random phase, with the adversarial kinds over-represented:
+ *  lossless, zero power, and |einf| far above any stored energy. */
+Phase
+randomPhase(sim::Rng &rng)
+{
+    Phase ph;
+    ph.capacitance = logUniform(rng, 1e-6, 1.0);
+    switch (rng.uniformInt(0, 5)) {
+      case 0:  // lossless
+        break;
+      case 1:  // leak only
+        ph.leakRes = logUniform(rng, 1e2, 1e10);
+        break;
+      case 2:  // |einf| >> e0: a long time constant, strong drive
+        ph.leakRes = logUniform(rng, 1e8, 1e12);
+        ph.power = (rng.chance(0.5) ? 1.0 : -1.0) *
+                   logUniform(rng, 1e-3, 1.0);
+        break;
+      default:
+        ph.leakRes = logUniform(rng, 1e2, 1e10);
+        break;
+    }
+    if (ph.power == 0.0 && rng.chance(0.8))
+        ph.power = (rng.chance(0.5) ? 1.0 : -1.0) *
+                   logUniform(rng, 1e-8, 1e-1);
+    return ph;
+}
+
+} // namespace
+
+TEST(StepMisses, NeverClaimsAReachedTarget)
+{
+    // stepMisses() lets the power walker skip a crossing solve; it is
+    // sound only if every target it calls missed has a solved
+    // crossing time beyond the step. Targets sit where rounding
+    // decides: within 64 ulps of the step's end, within kRelTol
+    // (1e-12) of its start, at the zero clamp, and at random.
+    sim::Rng rng(20180324);
+    std::uint64_t checked = 0;  ///< random targets
+    std::uint64_t missed = 0;   ///< random targets called missed
+    for (int i = 0; i < 20000; ++i) {
+        const Phase ph = randomPhase(rng);
+        const double e0 =
+            rng.chance(0.1) ? 0.0 : logUniform(rng, 1e-9, 1.0);
+        // Long steps clamp a discharge at zero.
+        const double dt = logUniform(rng, 1e-6, 1e5);
+        const double e1 = advanceEnergy(e0, ph, dt);
+
+        std::vector<double> targets = {0.0, e0, e1};
+        for (int k : {1, 2, 3, 4, 8, 16, 32, 64,
+                      int(rng.uniformInt(5, 63))}) {
+            targets.push_back(ulpsFrom(e1, k, kNever));
+            targets.push_back(ulpsFrom(e1, k, 0.0));
+        }
+        for (double f : {0.1, 0.5, 0.9, 0.99, 1.01, 1.5, 2.0, 3.0}) {
+            targets.push_back(e0 * (1.0 + f * 1e-12));
+            targets.push_back(e0 * (1.0 - f * 1e-12));
+        }
+        // Last: random targets, which are mostly clear of the step.
+        const std::size_t n_edge = targets.size();
+        for (int j = 0; j < 4; ++j)
+            targets.push_back(rng.uniform(0.0, 2.0 * std::max(e0, e1)));
+
+        for (std::size_t j = 0; j < targets.size(); ++j) {
+            const double target = targets[j];
+            if (target < 0.0)
+                continue;
+            checked += j >= n_edge;
+            if (!stepMisses(e0, e1, target, ph))
+                continue;
+            missed += j >= n_edge;
+            ASSERT_GT(timeToEnergy(e0, target, ph), dt)
+                << "case " << i << std::setprecision(17) << ": e0=" << e0
+                << " e1=" << e1 << " target=" << target << " dt=" << dt
+                << " P=" << ph.power << " R=" << ph.leakRes
+                << " C=" << ph.capacitance;
+        }
+    }
+    // The predicate must also skip: most random targets are clear.
+    EXPECT_GT(missed, checked / 2);
+}
+
+TEST(StepMisses, HandPickedEdges)
+{
+    // Lossless charge: the step ends at 2e-3; one just past is not
+    // provably missed, one well past is.
+    const Phase charge{1e-3, 1e-3};
+    EXPECT_FALSE(stepMisses(1e-3, 2e-3, 2e-3 * (1 + 1e-15), charge));
+    EXPECT_TRUE(stepMisses(1e-3, 2e-3, 2.1e-3, charge));
+    // Behind the start within kRelTol: timeToEnergy() answers 0.
+    EXPECT_FALSE(stepMisses(1e-3, 2e-3, 1e-3 * (1 - 5e-13), charge));
+    // A discharge clamped at zero reaches every level below e0.
+    const Phase drain{-1.0, 1e-3, 1e5};
+    const double e1 = advanceEnergy(1e-3, drain, 1.0);
+    EXPECT_EQ(e1, 0.0);
+    EXPECT_FALSE(stepMisses(1e-3, e1, 0.0, drain));
+    EXPECT_FALSE(stepMisses(1e-3, e1, 5e-4, drain));
+    EXPECT_TRUE(stepMisses(1e-3, e1, 2e-3, drain));
+    // Zero power, lossless: the node stays put.
+    const Phase idle{0.0, 1e-3};
+    EXPECT_TRUE(stepMisses(1e-3, 1e-3, 0.5e-3, idle));
+    EXPECT_FALSE(stepMisses(1e-3, 1e-3, 1e-3, idle));
 }

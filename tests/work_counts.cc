@@ -18,6 +18,11 @@
  *   queries      predictive-query walks (one per timeToVoltage call)
  *                and runLoad walks (one per device workload or boot)
  *   phases       phase iterations of the power walker, all uses
+ *   solves       crossing-time solves (power::timeToEnergy) in the
+ *                power walker; a phase whose step clearly misses its
+ *                level and stop (power::stepMisses) takes none
+ *   seeks        env::EventSchedule cursor lookups that fell back to
+ *                a binary search
  *   cb_heap      sim::Callback heap fallbacks
  *   new          operator new calls
  *   heap_peak    peak live bytes requested through operator new
@@ -164,14 +169,17 @@ measure(const std::string &name, Run &&run)
         return (unsigned long long)(y - x);
     };
     std::printf("%-14s events=%llu transitions=%llu crc=%llu "
-                "advances=%llu queries=%llu phases=%llu cb_heap=%llu "
-                "new=%llu heap_peak=%llu out=%016llx\n",
+                "advances=%llu queries=%llu phases=%llu solves=%llu "
+                "seeks=%llu cb_heap=%llu new=%llu heap_peak=%llu "
+                "out=%016llx\n",
                 name.c_str(), (unsigned long long)events,
                 (unsigned long long)transitions,
                 delta(a.work.crcCalls, b.work.crcCalls),
                 delta(a.work.advanceWalks, b.work.advanceWalks),
                 delta(a.work.queryWalks, b.work.queryWalks),
                 delta(a.work.phases, b.work.phases),
+                delta(a.work.solves, b.work.solves),
+                delta(a.work.seeks, b.work.seeks),
                 delta(a.callbackHeap, b.callbackHeap),
                 delta(a.news, b.news),
                 (unsigned long long)(peakBytes - a.live),
