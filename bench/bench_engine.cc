@@ -2,7 +2,8 @@
  * @file
  * Engine microbenchmarks (google-benchmark) for layer work: the
  * event-queue hot path (schedule / cancel / runNext, callback
- * dispatch), nested simulator chains, the RNG, and TempAlarm sweep
+ * dispatch), one-event simulator chains through an owned Event and
+ * through a Callback per event, the RNG, and TempAlarm sweep
  * throughput at 1 thread vs the sweep pool. Timings are for
  * exploring one layer; the end-to-end perf figures come from
  * e2ebench, and the tier-1 gate is the exact work counts of
@@ -12,7 +13,6 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
-#include <functional>
 
 #include "apps/ta.hh"
 #include "env/events.hh"
@@ -106,23 +106,64 @@ BM_CallbackInlineDispatch(benchmark::State &state)
 }
 BENCHMARK(BM_CallbackInlineDispatch);
 
+/** A 1000-event self-rescheduling chain, the device's one-pending-
+ *  event pattern, through an owned sim::Event. */
+struct OwnedChain
+{
+    sim::Simulator &sim;
+    int depth = 0;
+    sim::Event ev{[](void *c) { static_cast<OwnedChain *>(c)->step(); },
+                  this};
+
+    void
+    step()
+    {
+        if (++depth < 1000)
+            sim.schedule(0.001, ev);
+    }
+};
+
 void
-BM_SimulatorNestedChain(benchmark::State &state)
+BM_OwnedEventChain(benchmark::State &state)
 {
     for (auto _ : state) {
         sim::Simulator s;
-        int depth = 0;
-        std::function<void()> chain = [&] {
-            if (++depth < 1000)
-                s.schedule(0.001, chain);
-        };
-        s.schedule(0.0, chain);
+        OwnedChain chain{s};
+        s.schedule(0.0, chain.ev);
         s.run();
-        benchmark::DoNotOptimize(depth);
+        benchmark::DoNotOptimize(chain.depth);
     }
     state.SetItemsProcessed(state.iterations() * 1000);
 }
-BENCHMARK(BM_SimulatorNestedChain);
+BENCHMARK(BM_OwnedEventChain);
+
+/** The same chain as a fresh [this] Callback per event. */
+struct CallbackChain
+{
+    sim::Simulator &sim;
+    int depth = 0;
+
+    void
+    step()
+    {
+        if (++depth < 1000)
+            sim.schedule(0.001, [this] { step(); });
+    }
+};
+
+void
+BM_CallbackEventChain(benchmark::State &state)
+{
+    for (auto _ : state) {
+        sim::Simulator s;
+        CallbackChain chain{s};
+        s.schedule(0.0, [&chain] { chain.step(); });
+        s.run();
+        benchmark::DoNotOptimize(chain.depth);
+    }
+    state.SetItemsProcessed(state.iterations() * 1000);
+}
+BENCHMARK(BM_CallbackEventChain);
 
 void
 BM_RngExponential(benchmark::State &state)

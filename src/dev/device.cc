@@ -20,7 +20,9 @@ Device::Device(sim::Simulator &simulator,
                std::unique_ptr<power::PowerSystem> power_system,
                McuSpec mcu_spec, PowerMode power_mode)
     : sim(simulator), ps(std::move(power_system)),
-      mcuSpec(std::move(mcu_spec)), mode(power_mode)
+      mcuSpec(std::move(mcu_spec)), mode(power_mode),
+      pending([](void *dev) { static_cast<Device *>(dev)->onPending(); },
+              this)
 {
     capy_assert(ps != nullptr, "device needs a power system");
 }
@@ -30,6 +32,35 @@ Device::setHooks(Hooks h)
 {
     capy_assert(state == State::Idle, "hooks must be set before start()");
     hooks = std::move(h);
+}
+
+void
+Device::schedulePending(Pending kind, sim::Time at)
+{
+    pendingKind = kind;
+    sim.scheduleAt(at, pending);
+}
+
+void
+Device::onPending()
+{
+    switch (pendingKind) {
+      case Pending::BootDone:
+        onBootDone();
+        break;
+      case Pending::ChargeWake:
+        onChargeWake();
+        break;
+      case Pending::BootBrownOut:
+        failPower(true);
+        break;
+      case Pending::RunBrownOut:
+        failPower(false);
+        break;
+      case Pending::WorkloadDone:
+        onWorkloadDone();
+        break;
+    }
 }
 
 void
@@ -60,8 +91,7 @@ Device::start()
         // Bench supply: the rail is always available.
         state = State::Booting;
         activity.open(sim.now(), "boot");
-        pendingEvent = sim.schedule(mcuSpec.bootTime,
-                                    [this] { onBootDone(); });
+        schedulePending(Pending::BootDone, sim.now() + mcuSpec.bootTime);
         return;
     }
     enterCharging();
@@ -103,13 +133,12 @@ Device::scheduleChargeWake()
         state = State::Dead;
         return;
     }
-    pendingEvent = sim.scheduleAt(wake, [this] { onChargeWake(); });
+    schedulePending(Pending::ChargeWake, wake);
 }
 
 void
 Device::onChargeWake()
 {
-    pendingEvent = sim::kInvalidEvent;
     ps->advanceTo(sim.now());
     double v = ps->storageVoltage();
     double v_start = ps->startupVoltage(mcuSpec.activePower);
@@ -147,20 +176,15 @@ Device::beginBoot()
     sim::Time t_bo =
         ps->runLoad(mcuSpec.activePower, sim.now() + mcuSpec.bootTime);
     if (t_bo < mcuSpec.bootTime - kRaceTol) {
-        pendingIsFail = true;
-        pendingEvent =
-            sim.schedule(t_bo, [this] { failPower(true); });
+        schedulePending(Pending::BootBrownOut, sim.now() + t_bo);
         return;
     }
-    pendingIsFail = false;
-    pendingEvent =
-        sim.schedule(mcuSpec.bootTime, [this] { onBootDone(); });
+    schedulePending(Pending::BootDone, sim.now() + mcuSpec.bootTime);
 }
 
 void
 Device::onBootDone()
 {
-    pendingEvent = sim::kInvalidEvent;
     state = State::On;
     ++devStats.boots;
     if (mode == PowerMode::Intermittent) {
@@ -190,32 +214,30 @@ Device::runWorkload(double rail_power, double duration,
     workloadActive = true;
     workloadDone = std::move(on_complete);
 
+    sim::Time t_end = sim.now() + duration;
     if (mode == PowerMode::Continuous) {
-        pendingIsFail = false;
-        pendingEvent =
-            sim.schedule(duration, [this] { onWorkloadDone(); });
+        schedulePending(Pending::WorkloadDone, t_end);
         return;
     }
 
-    ps->advanceTo(sim.now());
+    // The last event usually left the power system at this instant
+    // (a completion or boot advances it), so there is nothing to walk.
+    if (ps->time() != sim.now())
+        ps->advanceTo(sim.now());
     // One walk: the brown-out instant, or the end state
     // onWorkloadDone()'s advance commits.
-    sim::Time t_bo = ps->runLoad(rail_power, sim.now() + duration);
+    sim::Time t_bo = ps->runLoad(rail_power, t_end);
     if (t_bo < duration - kRaceTol) {
         ++devStats.workloadsAborted;
-        pendingIsFail = true;
-        pendingEvent =
-            sim.schedule(t_bo, [this] { failPower(false); });
+        schedulePending(Pending::RunBrownOut, sim.now() + t_bo);
         return;
     }
-    pendingIsFail = false;
-    pendingEvent = sim.schedule(duration, [this] { onWorkloadDone(); });
+    schedulePending(Pending::WorkloadDone, t_end);
 }
 
 void
 Device::onWorkloadDone()
 {
-    pendingEvent = sim::kInvalidEvent;
     workloadActive = false;
     if (mode == PowerMode::Intermittent) {
         ps->advanceTo(sim.now());
@@ -233,8 +255,6 @@ Device::onWorkloadDone()
 void
 Device::failPower(bool during_boot)
 {
-    pendingEvent = sim::kInvalidEvent;
-    pendingIsFail = false;
     workloadActive = false;
     workloadDone = sim::Callback();
     ++devStats.powerFailures;
@@ -266,12 +286,12 @@ Device::injectPowerFailure(FailureKind kind)
     if (state != State::On && state != State::Booting)
         return false;  // a supply fault is invisible to an off device
     bool during_boot = (state == State::Booting);
-    bool physics_claimed_abort = pendingIsFail;
-    if (pendingEvent != sim::kInvalidEvent) {
-        sim.cancel(pendingEvent);
-        pendingEvent = sim::kInvalidEvent;
-        pendingIsFail = false;
-    }
+    // A pending brown-out's abort was already accounted when the
+    // physics predicted it.
+    bool physics_claimed_abort =
+        pending.scheduled() && (pendingKind == Pending::BootBrownOut ||
+                                pendingKind == Pending::RunBrownOut);
+    sim.cancel(pending);
     if (!during_boot) {
         if (workloadActive) {
             // The physics pre-counts an abort when it predicts one at
@@ -299,11 +319,7 @@ Device::powerDown()
 {
     capy_assert(state == State::On,
                 "powerDown while the device is not on");
-    if (pendingEvent != sim::kInvalidEvent) {
-        sim.cancel(pendingEvent);
-        pendingEvent = sim::kInvalidEvent;
-        pendingIsFail = false;
-    }
+    sim.cancel(pending);
     workloadActive = false;
     workloadDone = sim::Callback();
     if (observer.onRailDown)
@@ -312,8 +328,7 @@ Device::powerDown()
         // A continuously-powered board "recharges" instantly: reboot.
         state = State::Booting;
         transitionSpan("boot");
-        pendingEvent = sim.schedule(mcuSpec.bootTime,
-                                    [this] { onBootDone(); });
+        schedulePending(Pending::BootDone, sim.now() + mcuSpec.bootTime);
         return;
     }
     enterCharging();

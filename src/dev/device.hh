@@ -192,6 +192,20 @@ class Device
         Dead,      ///< provably unable to ever boot
     };
 
+    /** What the device's one pending event does when it fires. */
+    enum class Pending
+    {
+        BootDone,         ///< onBootDone()
+        ChargeWake,       ///< onChargeWake()
+        BootBrownOut,     ///< failPower(true)
+        RunBrownOut,      ///< failPower(false)
+        WorkloadDone,     ///< onWorkloadDone()
+    };
+
+    /** Schedule the pending event as @p kind at absolute time @p at. */
+    void schedulePending(Pending kind, sim::Time at);
+    void onPending();
+
     void enterCharging();
     void scheduleChargeWake();
     void onChargeWake();
@@ -209,10 +223,11 @@ class Device
     Hooks hooks;
     Observer observer;
     State state = State::Idle;
-    sim::EventId pendingEvent = sim::kInvalidEvent;
-    /** The pending event is a scheduled failPower(): its abort was
-     *  already accounted when the physics predicted it. */
-    bool pendingIsFail = false;
+    /** The device's one pending event (a boot, charge wake, brown-out
+     *  or workload completion) and what it does; destroying the
+     *  device cancels it. */
+    sim::Event pending;
+    Pending pendingKind = Pending::BootDone;
     /** A workload is in flight (runWorkload scheduled, not resolved). */
     bool workloadActive = false;
     /** The in-flight workload's continuation; reset on any abort. */

@@ -55,7 +55,8 @@ PowerSystem::PowerSystem(Spec system_spec,
 int
 PowerSystem::addBank(const std::string &name, const CapacitorSpec &cap)
 {
-    banks.push_back(BankState{CapacitorBank(name, cap), std::nullopt});
+    banks.push_back(BankState{CapacitorBank(name, cap), std::nullopt,
+                              cap.leakageResistance()});
     stage.reset();
     compose();
     return static_cast<int>(banks.size()) - 1;
@@ -67,7 +68,8 @@ PowerSystem::addSwitchedBank(const std::string &name,
                              const SwitchSpec &sw)
 {
     banks.push_back(BankState{CapacitorBank(name, cap),
-                              BankSwitch(sw, lastTime)});
+                              BankSwitch(sw, lastTime),
+                              cap.leakageResistance()});
     stage.reset();
     compose();
     return static_cast<int>(banks.size()) - 1;
@@ -104,8 +106,7 @@ bool
 PowerSystem::bankActive(int idx) const
 {
     capy_assert(idx >= 0 && idx < numBanks(), "bank index %d", idx);
-    const BankState &bs = banks[static_cast<std::size_t>(idx)];
-    return bs.sw ? bs.sw->closed() : true;
+    return banks[static_cast<std::size_t>(idx)].active();
 }
 
 PowerSystem::CacheStats
@@ -122,15 +123,14 @@ PowerSystem::compose()
     top = std::min(spec.maxStorageVoltage, chargeCeiling);
     double inv_leak = 0.0;
     double inv_esr = 0.0;
-    for (int i = 0; i < numBanks(); ++i) {
-        if (!bankActive(i))
+    for (const BankState &bs : banks) {
+        if (!bs.active())
             continue;
-        const CapacitorBank &b = bank(i);
+        const CapacitorBank &b = bs.bank;
         node.energy += b.energy();
         node.capacitance += b.capacitance();
-        double leak_r = b.spec().leakageResistance();
-        if (std::isfinite(leak_r) && leak_r > 0.0)
-            inv_leak += 1.0 / leak_r;
+        if (std::isfinite(bs.leakRes) && bs.leakRes > 0.0)
+            inv_leak += 1.0 / bs.leakRes;
         if (b.esr() > 0.0)
             inv_esr += 1.0 / b.esr();
         else
@@ -155,10 +155,10 @@ PowerSystem::writeback()
     // banks hold. Keeping the walked total moves the grcf_capyp and
     // csr_capyp digests of the work-count gate.
     double sum = 0.0;
-    for (int i = 0; i < numBanks(); ++i) {
-        if (!bankActive(i))
+    for (BankState &bs : banks) {
+        if (!bs.active())
             continue;
-        CapacitorBank &b = banks[static_cast<std::size_t>(i)].bank;
+        CapacitorBank &b = bs.bank;
         b.setEnergy(node.energy * b.capacitance() / node.capacitance);
         sum += b.energy();
     }
@@ -247,12 +247,10 @@ PowerSystem::walkSegment(Node &n, sim::Time t0, double span,
 void
 PowerSystem::decayInactive(double dt)
 {
-    for (int i = 0; i < numBanks(); ++i) {
-        if (bankActive(i))
+    for (BankState &bs : banks) {
+        if (bs.active())
             continue;
-        BankState &bs = banks[static_cast<std::size_t>(i)];
-        double leak_r = bs.bank.spec().leakageResistance();
-        Phase phase{0.0, bs.bank.capacitance(), leak_r};
+        Phase phase{0.0, bs.bank.capacitance(), bs.leakRes};
         double e0 = bs.bank.energy();
         double e1 = advanceEnergy(e0, phase, dt, &decayMemo);
         bs.bank.setEnergy(e1);
@@ -279,9 +277,9 @@ void
 PowerSystem::rebuildAfterReconfig()
 {
     std::vector<CapacitorBank *> active;
-    for (int i = 0; i < numBanks(); ++i) {
-        if (bankActive(i))
-            active.push_back(&banks[static_cast<std::size_t>(i)].bank);
+    for (BankState &bs : banks) {
+        if (bs.active())
+            active.push_back(&bs.bank);
     }
     if (active.size() > 1)
         energyStats.sharingLoss += equalizeParallel(active);
@@ -327,7 +325,8 @@ PowerSystem::advanceTo(sim::Time t)
         capy_assert(++guard < 1000000,
                     "advanceTo failed to make progress at t=%g",
                     lastTime);
-        double dt_max = segmentSpan(lastTime, t);
+        // The staged segment's span is the one runLoad() took.
+        double dt_max = staged ? staged->span : segmentSpan(lastTime, t);
 
         if (dt_max > 0.0) {
             if (node.valid) {
@@ -576,7 +575,7 @@ PowerSystem::runLoad(double watts, sim::Time t_end)
     ++sim::workCounts.queryWalks;
     Node n = node;
     Stop stop{floor_v};
-    Staged end{lastTime, t_end, 0.0, energyStats};
+    Staged end{lastTime, t_end, 0.0, 0.0, energyStats};
     sim::Time t_abs = lastTime;
     for (int guard = 0; t_abs < t_end; ++guard) {
         capy_assert(guard < 1000000,
@@ -588,6 +587,7 @@ PowerSystem::runLoad(double watts, sim::Time t_end)
         if (walkSegment(n, t_abs, span, &stop, acc))
             return stop.elapsed;
         if (acc) {
+            end.span = span;
             end.energy = n.energy;
             stage = end;
         }

@@ -285,6 +285,10 @@ class PowerSystem
     {
         CapacitorBank bank;
         std::optional<BankSwitch> sw;
+        /** The bank's leakage resistance, ohm (may be inf). */
+        double leakRes;
+
+        bool active() const { return !sw || sw->closed(); }
     };
 
     /** The active banks as one capacitor. */
@@ -364,6 +368,7 @@ class PowerSystem
     {
         sim::Time from;
         sim::Time to;
+        double span;        ///< the first segment's length
         double energy;      ///< active-node energy after the segment
         EnergyStats stats;  ///< energyStats after the segment
     };

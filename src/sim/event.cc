@@ -4,68 +4,138 @@
 #include <utility>
 
 #include "sim/logging.hh"
+#include "sim/work.hh"
 
 namespace capy::sim
 {
+
+Event::~Event()
+{
+    if (records > 0)
+        queue->purge(*this);
+}
+
+EventQueue::~EventQueue()
+{
+    // Owned events that outlive the queue keep no pointer into it.
+    for (const Record &rec : heap) {
+        rec.ev->records = 0;
+        rec.ev->liveSeq = Event::kIdle;
+    }
+    heap.clear();
+}
+
+void
+EventQueue::schedule(Time when, Event &ev)
+{
+    capy_assert(!ev.scheduled(), "scheduled an already pending event");
+    capy_assert(ev.records == 0 || ev.queue == this,
+                "event still held by another queue");
+    ev.queue = this;
+    ev.liveSeq = nextSeq;
+    ++ev.records;
+    heap.push_back(Record{when, nextSeq++, &ev});
+    std::push_heap(heap.begin(), heap.end(), Later{});
+    ++pendingCount;
+}
 
 EventId
 EventQueue::schedule(Time when, Callback &&fn)
 {
     capy_assert(static_cast<bool>(fn), "scheduled a null callback");
-    std::uint32_t slot;
+    ++workCounts.callbackEvents;
+    std::uint32_t idx;
     if (!freeSlots.empty()) {
-        slot = freeSlots.back();
+        idx = freeSlots.back();
         freeSlots.pop_back();
     } else {
-        slot = std::uint32_t(slots.size());
-        slots.emplace_back();
+        idx = std::uint32_t(slots.size());
+        slots.push_back(std::make_unique<Slot>(this, idx));
     }
-    Slot &s = slots[slot];
+    Slot &s = *slots[idx];
     s.fn = std::move(fn);
-    s.live = true;
-    EventId id = makeId(slot, s.gen);
-    heap.push_back(Record{when, nextSeq++, id});
-    std::push_heap(heap.begin(), heap.end(), Later{});
-    ++pendingCount;
-    return id;
+    schedule(when, s.ev);
+    return makeId(idx, s.gen);
+}
+
+void
+EventQueue::Slot::run(void *slot)
+{
+    auto *s = static_cast<Slot *>(slot);
+    Callback fn = std::move(s->fn);
+    s->queue->retire(*s);
+    fn();
+}
+
+bool
+EventQueue::cancel(Event &ev)
+{
+    if (!ev.scheduled())
+        return false;
+    capy_assert(ev.queue == this, "cancelled another queue's event");
+    // The heap record becomes stale and is dropped lazily when it
+    // reaches the head.
+    ev.liveSeq = Event::kIdle;
+    --pendingCount;
+    return true;
+}
+
+EventQueue::Slot *
+EventQueue::slotFor(EventId id) const
+{
+    if (id == kInvalidEvent)
+        return nullptr;
+    std::uint32_t idx = std::uint32_t(id & 0xffffffffu) - 1;
+    if (idx >= slots.size())
+        return nullptr;
+    Slot *s = slots[idx].get();
+    if (s->gen != std::uint32_t(id >> 32) || !s->ev.scheduled())
+        return nullptr;
+    return s;
 }
 
 bool
 EventQueue::cancel(EventId id)
 {
-    if (id == kInvalidEvent)
+    Slot *s = slotFor(id);
+    if (!s)
         return false;
-    std::uint32_t slot = slotOf(id);
-    if (slot >= slots.size())
-        return false;
-    Slot &s = slots[slot];
-    if (!s.live || s.gen != genOf(id))
-        return false;
-    // The heap record becomes stale and is dropped lazily when it
-    // reaches the head; the callback's captures are released now and
-    // the slot is reusable immediately.
-    s.fn = Callback();
-    retire(slot);
+    cancel(s->ev);
+    // The callback's captures are released now and the slot is
+    // reusable immediately.
+    s->fn = Callback();
+    retire(*s);
     return true;
 }
 
 bool
 EventQueue::isPending(EventId id) const
 {
-    if (id == kInvalidEvent)
-        return false;
-    std::uint32_t slot = slotOf(id);
-    return slot < slots.size() && slots[slot].live &&
-           slots[slot].gen == genOf(id);
+    return slotFor(id) != nullptr;
+}
+
+void
+EventQueue::popHead() const
+{
+    --heap.front().ev->records;
+    std::pop_heap(heap.begin(), heap.end(), Later{});
+    heap.pop_back();
 }
 
 void
 EventQueue::skipCancelled() const
 {
-    while (!heap.empty() && stale(heap.front())) {
-        std::pop_heap(heap.begin(), heap.end(), Later{});
-        heap.pop_back();
-    }
+    while (!heap.empty() && heap.front().seq != heap.front().ev->liveSeq)
+        popHead();
+}
+
+void
+EventQueue::purge(Event &ev)
+{
+    cancel(ev);
+    std::erase_if(heap, [&ev](const Record &rec) { return rec.ev == &ev; });
+    std::make_heap(heap.begin(), heap.end(), Later{});
+    ev.records = 0;
 }
 
 bool
@@ -83,30 +153,28 @@ EventQueue::nextTime() const
     return heap.front().when;
 }
 
-Callback
+Event *
 EventQueue::popDue(Time until, Time &when)
 {
-    Callback fn;  // the only object returned, so it is constructed in place
     skipCancelled();
     if (heap.empty() || heap.front().when > until)
-        return fn;
+        return nullptr;
     when = heap.front().when;
-    std::uint32_t slot = slotOf(heap.front().id);
-    std::pop_heap(heap.begin(), heap.end(), Later{});
-    heap.pop_back();
-    fn = std::move(slots[slot].fn);
-    retire(slot);
+    Event *ev = heap.front().ev;
+    popHead();
+    ev->liveSeq = Event::kIdle;
+    --pendingCount;
     ++numExecuted;
-    return fn;
+    return ev;
 }
 
 Time
 EventQueue::runNext()
 {
     Time when = 0.0;
-    Callback fn = popDue(kForever, when);
-    capy_assert(static_cast<bool>(fn), "runNext() on an empty event queue");
-    fn();
+    Event *ev = popDue(kForever, when);
+    capy_assert(ev != nullptr, "runNext() on an empty event queue");
+    ev->fire();
     return when;
 }
 

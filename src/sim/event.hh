@@ -1,17 +1,22 @@
 /**
  * @file
- * Discrete-event queue: time-ordered callbacks with stable FIFO
- * ordering among simultaneous events and O(1) cancellation.
+ * Discrete-event queue: time-ordered events with stable FIFO ordering
+ * among simultaneous events and O(1) cancellation.
  *
- * Bookkeeping uses generation-counted slots instead of hash sets:
- * every event occupies a slot that holds its callback and a
- * generation counter bumped when the event runs or is cancelled. The
- * heap orders plain {when, seq, id} records, so sifting moves no
- * callable; a record whose embedded generation no longer matches its
- * slot is stale and gets skipped lazily at the head of the heap.
- * Cancel is a counter bump that also frees the callback, and slots
- * recycle through a free list, so long-lived simulators with heavy
- * cancel traffic retain no tombstone state.
+ * An event is an Event object owned by the component it wakes: a
+ * handler function pointer and a context. The queue's heap orders
+ * plain {when, seq, event} records, so scheduling builds, moves and
+ * destroys no callable; a record whose seq is not its event's
+ * current one is stale (the event ran, was cancelled or was
+ * rescheduled) and gets skipped lazily at the head of the heap. A
+ * record never outlives its event: ~Event purges the event's records,
+ * a heap scan paid at teardown only.
+ *
+ * Callback events (schedule(Time, Callback)) are pooled Events in the
+ * same queue, one per slot of a generation-counted slot table: the
+ * slot holds the callback, and an EventId names (generation, slot).
+ * Slots recycle through a free list, so long-lived simulators with
+ * heavy cancel traffic retain no tombstone state.
  */
 
 #ifndef CAPY_SIM_EVENT_HH
@@ -19,6 +24,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include "sim/callback.hh"
@@ -32,28 +38,97 @@ using Time = double;
 /** A time no event comes after (popDue's limit for "any event"). */
 inline constexpr Time kForever = std::numeric_limits<Time>::infinity();
 
-/** Handle identifying a scheduled event; 0 is never a valid id. */
+/** Handle identifying a scheduled Callback event; 0 is never valid. */
 using EventId = std::uint64_t;
 
 /** Sentinel id meaning "no event". */
 inline constexpr EventId kInvalidEvent = 0;
 
+class EventQueue;
+
 /**
- * Min-heap of timestamped callbacks. Events scheduled for the same
- * instant run in scheduling order. Cancelled events are skipped lazily
- * when they reach the head of the heap.
+ * An event owned by its component: handler(ctx) runs when it fires.
+ * At most one occurrence is pending at a time; it may be rescheduled
+ * once it has run or been cancelled, including from its own handler.
+ * Not copyable or movable: the queue's records point at it.
+ */
+class Event
+{
+  public:
+    using Handler = void (*)(void *ctx);
+
+    Event(Handler fn, void *context) noexcept
+        : handler(fn), ctx(context)
+    {}
+
+    /** Cancels the event and purges its records from the queue. */
+    ~Event();
+
+    Event(const Event &) = delete;
+    Event &operator=(const Event &) = delete;
+
+    /** Whether an occurrence is pending (scheduled, not yet run or
+     *  cancelled). */
+    bool scheduled() const { return liveSeq != kIdle; }
+
+    /** Run the handler; the queue's runners call this on the event
+     *  popDue() returned. */
+    void fire() { handler(ctx); }
+
+  private:
+    friend class EventQueue;
+
+    static constexpr std::uint64_t kIdle =
+        std::numeric_limits<std::uint64_t>::max();
+
+    Handler handler;
+    void *ctx;
+    /** The queue holding this event's records (valid while
+     *  records > 0). */
+    EventQueue *queue = nullptr;
+    /** seq of the pending occurrence's record, or kIdle. */
+    std::uint64_t liveSeq = kIdle;
+    /** Heap records pointing here, live or stale. */
+    std::uint32_t records = 0;
+};
+
+/**
+ * Min-heap of timestamped events. Events scheduled for the same
+ * instant run in scheduling order, owned and Callback events alike.
+ * Cancelled events are skipped lazily when they reach the head of the
+ * heap.
  */
 class EventQueue
 {
   public:
+    EventQueue() = default;
+    /** Detaches the events still holding records. */
+    ~EventQueue();
+
+    EventQueue(const EventQueue &) = delete;
+    EventQueue &operator=(const EventQueue &) = delete;
+
     /**
-     * Schedule @p fn to run at absolute time @p when.
+     * Schedule @p ev to fire at absolute time @p when.
+     * @pre !ev.scheduled().
+     */
+    void schedule(Time when, Event &ev);
+
+    /**
+     * Schedule @p fn to run at absolute time @p when, as a pooled
+     * event.
      * @return a handle usable with cancel().
      */
     EventId schedule(Time when, Callback &&fn);
 
     /**
-     * Cancel a previously scheduled event.
+     * Cancel @p ev's pending occurrence.
+     * @retval true if it was pending and is now cancelled.
+     */
+    bool cancel(Event &ev);
+
+    /**
+     * Cancel a previously scheduled Callback event.
      * @retval true if the event was pending and is now cancelled.
      * @retval false if it already ran, was already cancelled, or the
      *         handle is invalid.
@@ -67,19 +142,21 @@ class EventQueue
     Time nextTime() const;
 
     /**
-     * Pop the earliest pending event and run its callback.
+     * Pop the earliest pending event and fire it.
      * @return the time at which the event ran.
      */
     Time runNext();
 
     /**
      * Pop the earliest pending event if it is due at or before
-     * @p until: store its time in @p when and return its callback,
-     * counted as executed and already retired from its slot, so
-     * running it may schedule into that slot or grow the slot table.
-     * @return an empty Callback when no event is due.
+     * @p until: store its time in @p when and return it, counted as
+     * executed and no longer scheduled, for the caller to fire().
+     * Firing a Callback event retires its slot before the callback
+     * runs, so running it may schedule into that slot or grow the
+     * slot table.
+     * @return nullptr when no event is due.
      */
-    Callback popDue(Time until, Time &when);
+    Event *popDue(Time until, Time &when);
 
     /** Number of events executed so far. */
     std::uint64_t executed() const { return numExecuted; }
@@ -92,7 +169,7 @@ class EventQueue
 
     /** Slots allocated over the queue's lifetime (bookkeeping bound:
      *  never exceeds the peak number of simultaneously pending
-     *  events). */
+     *  Callback events). */
     std::size_t slotCapacity() const { return slots.size(); }
 
     /**
@@ -108,22 +185,33 @@ class EventQueue
     }
 
   private:
+    friend class Event;
+
     /** Heap entry: plain data, ordered by (when, seq). */
     struct Record
     {
         Time when;
         std::uint64_t seq;
-        EventId id;
+        Event *ev;
     };
 
-    /** An event's callback and liveness: gen changes whenever the
-     *  slot's current event ends (runs or is cancelled), invalidating
-     *  old handles and any stale heap record. */
+    /** A Callback event: the pooled Event that runs fn. gen changes
+     *  whenever the slot's current event ends (runs or is
+     *  cancelled), invalidating old handles. */
     struct Slot
     {
+        Slot(EventQueue *q, std::uint32_t idx)
+            : ev(&Slot::run, this), queue(q), index(idx)
+        {}
+
+        /** Move the callback out, retire the slot, then run it. */
+        static void run(void *slot);
+
+        Event ev;
         Callback fn;
+        EventQueue *queue;
+        std::uint32_t index;
         std::uint32_t gen = 0;
-        bool live = false;
     };
 
     struct Later
@@ -145,44 +233,30 @@ class EventQueue
         return (EventId(gen) << 32) | EventId(slot + 1);
     }
 
-    static std::uint32_t
-    slotOf(EventId id)
-    {
-        return std::uint32_t(id & 0xffffffffu) - 1;
-    }
+    /** The live slot @p id names, or nullptr. */
+    Slot *slotFor(EventId id) const;
 
-    static std::uint32_t
-    genOf(EventId id)
-    {
-        return std::uint32_t(id >> 32);
-    }
-
-    /** A heap record whose slot moved on (ran/cancelled/recycled). */
-    bool
-    stale(const Record &rec) const
-    {
-        const Slot &s = slots[slotOf(rec.id)];
-        return !s.live || s.gen != genOf(rec.id);
-    }
-
-    /** Retire @p slot: invalidate its handles and recycle it. The
-     *  callback must already be moved out or reset. */
+    /** Invalidate @p s's handles and recycle it. */
     void
-    retire(std::uint32_t slot)
+    retire(Slot &s)
     {
-        Slot &s = slots[slot];
-        s.live = false;
         ++s.gen;
-        freeSlots.push_back(slot);
-        --pendingCount;
+        freeSlots.push_back(s.index);
     }
+
+    /** Pop the head record. */
+    void popHead() const;
 
     /** Drop stale records from the head of the heap. */
     void skipCancelled() const;
 
+    /** Remove every record of @p ev (its destructor's cleanup). */
+    void purge(Event &ev);
+
     /** Binary min-heap under Later (std::push_heap/pop_heap). */
     mutable std::vector<Record> heap;
-    std::vector<Slot> slots;
+    /** Heap-allocated so an Event's address survives table growth. */
+    std::vector<std::unique_ptr<Slot>> slots;
     std::vector<std::uint32_t> freeSlots;
     std::size_t pendingCount = 0;
     std::uint64_t nextSeq = 0;

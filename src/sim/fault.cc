@@ -60,7 +60,8 @@ FaultInjector::FaultInjector(Simulator &simulator, FaultPlan plan_in,
     for (Time t : plan.times) {
         if (t < sim.now())
             continue;  // pre-start instants can never fire
-        sim.scheduleAt(t, [this] { attempt(); });
+        timedAttempts.push_back(
+            sim.scheduleAt(t, [this] { attempt(); }));
     }
     if (plan.everyNthEvent > 0) {
         sim.setPostEventHook([this] { onEventExecuted(); });
@@ -69,6 +70,9 @@ FaultInjector::FaultInjector(Simulator &simulator, FaultPlan plan_in,
 
 FaultInjector::~FaultInjector()
 {
+    // The simulator may run on after the injector is gone.
+    for (EventId id : timedAttempts)
+        sim.cancel(id);
     if (plan.everyNthEvent > 0)
         sim.setPostEventHook({});
 }

@@ -84,7 +84,8 @@ struct FaultPlan
  * actually fired (false when the target is already unpowered — a
  * supply glitch is invisible to a device that is off). The injector
  * owns the simulator's post-event hook for its lifetime; one injector
- * per simulator.
+ * per simulator, which must outlive it. Destroying the injector
+ * cancels its pending attempts.
  */
 class FaultInjector
 {
@@ -117,6 +118,8 @@ class FaultInjector
     std::uint64_t numAttempts = 0;
     std::uint64_t numFired = 0;
     std::vector<Time> whenFired;
+    /** The time-triggered attempts, cancelled with the injector. */
+    std::vector<EventId> timedAttempts;
 };
 
 } // namespace capy::sim

@@ -7,6 +7,22 @@
 namespace capy::sim
 {
 
+void
+Simulator::schedule(Time delay, Event &ev)
+{
+    capy_assert(delay >= 0.0, "negative delay %g", delay);
+    queue.schedule(currentTime + delay, ev);
+}
+
+void
+Simulator::scheduleAt(Time when, Event &ev)
+{
+    capy_assert(when >= currentTime,
+                "scheduleAt(%g) is in the past (now %g)", when,
+                currentTime);
+    queue.schedule(when, ev);
+}
+
 EventId
 Simulator::schedule(Time delay, Callback fn)
 {
@@ -48,13 +64,13 @@ bool
 Simulator::step(Time until)
 {
     Time when = 0.0;
-    Callback fn = queue.popDue(until, when);
-    if (!fn)
+    Event *ev = queue.popDue(until, when);
+    if (!ev)
         return false;
     capy_assert(when >= currentTime, "event time %g behind clock %g",
                 when, currentTime);
     currentTime = when;
-    fn();
+    ev->fire();
     return true;
 }
 

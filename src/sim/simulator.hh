@@ -15,16 +15,28 @@ namespace capy::sim
 /**
  * Event-driven simulation engine.
  *
- * Components schedule callbacks relative to the current time with
- * schedule(), or at absolute times with scheduleAt(). run() executes
- * events until the queue drains, a time limit is hit, or stop() is
- * called from inside a callback.
+ * Components schedule the Events they own, or callbacks, relative to
+ * the current time with schedule(), or at absolute times with
+ * scheduleAt(). run() executes events until the queue drains, a time
+ * limit is hit, or stop() is called from inside an event.
  */
 class Simulator
 {
   public:
     /** Current simulated time in seconds. */
     Time now() const { return currentTime; }
+
+    /**
+     * Schedule @p ev to fire @p delay seconds from now.
+     * @pre delay >= 0 and !ev.scheduled().
+     */
+    void schedule(Time delay, Event &ev);
+
+    /**
+     * Schedule @p ev at absolute time @p when.
+     * @pre when >= now() and !ev.scheduled().
+     */
+    void scheduleAt(Time when, Event &ev);
 
     /**
      * Schedule @p fn to run @p delay seconds from now.
@@ -37,6 +49,9 @@ class Simulator
      * @pre when >= now().
      */
     EventId scheduleAt(Time when, Callback fn);
+
+    /** Cancel @p ev's pending occurrence. @sa EventQueue::cancel */
+    bool cancel(Event &ev) { return queue.cancel(ev); }
 
     /** Cancel a pending event. @sa EventQueue::cancel */
     bool cancel(EventId id) { return queue.cancel(id); }

@@ -32,6 +32,10 @@ struct WorkCounts
     /** env::EventSchedule cursor lookups that fell back to a binary
      *  search (a backward or a long forward jump). */
     std::uint64_t seeks = 0;
+    /** Callback events scheduled (EventQueue::schedule(Time,
+     *  Callback)); the simulator's own components schedule owned
+     *  Events instead. */
+    std::uint64_t callbackEvents = 0;
 };
 
 /** This thread's counters; only ever incremented. */

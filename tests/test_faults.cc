@@ -96,6 +96,27 @@ TEST(FaultPlan, UnpoweredAttemptsCountButDoNotFire)
     EXPECT_TRUE(inj.firedTimes().empty());
 }
 
+TEST(FaultPlan, DestroyedInjectorLeavesNoAttemptQueued)
+{
+    sim::Simulator sim;
+    int fired = 0;
+    {
+        sim::FaultInjector inj(sim, sim::FaultPlan::atTimes({1.0, 2.0}),
+                               [&] {
+                                   ++fired;
+                                   return true;
+                               });
+        sim.runUntil(1.5);
+        EXPECT_EQ(inj.attempts(), 1u);
+        EXPECT_EQ(sim.pendingEvents(), 1u);
+    }
+    // The 2.0 attempt would run on the destroyed injector.
+    EXPECT_EQ(sim.pendingEvents(), 0u);
+    sim.runUntil(5.0);
+    EXPECT_EQ(fired, 1);
+    EXPECT_EQ(sim.eventsExecuted(), 1u);
+}
+
 TEST(FaultPlan, EveryNthEventHonoursOffsetAndCap)
 {
     sim::Simulator sim;

@@ -314,6 +314,166 @@ TEST(EventQueue, CallbackMaySchedule)
 namespace
 {
 
+/** A component owning one event that logs its tag when it fires. */
+struct Owner
+{
+    Owner(std::vector<int> *log_to, int tag_in)
+        : log(log_to), tag(tag_in),
+          ev([](void *o) { static_cast<Owner *>(o)->fired(); }, this)
+    {}
+
+    void fired() { log->push_back(tag); }
+
+    std::vector<int> *log;
+    int tag;
+    Event ev;
+};
+
+} // namespace
+
+TEST(OwnedEvent, SharesSchedulingOrderWithCallbacksAtOneInstant)
+{
+    EventQueue q;
+    std::vector<int> order;
+    Owner a(&order, 1), b(&order, 3);
+    q.schedule(5.0, a.ev);
+    q.schedule(5.0, [&] { order.push_back(2); });
+    q.schedule(5.0, b.ev);
+    q.schedule(5.0, [&] { order.push_back(4); });
+    q.schedule(4.0, [&] { order.push_back(0); });
+    while (!q.empty())
+        q.runNext();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+    EXPECT_EQ(q.executed(), 5u);
+}
+
+TEST(OwnedEvent, CancelAndRescheduleWithinOneInstant)
+{
+    Simulator s;
+    std::vector<int> order;
+    Owner a(&order, 1);
+    s.schedule(1.0, a.ev);
+    s.schedule(1.0, [&] { order.push_back(2); });
+    // The retimed occurrence runs once, at its new place in the order;
+    // the cancelled record is skipped.
+    EXPECT_TRUE(s.cancel(a.ev));
+    EXPECT_FALSE(s.cancel(a.ev));
+    s.schedule(1.0, a.ev);
+    s.run();
+    EXPECT_EQ(order, (std::vector<int>{2, 1}));
+    EXPECT_EQ(s.eventsExecuted(), 2u);
+    EXPECT_FALSE(a.ev.scheduled());
+}
+
+TEST(OwnedEvent, HandlerMayRescheduleItsOwnEvent)
+{
+    Simulator s;
+    int fired = 0;
+    struct Ticker
+    {
+        Simulator *sim;
+        int *count;
+        Event ev{[](void *t) { static_cast<Ticker *>(t)->tick(); }, this};
+
+        void
+        tick()
+        {
+            EXPECT_FALSE(ev.scheduled());
+            if (++*count < 10)
+                sim->schedule(0.5, ev);
+        }
+    } t{&s, &fired};
+    s.schedule(0.0, t.ev);
+    s.run();
+    EXPECT_EQ(fired, 10);
+    EXPECT_DOUBLE_EQ(s.now(), 4.5);
+}
+
+TEST(OwnedEvent, ScheduledPendingAndIsPendingAgree)
+{
+    Simulator s;
+    std::vector<int> log;
+    Owner a(&log, 1);
+    EXPECT_FALSE(a.ev.scheduled());
+    s.schedule(1.0, a.ev);
+    EventId id = s.schedule(2.0, [] {});
+    EXPECT_TRUE(a.ev.scheduled());
+    EXPECT_TRUE(s.isPending(id));
+    EXPECT_EQ(s.pendingEvents(), 2u);
+
+    s.cancel(a.ev);
+    EXPECT_FALSE(a.ev.scheduled());
+    EXPECT_EQ(s.pendingEvents(), 1u);
+    s.schedule(3.0, a.ev);
+    EXPECT_EQ(s.pendingEvents(), 2u);
+
+    s.runUntil(2.0);
+    EXPECT_FALSE(s.isPending(id));
+    EXPECT_TRUE(a.ev.scheduled());
+    EXPECT_EQ(s.pendingEvents(), 1u);
+    s.run();
+    EXPECT_FALSE(a.ev.scheduled());
+    EXPECT_EQ(s.pendingEvents(), 0u);
+    EXPECT_EQ(log, (std::vector<int>{1}));
+}
+
+TEST(OwnedEventDeathTest, SchedulingAPendingEventAsserts)
+{
+    EXPECT_DEATH(
+        {
+            Simulator s;
+            std::vector<int> log;
+            Owner a(&log, 1);
+            s.schedule(1.0, a.ev);
+            s.schedule(2.0, a.ev);
+        },
+        "already pending");
+}
+
+TEST(OwnedEvent, OwnerDestroyedWithRecordsLeavesQueueClean)
+{
+    // Under ASan (ctest -L san) any later read of a destroyed owner's
+    // record is a heap-use-after-free.
+    Simulator s;
+    std::vector<int> log;
+    auto cancelled = std::make_unique<Owner>(&log, 1);
+    auto pending = std::make_unique<Owner>(&log, 2);
+    s.schedule(1.0, cancelled->ev);
+    s.cancel(cancelled->ev);          // a stale record stays queued
+    s.schedule(2.0, cancelled->ev);   // ...next to a live one
+    s.schedule(1.5, pending->ev);
+    Owner survivor(&log, 3);
+    s.schedule(3.0, survivor.ev);
+    EXPECT_EQ(s.pendingEvents(), 3u);
+
+    cancelled.reset();
+    pending.reset();
+    EXPECT_EQ(s.pendingEvents(), 1u);
+    s.run();
+    EXPECT_EQ(log, (std::vector<int>{3}));
+    EXPECT_EQ(s.eventsExecuted(), 1u);
+}
+
+TEST(OwnedEvent, EventMayOutliveItsQueue)
+{
+    std::vector<int> log;
+    Owner a(&log, 1);
+    {
+        Simulator s;
+        s.schedule(1.0, a.ev);
+        s.cancel(a.ev);
+        s.schedule(2.0, a.ev);
+    }
+    EXPECT_FALSE(a.ev.scheduled());
+    Simulator next;
+    next.schedule(1.0, a.ev);
+    next.run();
+    EXPECT_EQ(log, (std::vector<int>{1}));
+}
+
+namespace
+{
+
 /**
  * Drives an EventQueue and a reference model side by side. The
  * reference is a std::map ordered by (when, seq), so it pops events
@@ -432,10 +592,10 @@ struct QueueDifferential
             EXPECT_EQ(q.runNext(), want_when);
         } else {
             // The limit is inclusive, as in Simulator::runUntil.
-            Callback fn = q.popDue(want_when, when);
-            ASSERT_TRUE(fn);
+            Event *ev = q.popDue(want_when, when);
+            ASSERT_NE(ev, nullptr);
             EXPECT_EQ(when, want_when);
-            fn();
+            ev->fire();
         }
         ASSERT_EQ(ran.size(), before + 1);
         EXPECT_EQ(ran[before], want);

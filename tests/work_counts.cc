@@ -23,6 +23,9 @@
  *                level and stop (power::stepMisses) takes none
  *   seeks        env::EventSchedule cursor lookups that fell back to
  *                a binary search
+ *   cb_events    sim::Callback events scheduled; the device schedules
+ *                its one owned sim::Event, so only fault injection's
+ *                timed attempts count
  *   cb_heap      sim::Callback heap fallbacks
  *   new          operator new calls
  *   heap_peak    peak live bytes requested through operator new
@@ -170,8 +173,8 @@ measure(const std::string &name, Run &&run)
     };
     std::printf("%-14s events=%llu transitions=%llu crc=%llu "
                 "advances=%llu queries=%llu phases=%llu solves=%llu "
-                "seeks=%llu cb_heap=%llu new=%llu heap_peak=%llu "
-                "out=%016llx\n",
+                "seeks=%llu cb_events=%llu cb_heap=%llu new=%llu "
+                "heap_peak=%llu out=%016llx\n",
                 name.c_str(), (unsigned long long)events,
                 (unsigned long long)transitions,
                 delta(a.work.crcCalls, b.work.crcCalls),
@@ -180,6 +183,7 @@ measure(const std::string &name, Run &&run)
                 delta(a.work.phases, b.work.phases),
                 delta(a.work.solves, b.work.solves),
                 delta(a.work.seeks, b.work.seeks),
+                delta(a.work.callbackEvents, b.work.callbackEvents),
                 delta(a.callbackHeap, b.callbackHeap),
                 delta(a.news, b.news),
                 (unsigned long long)(peakBytes - a.live),
