@@ -3,7 +3,7 @@
  * Engine microbenchmarks (google-benchmark) for layer work: the
  * event-queue hot path (schedule / cancel / runNext, callback
  * dispatch), one-event simulator chains through an owned Event and
- * through a Callback per event, the RNG, and TempAlarm sweep
+ * through a std::function closure per event, the RNG, and TempAlarm sweep
  * throughput at 1 thread vs the sweep pool. Timings are for
  * exploring one layer; the end-to-end perf figures come from
  * e2ebench, and the tier-1 gate is the exact work counts of
@@ -84,28 +84,6 @@ BM_EventRetimerChurn(benchmark::State &state)
 }
 BENCHMARK(BM_EventRetimerChurn);
 
-void
-BM_CallbackInlineDispatch(benchmark::State &state)
-{
-    // A capture the size of a typical device callback (two pointers):
-    // must stay within Callback's inline buffer — no allocation.
-    std::uint64_t counter = 0;
-    double weight = 1.0;
-    static_assert(sim::Callback::fitsInline<decltype([&counter,
-                                                      &weight] {
-        counter += std::uint64_t(weight);
-    })>());
-    for (auto _ : state) {
-        sim::Callback cb([&counter, &weight] {
-            counter += std::uint64_t(weight);
-        });
-        cb();
-        benchmark::DoNotOptimize(counter);
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_CallbackInlineDispatch);
-
 /** A 1000-event self-rescheduling chain, the device's one-pending-
  *  event pattern, through an owned sim::Event. */
 struct OwnedChain
@@ -137,7 +115,8 @@ BM_OwnedEventChain(benchmark::State &state)
 }
 BENCHMARK(BM_OwnedEventChain);
 
-/** The same chain as a fresh [this] Callback per event. */
+/** The same chain as a fresh [this] std::function closure per
+ *  event (a pooled callback event). */
 struct CallbackChain
 {
     sim::Simulator &sim;

@@ -200,7 +200,7 @@ Device::onBootDone()
 
 void
 Device::runWorkload(double rail_power, double duration,
-                    sim::Callback on_complete)
+                    std::function<void()> on_complete)
 {
     capy_assert(state == State::On,
                 "runWorkload while the device is not on");
@@ -248,7 +248,7 @@ Device::onWorkloadDone()
     ++devStats.workloadsCompleted;
     // Move the continuation out first: it usually starts the next
     // workload, which refills the member.
-    sim::Callback done = std::move(workloadDone);
+    std::function<void()> done = std::move(workloadDone);
     done();
 }
 
@@ -256,7 +256,7 @@ void
 Device::failPower(bool during_boot)
 {
     workloadActive = false;
-    workloadDone = sim::Callback();
+    workloadDone = nullptr;
     ++devStats.powerFailures;
     if (!during_boot) {
         lastAborted = AbortedWorkload{workloadPower,
@@ -321,7 +321,7 @@ Device::powerDown()
                 "powerDown while the device is not on");
     sim.cancel(pending);
     workloadActive = false;
-    workloadDone = sim::Callback();
+    workloadDone = nullptr;
     if (observer.onRailDown)
         observer.onRailDown(RailDownReason::Park);
     if (mode == PowerMode::Continuous) {

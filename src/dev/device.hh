@@ -142,7 +142,7 @@ class Device
      * @pre isOn() and no workload in flight.
      */
     void runWorkload(double rail_power, double duration,
-                     sim::Callback on_complete);
+                     std::function<void()> on_complete);
 
     /**
      * Voluntarily power down to recharge (the pause the runtime takes
@@ -231,7 +231,7 @@ class Device
     /** A workload is in flight (runWorkload scheduled, not resolved). */
     bool workloadActive = false;
     /** The in-flight workload's continuation; reset on any abort. */
-    sim::Callback workloadDone;
+    std::function<void()> workloadDone;
     Stats devStats;
     sim::SpanTrace activity;
     bool warnedStuck = false;

@@ -5,6 +5,7 @@
 
 #include "power/solver.hh"
 #include "sim/logging.hh"
+#include "sim/work.hh"
 
 namespace capy::power
 {
@@ -41,17 +42,8 @@ SolarArray::power(sim::Time t) const
 {
     if (!illumination)
         return double(nSeries) * peakPower;
-    // Memo keyed on the exact query time: the power walks read the
-    // same segment start again (a query, then the advance it
-    // predicted), and the answer is a pure function of t.
-    if (t == cachedTime) {
-        ++cacheHitCount;
-        return double(nSeries) * peakPower * cachedScale;
-    }
-    ++cacheMissCount;
-    cachedScale = std::clamp(illumination(t), 0.0, 1.0);
-    cachedTime = t;
-    return double(nSeries) * peakPower * cachedScale;
+    return double(nSeries) * peakPower *
+           std::clamp(illumination(t), 0.0, 1.0);
 }
 
 double
@@ -130,12 +122,11 @@ TraceHarvester::seek(double local) const
             ++scanned;
         }
         if (i + 1 >= trace.size() || trace[i + 1].time > local) {
-            ++cursorHitCount;
             cursor = i;
             return i;
         }
     }
-    ++cursorMissCount;
+    ++sim::workCounts.seeks;
     cursor = indexAt(local);
     return cursor;
 }

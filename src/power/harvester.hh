@@ -9,7 +9,7 @@
 #ifndef CAPY_POWER_HARVESTER_HH
 #define CAPY_POWER_HARVESTER_HH
 
-#include <cstdint>
+#include <cstddef>
 #include <functional>
 #include <memory>
 #include <string>
@@ -97,28 +97,12 @@ class SolarArray : public Harvester
     sim::Time nextChange(sim::Time t) const override;
     std::string name() const override { return "solar-array"; }
 
-    /// @name Query-cursor observability
-    /// The power system evaluates power(t) many times at one instant
-    /// (once per walk of the segment starting there); the last
-    /// evaluation of the illumination std::function is memoized by
-    /// exact query time, so repeats cost a comparison instead of an
-    /// indirect call. Same-instance/single-owner caveat as
-    /// TraceHarvester.
-    /// @{
-    std::uint64_t cursorHits() const { return cacheHitCount; }
-    std::uint64_t cursorMisses() const { return cacheMissCount; }
-    /// @}
-
   private:
     unsigned nSeries;
     double peakPower;
     double panelVoltage;
     Illumination illumination;
     sim::Time changePeriod;
-    mutable sim::Time cachedTime = -1.0;
-    mutable double cachedScale = 0.0;
-    mutable std::uint64_t cacheHitCount = 0;
-    mutable std::uint64_t cacheMissCount = 0;
 };
 
 /**
@@ -155,27 +139,23 @@ class TraceHarvester : public Harvester
     /** Duration covered by the trace (last sample time). */
     sim::Time traceSpan() const { return span; }
 
-    /// @name Query-cursor observability
-    /// Simulation time only moves forward, so queries resume from a
-    /// cursor and scan ahead a few samples (amortized O(1)) instead
-    /// of binary-searching the trace on every call. Backward jumps
-    /// (predictive-query restarts, loop wrap) fall back to the
-    /// binary search and count as misses. The cursor is pure memo
-    /// state: results are bit-identical to the uncursored search.
-    /// Instances are owned by a single simulation (one sweep job),
-    /// so the mutable cursor needs no synchronization.
-    /// @{
-    std::uint64_t cursorHits() const { return cursorHitCount; }
-    std::uint64_t cursorMisses() const { return cursorMissCount; }
-    /// @}
-
   private:
     /** Index of the sample active at trace-local time @p local,
      *  by binary search (the cursor fallback and the oracle the
      *  property tests compare against). */
     std::size_t indexAt(double local) const;
 
-    /** Cursor-accelerated indexAt(). */
+    /**
+     * Cursor-accelerated indexAt(). Simulation time only moves
+     * forward, so queries resume from a cursor and scan ahead a few
+     * samples (amortized O(1)) instead of binary-searching the trace
+     * on every call. Backward jumps (predictive-query restarts, loop
+     * wrap) fall back to the binary search, counted in
+     * sim::WorkCounts::seeks. The cursor is pure memo state: results
+     * are bit-identical to the uncursored search. Instances are
+     * owned by a single simulation (one sweep job), so the mutable
+     * cursor needs no synchronization.
+     */
     std::size_t seek(double local) const;
 
     /** Trace-local time of @p t: the one mapping power() and
@@ -187,8 +167,6 @@ class TraceHarvester : public Harvester
     bool looping;
     sim::Time span;
     mutable std::size_t cursor = 0;
-    mutable std::uint64_t cursorHitCount = 0;
-    mutable std::uint64_t cursorMissCount = 0;
 };
 
 /**

@@ -109,13 +109,6 @@ PowerSystem::bankActive(int idx) const
     return banks[static_cast<std::size_t>(idx)].active();
 }
 
-PowerSystem::CacheStats
-PowerSystem::cacheStats() const
-{
-    return {expMemo.hits(), expMemo.misses(), decayMemo.hits(),
-            decayMemo.misses()};
-}
-
 void
 PowerSystem::compose()
 {

@@ -250,25 +250,6 @@ class PowerSystem
 
     const EnergyStats &stats() const { return energyStats; }
 
-    /**
-     * Hit counters of the power system's two exp(-dt/tau) memos: the
-     * walker's, and the one decaying the inactive banks, kept apart
-     * so neither evicts the other's entries. They are pure
-     * memoization (results are bit-identical without them);
-     * test_hotpath asserts that both hit, so a fast path that
-     * silently stops hitting fails a test, not just a timing.
-     * Predictive queries are not cached: every call walks.
-     */
-    struct CacheStats
-    {
-        std::uint64_t expHits = 0;  ///< walker exp memo hits
-        std::uint64_t expMisses = 0;
-        std::uint64_t decayHits = 0;  ///< inactive-bank memo hits
-        std::uint64_t decayMisses = 0;
-    };
-
-    CacheStats cacheStats() const;
-
     /** Record storage voltage into @p ts on every internal step. */
     void attachVoltageTrace(sim::TimeSeries *ts) { voltTrace = ts; }
 
@@ -377,7 +358,8 @@ class PowerSystem
     /** The walker's exp memo (pure memo state; a PowerSystem is
      *  owned by one simulation, so it needs no locking). */
     mutable ExpCache expMemo;
-    /** decayInactive()'s exp memo: the banks' own time constants. */
+    /** decayInactive()'s exp memo: the banks' own time constants,
+     *  kept apart so neither memo evicts the other's entries. */
     ExpCache decayMemo;
 };
 

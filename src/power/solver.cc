@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "sim/logging.hh"
+#include "sim/work.hh"
 
 namespace capy::power
 {
@@ -34,8 +35,9 @@ steadyStateEnergy(const Phase &ph)
 }
 
 double
-ExpCache::uncachedExp(double dt, double tau)
+uncachedExp(double dt, double tau)
 {
+    ++sim::workCounts.exps;
     return std::exp(-dt / tau);
 }
 
@@ -57,7 +59,7 @@ advanceEnergy(double e0, const Phase &ph, double dt, ExpCache *memo)
     double tau = ph.leakRes * ph.capacitance * 0.5;
     double einf = ph.power * tau;  // may be negative when P < 0
     double decay = memo ? memo->expNegRatio(dt, tau)
-                        : std::exp(-dt / tau);
+                        : uncachedExp(dt, tau);
     double e = einf + (e0 - einf) * decay;
     return std::max(0.0, e);
 }

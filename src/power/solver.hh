@@ -44,6 +44,12 @@ struct Phase
 };
 
 /**
+ * exp(-dt / tau), evaluated and counted in sim::WorkCounts::exps:
+ * an ExpCache miss, or an advanceEnergy() call without a memo.
+ */
+double uncachedExp(double dt, double tau);
+
+/**
  * Small direct-mapped memo for exp(-dt / tau).
  *
  * The power-system hot path evaluates the same exponential repeatedly
@@ -54,7 +60,8 @@ struct Phase
  * 294,764 lookups hit.
  * Entries are keyed on the exact (dt, tau) bit patterns and store the
  * exp value computed the normal way, so a hit returns bit-identical
- * results — the memo can change nothing observable.
+ * results — the memo can change nothing observable. A miss counts in
+ * sim::WorkCounts::exps.
  */
 class ExpCache
 {
@@ -64,19 +71,13 @@ class ExpCache
     expNegRatio(double dt, double tau)
     {
         Entry &e = entries[slotFor(dt, tau)];
-        if (e.dt == dt && e.tau == tau) {
-            ++hitCount;
+        if (e.dt == dt && e.tau == tau)
             return e.value;
-        }
-        ++missCount;
         e.dt = dt;
         e.tau = tau;
         e.value = uncachedExp(dt, tau);
         return e.value;
     }
-
-    std::uint64_t hits() const { return hitCount; }
-    std::uint64_t misses() const { return missCount; }
 
   private:
     struct Entry
@@ -94,12 +95,8 @@ class ExpCache
         return std::size_t((h ^ (h >> 17)) & (kSlots - 1));
     }
 
-    static double uncachedExp(double dt, double tau);
-
     static constexpr std::size_t kSlots = 4;
     std::array<Entry, kSlots> entries{};
-    std::uint64_t hitCount = 0;
-    std::uint64_t missCount = 0;
 };
 
 /**

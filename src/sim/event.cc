@@ -40,7 +40,7 @@ EventQueue::schedule(Time when, Event &ev)
 }
 
 EventId
-EventQueue::schedule(Time when, Callback &&fn)
+EventQueue::schedule(Time when, std::function<void()> fn)
 {
     capy_assert(static_cast<bool>(fn), "scheduled a null callback");
     ++workCounts.callbackEvents;
@@ -62,7 +62,7 @@ void
 EventQueue::Slot::run(void *slot)
 {
     auto *s = static_cast<Slot *>(slot);
-    Callback fn = std::move(s->fn);
+    std::function<void()> fn = std::move(s->fn);
     s->queue->retire(*s);
     fn();
 }
@@ -103,7 +103,7 @@ EventQueue::cancel(EventId id)
     cancel(s->ev);
     // The callback's captures are released now and the slot is
     // reusable immediately.
-    s->fn = Callback();
+    s->fn = nullptr;
     retire(*s);
     return true;
 }

@@ -12,8 +12,8 @@
  * record never outlives its event: ~Event purges the event's records,
  * a heap scan paid at teardown only.
  *
- * Callback events (schedule(Time, Callback)) are pooled Events in the
- * same queue, one per slot of a generation-counted slot table: the
+ * Callback events (schedule(Time, std::function)) are pooled Events in
+ * the same queue, one per slot of a generation-counted slot table: the
  * slot holds the callback, and an EventId names (generation, slot).
  * Slots recycle through a free list, so long-lived simulators with
  * heavy cancel traffic retain no tombstone state.
@@ -23,11 +23,10 @@
 #define CAPY_SIM_EVENT_HH
 
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <vector>
-
-#include "sim/callback.hh"
 
 namespace capy::sim
 {
@@ -38,7 +37,7 @@ using Time = double;
 /** A time no event comes after (popDue's limit for "any event"). */
 inline constexpr Time kForever = std::numeric_limits<Time>::infinity();
 
-/** Handle identifying a scheduled Callback event; 0 is never valid. */
+/** Handle identifying a scheduled callback event; 0 is never valid. */
 using EventId = std::uint64_t;
 
 /** Sentinel id meaning "no event". */
@@ -94,7 +93,7 @@ class Event
 
 /**
  * Min-heap of timestamped events. Events scheduled for the same
- * instant run in scheduling order, owned and Callback events alike.
+ * instant run in scheduling order, owned and callback events alike.
  * Cancelled events are skipped lazily when they reach the head of the
  * heap.
  */
@@ -119,7 +118,7 @@ class EventQueue
      * event.
      * @return a handle usable with cancel().
      */
-    EventId schedule(Time when, Callback &&fn);
+    EventId schedule(Time when, std::function<void()> fn);
 
     /**
      * Cancel @p ev's pending occurrence.
@@ -128,7 +127,7 @@ class EventQueue
     bool cancel(Event &ev);
 
     /**
-     * Cancel a previously scheduled Callback event.
+     * Cancel a previously scheduled callback event.
      * @retval true if the event was pending and is now cancelled.
      * @retval false if it already ran, was already cancelled, or the
      *         handle is invalid.
@@ -151,7 +150,7 @@ class EventQueue
      * Pop the earliest pending event if it is due at or before
      * @p until: store its time in @p when and return it, counted as
      * executed and no longer scheduled, for the caller to fire().
-     * Firing a Callback event retires its slot before the callback
+     * Firing a callback event retires its slot before the callback
      * runs, so running it may schedule into that slot or grow the
      * slot table.
      * @return nullptr when no event is due.
@@ -169,20 +168,8 @@ class EventQueue
 
     /** Slots allocated over the queue's lifetime (bookkeeping bound:
      *  never exceeds the peak number of simultaneously pending
-     *  Callback events). */
+     *  callback events). */
     std::size_t slotCapacity() const { return slots.size(); }
-
-    /**
-     * Process-wide count of scheduled callbacks whose capture
-     * overflowed Callback's inline buffer and heap-allocated. The
-     * inline size was chosen so device/kernel hot paths never
-     * overflow; hot-path benches assert this stays 0.
-     */
-    static std::uint64_t
-    callbackHeapFallbacks()
-    {
-        return Callback::heapFallbacks();
-    }
 
   private:
     friend class Event;
@@ -195,7 +182,7 @@ class EventQueue
         Event *ev;
     };
 
-    /** A Callback event: the pooled Event that runs fn. gen changes
+    /** A callback event: the pooled Event that runs fn. gen changes
      *  whenever the slot's current event ends (runs or is
      *  cancelled), invalidating old handles. */
     struct Slot
@@ -208,7 +195,7 @@ class EventQueue
         static void run(void *slot);
 
         Event ev;
-        Callback fn;
+        std::function<void()> fn;
         EventQueue *queue;
         std::uint32_t index;
         std::uint32_t gen = 0;

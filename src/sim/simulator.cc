@@ -24,14 +24,14 @@ Simulator::scheduleAt(Time when, Event &ev)
 }
 
 EventId
-Simulator::schedule(Time delay, Callback fn)
+Simulator::schedule(Time delay, std::function<void()> fn)
 {
     capy_assert(delay >= 0.0, "negative delay %g", delay);
     return queue.schedule(currentTime + delay, std::move(fn));
 }
 
 EventId
-Simulator::scheduleAt(Time when, Callback fn)
+Simulator::scheduleAt(Time when, std::function<void()> fn)
 {
     capy_assert(when >= currentTime,
                 "scheduleAt(%g) is in the past (now %g)", when,

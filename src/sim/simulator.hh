@@ -42,13 +42,13 @@ class Simulator
      * Schedule @p fn to run @p delay seconds from now.
      * @pre delay >= 0.
      */
-    EventId schedule(Time delay, Callback fn);
+    EventId schedule(Time delay, std::function<void()> fn);
 
     /**
      * Schedule @p fn at absolute time @p when.
      * @pre when >= now().
      */
-    EventId scheduleAt(Time when, Callback fn);
+    EventId scheduleAt(Time when, std::function<void()> fn);
 
     /** Cancel @p ev's pending occurrence. @sa EventQueue::cancel */
     bool cancel(Event &ev) { return queue.cancel(ev); }
@@ -80,10 +80,14 @@ class Simulator
     /**
      * Install a hook run after every executed event (instrumentation:
      * event-count-triggered fault injection). One slot; pass an empty
-     * Callback to clear. The hook may schedule events and stop(), and is
+     * function to clear. The hook may schedule events and stop(), and is
      * not invoked for events it causes to run within the same call.
      */
-    void setPostEventHook(Callback hook) { postEvent = std::move(hook); }
+    void
+    setPostEventHook(std::function<void()> hook)
+    {
+        postEvent = std::move(hook);
+    }
 
   private:
     /** Run the earliest event due by @p until, advancing the clock.
@@ -94,7 +98,7 @@ class Simulator
     EventQueue queue;
     Time currentTime = 0.0;
     bool stopRequested = false;
-    Callback postEvent;
+    std::function<void()> postEvent;
 };
 
 } // namespace capy::sim

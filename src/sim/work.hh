@@ -5,7 +5,7 @@
  * Plain integers bumped where the work happens, so a run's cost can
  * be stated exactly, without a clock: tests/work_counts.cc reads them
  * around each run. Counts a run already reports (events, Chain
- * transitions, Callback heap fallbacks) are not repeated here.
+ * transitions) are not repeated here.
  */
 
 #ifndef CAPY_SIM_WORK_HH
@@ -29,12 +29,16 @@ struct WorkCounts
      *  PowerSystem walker; a phase that clearly misses its level and
      *  stop (power::stepMisses) takes none. */
     std::uint64_t solves = 0;
-    /** env::EventSchedule cursor lookups that fell back to a binary
-     *  search (a backward or a long forward jump). */
+    /** exp(-dt/tau) evaluations in power::advanceEnergy() that no
+     *  power::ExpCache served: memo misses and unmemoized calls. */
+    std::uint64_t exps = 0;
+    /** Cursor lookups that fell back to a binary search (a backward
+     *  or a long forward jump): env::EventSchedule's and
+     *  power::TraceHarvester's. */
     std::uint64_t seeks = 0;
     /** Callback events scheduled (EventQueue::schedule(Time,
-     *  Callback)); the simulator's own components schedule owned
-     *  Events instead. */
+     *  std::function)); the simulator's own components schedule
+     *  owned Events instead. */
     std::uint64_t callbackEvents = 0;
 };
 

@@ -17,7 +17,6 @@
 #include "apps/grc.hh"
 #include "apps/ta.hh"
 #include "env/events.hh"
-#include "sim/event.hh"
 
 using namespace capy;
 using namespace capy::apps;
@@ -227,24 +226,6 @@ TEST(CorrSenseApp, ReportsAreTimely)
     ASSERT_GT(m.summary.correct, 0u);
     // Distance + LED + TX ~ 0.5 s after the event.
     EXPECT_LT(m.summary.latency.mean(), 5.0);
-}
-
-TEST(HotPath, ChainCellsScheduleNoHeapCallbacks)
-{
-    // Every event a Chain cell schedules (device workloads and boots,
-    // kernel continuations, env samples) must fit Callback's inline
-    // buffer: a capture that outgrows it heap-allocates per event.
-    std::uint64_t before = sim::EventQueue::callbackHeapFallbacks();
-    RunMetrics csr =
-        runCorrSense(Policy::CapyP, shortGrcSchedule(23), 23, 120.0);
-    RunMetrics grc =
-        runGestureRemote(GrcVariant::Fast, Policy::Continuous,
-                         shortGrcSchedule(24), 24, 120.0);
-    EXPECT_GT(csr.kernel.transitions, 100u);
-    EXPECT_GT(csr.device.powerFailures + csr.runtime.rechargePauses,
-              0u);
-    EXPECT_GT(grc.kernel.transitions, 100u);
-    EXPECT_EQ(sim::EventQueue::callbackHeapFallbacks(), before);
 }
 
 TEST(CapySat, CollectsAndTransmits)

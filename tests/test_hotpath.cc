@@ -5,7 +5,9 @@
  * active node they feed. Each cache is pure memoization, so each
  * test compares cached answers against a freshly recomputed oracle
  * and requires *exact* equality — a single ulp of drift would break
- * the byte-identical sweep guarantee.
+ * the byte-identical sweep guarantee. That each cache still serves
+ * its lookups is read off sim::workCounts: the cursor fallbacks
+ * (seeks) and the exps no memo served.
  */
 
 #include <gtest/gtest.h>
@@ -21,6 +23,7 @@
 #include "power/power_system.hh"
 #include "power/solver.hh"
 #include "sim/random.hh"
+#include "sim/work.hh"
 
 using namespace capy;
 using namespace capy::power;
@@ -116,20 +119,32 @@ expectComposed(const PowerSystem &ps, double ceiling)
     EXPECT_EQ(ps.topVoltage(), top);
 }
 
+/** The exps taken by the first asks of expectQueriesRepeat() and by
+ *  their repeats. */
+struct ExpTally
+{
+    std::uint64_t first = 0;
+    std::uint64_t repeat = 0;
+};
+
 /** Every predictive query asked twice: the second walk is served by
  *  the exp memo and must match the first exactly. */
 void
-expectQueriesRepeat(const PowerSystem &ps)
+expectQueriesRepeat(const PowerSystem &ps, ExpTally &tally)
 {
-    double targets[4] = {0.5, 1.8, ps.topVoltage(),
-                         ps.brownoutVoltageNow()};
-    sim::Time tf = ps.timeToFull();
-    sim::Time tb = ps.timeToBrownout();
-    EXPECT_EQ(tf, ps.timeToFull());
-    EXPECT_EQ(tb, ps.timeToBrownout());
-    for (double v : targets) {
-        sim::Time tv = ps.timeToVoltage(v);
-        EXPECT_EQ(tv, ps.timeToVoltage(v)) << "target " << v;
+    auto twice = [&](auto query) {
+        const std::uint64_t e0 = sim::workCounts.exps;
+        const sim::Time first = query();
+        const std::uint64_t e1 = sim::workCounts.exps;
+        EXPECT_EQ(first, query());
+        tally.first += e1 - e0;
+        tally.repeat += sim::workCounts.exps - e1;
+    };
+    twice([&] { return ps.timeToFull(); });
+    twice([&] { return ps.timeToBrownout(); });
+    for (double v : {0.5, 1.8, ps.topVoltage(), ps.brownoutVoltageNow()}) {
+        SCOPED_TRACE(testing::Message() << "target " << v);
+        twice([&] { return ps.timeToVoltage(v); });
     }
 }
 
@@ -142,6 +157,13 @@ TEST(HotPath, CursorMatchesOracleOnMonotoneQueries)
         bool looping = (round % 2) == 0;
         auto samples = randomTrace(rng, 40);
         TraceHarvester h(samples, 3.3, looping);
+        // Calls that look the trace up: a non-looping trace reads 0
+        // past its end without one.
+        std::uint64_t lookups = 0;
+        auto inTrace = [&](double at) {
+            return looping || at < h.traceSpan();
+        };
+        const std::uint64_t seeks = sim::workCounts.seeks;
         double t = 0.0;
         for (int i = 0; i < 2000; ++i) {
             t += rng.uniform(0.0, 5.0);
@@ -149,6 +171,8 @@ TEST(HotPath, CursorMatchesOracleOnMonotoneQueries)
                                               looping, t))
                 << "t=" << t << " looping=" << looping;
             sim::Time nc = h.nextChange(t);
+            if (inTrace(t))
+                lookups += 2;  // power(t) and nextChange(t)
             if (std::isfinite(nc)) {
                 EXPECT_GT(nc, t);
                 // The sample index is constant up to the boundary.
@@ -157,12 +181,15 @@ TEST(HotPath, CursorMatchesOracleOnMonotoneQueries)
                     EXPECT_EQ(h.power(just_before),
                               oraclePower(samples, h.traceSpan(),
                                           looping, just_before));
+                    if (inTrace(just_before))
+                        ++lookups;
                 }
             }
         }
-        // Monotone queries should be served by the cursor, not the
-        // binary search.
-        EXPECT_GT(h.cursorHits(), h.cursorMisses());
+        // Monotone queries should be served by the cursor: fewer than
+        // half of the lookups fall back to the binary search.
+        EXPECT_LT(2 * (sim::workCounts.seeks - seeks), lookups)
+            << "looping=" << looping;
     }
 }
 
@@ -244,12 +271,13 @@ TEST(HotPath, ExpMemoIsExact)
             EXPECT_EQ(memo.expNegRatio(dt, tau), std::exp(-dt / tau));
     }
     // The memo's target access pattern is immediate repetition of one
-    // pair (back-to-back workloads of one duration on one node).
+    // pair (back-to-back workloads of one duration on one node): the
+    // repeat evaluates nothing.
     for (auto [dt, tau] : pairs) {
-        std::uint64_t h = memo.hits();
         (void)memo.expNegRatio(dt, tau);
+        const std::uint64_t exps = sim::workCounts.exps;
         EXPECT_EQ(memo.expNegRatio(dt, tau), std::exp(-dt / tau));
-        EXPECT_GE(memo.hits(), h + 1);
+        EXPECT_EQ(sim::workCounts.exps, exps);
     }
 }
 
@@ -267,13 +295,14 @@ TEST(HotPath, WalkerAndDecayMemosBothHit)
     ASSERT_FALSE(ps.bankActive(1));
     ps.setRailEnabled(true);
     constexpr double kDt = 1.0 / 1024.0;  // exact multiples
+    const std::uint64_t exps = sim::workCounts.exps;
     for (int i = 1; i <= 100; ++i) {
         ASSERT_EQ(ps.runLoad(1e-3, i * kDt), kNever);
         ps.advanceTo(i * kDt);
     }
-    const PowerSystem::CacheStats st = ps.cacheStats();
-    EXPECT_GE(st.expHits, 90u);
-    EXPECT_GE(st.decayHits, 90u);
+    // Each workload looks up one walker and one decay exp; without
+    // either memo, 100 workloads would evaluate 100 or more.
+    EXPECT_LE(sim::workCounts.exps - exps, 8u);
 }
 
 TEST(HotPath, NodeMatchesItsBanksAfterEveryControlCall)
@@ -281,8 +310,9 @@ TEST(HotPath, NodeMatchesItsBanksAfterEveryControlCall)
     sim::Rng rng(kSeed, 5);
     auto ps = makeTraceSystem(rng);
     double ceiling = std::numeric_limits<double>::infinity();
+    ExpTally tally;
     expectComposed(*ps, ceiling);
-    expectQueriesRepeat(*ps);
+    expectQueriesRepeat(*ps, tally);
 
     sim::Time now = 0.0;
     for (int step = 0; step < 120; ++step) {
@@ -317,7 +347,8 @@ TEST(HotPath, NodeMatchesItsBanksAfterEveryControlCall)
             break;
         }
         expectComposed(*ps, ceiling);
-        expectQueriesRepeat(*ps);
+        expectQueriesRepeat(*ps, tally);
     }
-    EXPECT_GT(ps->cacheStats().expHits, 0u);
+    // The exp memo served repeated walks.
+    EXPECT_LT(tally.repeat, tally.first);
 }

@@ -21,13 +21,17 @@
  *   solves       crossing-time solves (power::timeToEnergy) in the
  *                power walker; a phase whose step clearly misses its
  *                level and stop (power::stepMisses) takes none
- *   seeks        env::EventSchedule cursor lookups that fell back to
- *                a binary search
- *   cb_events    sim::Callback events scheduled; the device schedules
- *                its one owned sim::Event, so only fault injection's
- *                timed attempts count
- *   cb_heap      sim::Callback heap fallbacks
- *   new          operator new calls
+ *   seeks        cursor lookups (env::EventSchedule,
+ *                power::TraceHarvester) that fell back to a binary
+ *                search
+ *   cb_events    callback events scheduled (EventQueue::schedule with
+ *                a std::function); the device schedules its one owned
+ *                sim::Event, so only fault injection's timed attempts
+ *                count
+ *   exps         exp(-dt/tau) evaluations of the power solver that no
+ *                power::ExpCache served
+ *   new          operator new calls, including every std::function
+ *                whose capture outgrows its inline storage
  *   heap_peak    peak live bytes requested through operator new
  *                during the run, above those live when it started
  *   out          FNV-1a over the bit patterns of every
@@ -59,7 +63,6 @@
 #include "apps/grc.hh"
 #include "apps/ta.hh"
 #include "dev/device.hh"
-#include "sim/callback.hh"
 #include "sim/logging.hh"
 #include "sim/work.hh"
 
@@ -117,15 +120,13 @@ using namespace capy;
 struct Snapshot
 {
     sim::WorkCounts work;
-    std::uint64_t callbackHeap;
     std::uint64_t news;
     std::size_t live;
 
     static Snapshot
     now()
     {
-        return {sim::workCounts, sim::Callback::heapFallbacks(),
-                newCalls, liveBytes};
+        return {sim::workCounts, newCalls, liveBytes};
     }
 };
 
@@ -173,7 +174,7 @@ measure(const std::string &name, Run &&run)
     };
     std::printf("%-14s events=%llu transitions=%llu crc=%llu "
                 "advances=%llu queries=%llu phases=%llu solves=%llu "
-                "seeks=%llu cb_events=%llu cb_heap=%llu new=%llu "
+                "seeks=%llu cb_events=%llu exps=%llu new=%llu "
                 "heap_peak=%llu out=%016llx\n",
                 name.c_str(), (unsigned long long)events,
                 (unsigned long long)transitions,
@@ -184,7 +185,7 @@ measure(const std::string &name, Run &&run)
                 delta(a.work.solves, b.work.solves),
                 delta(a.work.seeks, b.work.seeks),
                 delta(a.work.callbackEvents, b.work.callbackEvents),
-                delta(a.callbackHeap, b.callbackHeap),
+                delta(a.work.exps, b.work.exps),
                 delta(a.news, b.news),
                 (unsigned long long)(peakBytes - a.live),
                 (unsigned long long)out);
