@@ -2,8 +2,9 @@
  * @file
  * Engine microbenchmarks (google-benchmark) for layer work: the
  * event-queue hot path (schedule / cancel / runNext, callback
- * dispatch), one-event simulator chains through an owned Event and
- * through a std::function closure per event, the RNG, and TempAlarm sweep
+ * dispatch), one-event simulator chains through an owned Event, run
+ * in place (Simulator::claimInPlace) and through a std::function
+ * closure per event, the RNG, and TempAlarm sweep
  * throughput at 1 thread vs the sweep pool. Timings are for
  * exploring one layer; the end-to-end perf figures come from
  * e2ebench, and the tier-1 gate is the exact work counts of
@@ -84,6 +85,17 @@ BM_EventRetimerChurn(benchmark::State &state)
 }
 BENCHMARK(BM_EventRetimerChurn);
 
+/** Report the time per event of @p events per iteration as the
+ *  counter per_event (printed in seconds with an SI prefix, e.g.
+ *  13.7ns). */
+void
+setTimePerEvent(benchmark::State &state, std::int64_t events)
+{
+    state.counters["per_event"] = benchmark::Counter(
+        double(state.iterations() * events),
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+
 /** A 1000-event self-rescheduling chain, the device's one-pending-
  *  event pattern, through an owned sim::Event. */
 struct OwnedChain
@@ -112,8 +124,48 @@ BM_OwnedEventChain(benchmark::State &state)
         benchmark::DoNotOptimize(chain.depth);
     }
     state.SetItemsProcessed(state.iterations() * 1000);
+    setTimePerEvent(state, 1000);
 }
 BENCHMARK(BM_OwnedEventChain);
+
+/** The same chain run in place, the device's completion loop: each
+ *  step closes its event and claims the next, which the empty queue
+ *  always grants. */
+struct InPlaceChain
+{
+    sim::Simulator &sim;
+    int depth = 0;
+    sim::Event ev{[](void *c) { static_cast<InPlaceChain *>(c)->step(); },
+                  this};
+
+    void
+    step()
+    {
+        while (++depth < 1000) {
+            sim::Time next = sim.now() + 0.001;
+            sim.closeEvent();
+            if (!sim.claimInPlace(next)) {
+                sim.scheduleAt(next, ev);
+                return;
+            }
+        }
+    }
+};
+
+void
+BM_InPlaceChain(benchmark::State &state)
+{
+    for (auto _ : state) {
+        sim::Simulator s;
+        InPlaceChain chain{s};
+        s.schedule(0.0, chain.ev);
+        s.run();
+        benchmark::DoNotOptimize(chain.depth);
+    }
+    state.SetItemsProcessed(state.iterations() * 1000);
+    setTimePerEvent(state, 1000);
+}
+BENCHMARK(BM_InPlaceChain);
 
 /** The same chain as a fresh [this] std::function closure per
  *  event (a pooled callback event). */

@@ -37,6 +37,7 @@ Device::setHooks(Hooks h)
 void
 Device::schedulePending(Pending kind, sim::Time at)
 {
+    completionDeferred = false;
     pendingKind = kind;
     sim.scheduleAt(at, pending);
 }
@@ -216,7 +217,7 @@ Device::runWorkload(double rail_power, double duration,
 
     sim::Time t_end = sim.now() + duration;
     if (mode == PowerMode::Continuous) {
-        schedulePending(Pending::WorkloadDone, t_end);
+        completeAt(t_end);
         return;
     }
 
@@ -232,11 +233,44 @@ Device::runWorkload(double rail_power, double duration,
         schedulePending(Pending::RunBrownOut, sim.now() + t_bo);
         return;
     }
+    completeAt(t_end);
+}
+
+void
+Device::completeAt(sim::Time t_end)
+{
+    if (inCompletion) {
+        completionDeferred = true;
+        deferredEnd = t_end;
+        return;
+    }
     schedulePending(Pending::WorkloadDone, t_end);
 }
 
 void
 Device::onWorkloadDone()
+{
+    // A loop, not recursion: each round completes one workload, and a
+    // completion the simulator lets run in place is the next round.
+    for (;;) {
+        finishWorkload();
+        if (!completionDeferred)
+            return;
+        sim.closeEvent();
+        // The post-event hook may have failed the device, which
+        // aborted the deferred workload.
+        if (!completionDeferred)
+            return;
+        if (!sim.claimInPlace(deferredEnd)) {
+            schedulePending(Pending::WorkloadDone, deferredEnd);
+            return;
+        }
+        completionDeferred = false;
+    }
+}
+
+void
+Device::finishWorkload()
 {
     workloadActive = false;
     if (mode == PowerMode::Intermittent) {
@@ -249,13 +283,16 @@ Device::onWorkloadDone()
     // Move the continuation out first: it usually starts the next
     // workload, which refills the member.
     std::function<void()> done = std::move(workloadDone);
+    inCompletion = true;
     done();
+    inCompletion = false;
 }
 
 void
 Device::failPower(bool during_boot)
 {
     workloadActive = false;
+    completionDeferred = false;
     workloadDone = nullptr;
     ++devStats.powerFailures;
     if (!during_boot) {
@@ -321,6 +358,7 @@ Device::powerDown()
                 "powerDown while the device is not on");
     sim.cancel(pending);
     workloadActive = false;
+    completionDeferred = false;
     workloadDone = nullptr;
     if (observer.onRailDown)
         observer.onRailDown(RailDownReason::Park);

@@ -139,6 +139,11 @@ class Device
      * workload is cut short by powerDown() or an injected failure,
      * the workload is aborted: @p on_complete is destroyed unrun and
      * the onPowerFail hook fires instead (not for powerDown()).
+     *
+     * Called from a completion (inside the previous workload's
+     * @p on_complete), the new completion is not scheduled at once:
+     * the device runs it in place when the simulator's rule allows
+     * (sim::Simulator::claimInPlace) and schedules it otherwise.
      * @pre isOn() and no workload in flight.
      */
     void runWorkload(double rail_power, double duration,
@@ -211,7 +216,14 @@ class Device
     void onChargeWake();
     void beginBoot();
     void onBootDone();
+    /** Complete the workload, then every completion it chains that
+     *  the simulator lets run in place. */
     void onWorkloadDone();
+    /** Resolve the in-flight workload and run its continuation. */
+    void finishWorkload();
+    /** Schedule the in-flight workload's completion at @p t_end, or
+     *  defer it to onWorkloadDone()'s loop inside a completion. */
+    void completeAt(sim::Time t_end);
     void failPower(bool during_boot);
     void transitionSpan(const char *label);
     void closeSpan();
@@ -228,13 +240,21 @@ class Device
      *  device cancels it. */
     sim::Event pending;
     Pending pendingKind = Pending::BootDone;
+    // The flags share pendingKind's padding.
     /** A workload is in flight (runWorkload scheduled, not resolved). */
     bool workloadActive = false;
+    bool warnedStuck = false;
+    /** finishWorkload() is running the continuation. */
+    bool inCompletion = false;
+    /** The continuation started a workload whose completion, at
+     *  deferredEnd, is neither scheduled nor claimed yet; any abort
+     *  or scheduled event clears it. */
+    bool completionDeferred = false;
+    sim::Time deferredEnd = 0.0;
     /** The in-flight workload's continuation; reset on any abort. */
     std::function<void()> workloadDone;
     Stats devStats;
     sim::SpanTrace activity;
-    bool warnedStuck = false;
     double workloadPower = 0.0;
     sim::Time workloadStart = 0.0;
     AbortedWorkload lastAborted;

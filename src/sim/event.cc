@@ -153,6 +153,13 @@ EventQueue::nextTime() const
     return heap.front().when;
 }
 
+bool
+EventQueue::runsFirst(Time when) const
+{
+    skipCancelled();
+    return heap.empty() || when < heap.front().when;
+}
+
 Event *
 EventQueue::popDue(Time until, Time &when)
 {

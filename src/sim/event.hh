@@ -141,6 +141,14 @@ class EventQueue
     Time nextTime() const;
 
     /**
+     * Whether an event at @p when would run before every pending
+     * event: the queue is empty or @p when is strictly earlier than
+     * its head. A tie goes to the pending event, which was scheduled
+     * first.
+     */
+    bool runsFirst(Time when) const;
+
+    /**
      * Pop the earliest pending event and fire it.
      * @return the time at which the event ran.
      */

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "sim/logging.hh"
+#include "sim/work.hh"
 
 namespace capy::sim
 {
@@ -42,9 +43,7 @@ Simulator::scheduleAt(Time when, std::function<void()> fn)
 void
 Simulator::run()
 {
-    stopRequested = false;
-    while (!stopRequested && step(kForever))
-        afterEvent();
+    runEvents(kForever);
 }
 
 void
@@ -53,11 +52,20 @@ Simulator::runUntil(Time until)
     capy_assert(until >= currentTime,
                 "runUntil(%g) is in the past (now %g)", until,
                 currentTime);
-    stopRequested = false;
-    while (!stopRequested && step(until))
-        afterEvent();
+    runEvents(until);
     if (!stopRequested)
         currentTime = until;
+}
+
+void
+Simulator::runEvents(Time until)
+{
+    stopRequested = false;
+    limit = until;
+    while (!stopRequested && step(until)) {
+        if (eventOpen)
+            closeEvent();
+    }
 }
 
 bool
@@ -70,15 +78,34 @@ Simulator::step(Time until)
     capy_assert(when >= currentTime, "event time %g behind clock %g",
                 when, currentTime);
     currentTime = when;
+    eventOpen = true;
     ev->fire();
     return true;
 }
 
 void
-Simulator::afterEvent()
+Simulator::closeEvent()
 {
+    capy_assert(eventOpen, "closeEvent() with no open event");
+    eventOpen = false;
     if (postEvent)
         postEvent();
+}
+
+bool
+Simulator::claimInPlace(Time when)
+{
+    capy_assert(!eventOpen, "claimInPlace() while an event is open");
+    capy_assert(when >= currentTime,
+                "claimInPlace(%g) is in the past (now %g)", when,
+                currentTime);
+    if (stopRequested || when > limit || !queue.runsFirst(when))
+        return false;
+    currentTime = when;
+    eventOpen = true;
+    ++numInPlace;
+    ++workCounts.inPlace;
+    return true;
 }
 
 } // namespace capy::sim

@@ -40,6 +40,9 @@ struct WorkCounts
      *  std::function)); the simulator's own components schedule
      *  owned Events instead. */
     std::uint64_t callbackEvents = 0;
+    /** Events run in place (Simulator::claimInPlace) instead of
+     *  through the queue; counted in the executed events too. */
+    std::uint64_t inPlace = 0;
 };
 
 /** This thread's counters; only ever incremented. */

@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <memory>
+#include <vector>
 
 #include "dev/device.hh"
 #include "dev/nvmem.hh"
@@ -17,6 +19,7 @@
 #include "power/parts.hh"
 #include "power/units.hh"
 #include "sim/simulator.hh"
+#include "sim/work.hh"
 
 using namespace capy;
 using namespace capy::dev;
@@ -216,6 +219,162 @@ TEST(Device, BigBankBootsSlowerThanSmall)
     ASSERT_GT(small, 0.0);
     ASSERT_GT(large, 0.0);
     EXPECT_GT(large, 20.0 * small);
+}
+
+namespace
+{
+
+/**
+ * A device running a back-to-back chain of workloads, each started by
+ * the previous one's completion, the way the Chain kernel runs tasks:
+ * every completion after the first is a candidate to run in place.
+ */
+struct WorkloadChain
+{
+    sim::Simulator sim;
+    Device dev;
+    double duration;
+    std::size_t limit;
+    /** Completion instants, in order. */
+    std::vector<double> done;
+    /** Runs in each completion before the next workload starts. */
+    std::function<void()> onDone;
+
+    WorkloadChain(Device::PowerMode mode, double duration_s,
+                  std::size_t max_workloads = 1000000)
+        : dev(sim, smallBankSystem(), msp430fr5969(), mode),
+          duration(duration_s), limit(max_workloads)
+    {
+        dev.setHooks({.onBoot = [this] { next(); },
+                      .onPowerFail = nullptr});
+    }
+
+    void
+    next()
+    {
+        dev.runWorkload(8.4e-3, duration, [this] {
+            done.push_back(sim.now());
+            if (onDone)
+                onDone();
+            if (done.size() < limit)
+                next();
+        });
+    }
+};
+
+} // namespace
+
+TEST(DeviceInPlace, ChainUnderRunUntilStopsAtTheLimit)
+{
+    WorkloadChain c(Device::PowerMode::Continuous, 0.1);
+    const std::uint64_t in_place = sim::workCounts.inPlace;
+    c.dev.start();
+    c.sim.runUntil(2.0);
+    EXPECT_DOUBLE_EQ(c.sim.now(), 2.0);
+    ASSERT_EQ(c.done.size(), 19u);  // boot 5 ms, then every 0.1 s
+    EXPECT_LE(c.done.back(), 2.0);
+    // The completion after the limit is still pending, not lost.
+    EXPECT_EQ(c.sim.pendingEvents(), 1u);
+    EXPECT_EQ(c.dev.stats().workloadsCompleted, 19u);
+    // Boot and the first completion were queued; the rest ran in
+    // place, and every one counts as an executed event.
+    EXPECT_EQ(c.sim.eventsExecuted(), 20u);
+    EXPECT_EQ(sim::workCounts.inPlace - in_place, 18u);
+    c.sim.runUntil(3.0);
+    ASSERT_EQ(c.done.size(), 29u);
+    EXPECT_GT(c.done[19], 2.0);
+}
+
+TEST(DeviceInPlace, EventQueuedAtTheCompletionTimeRunsFirst)
+{
+    WorkloadChain c(Device::PowerMode::Continuous, 0.25, 6);
+    std::size_t seen = 0;
+    c.onDone = [&] {
+        // Queued before the fourth workload starts, at exactly the
+        // instant it will complete (runWorkload's now + duration).
+        if (c.done.size() == 3)
+            c.sim.scheduleAt(c.sim.now() + c.duration,
+                             [&] { seen = c.done.size(); });
+    };
+    c.dev.start();
+    c.sim.run();
+    ASSERT_EQ(c.done.size(), 6u);
+    EXPECT_EQ(seen, 3u) << "the queued event must run before the tied "
+                           "completion";
+    EXPECT_EQ(c.done[3], c.done[2] + 0.25);
+    EXPECT_EQ(c.sim.eventsExecuted(), 8u);
+}
+
+TEST(DeviceInPlace, StopFromTheHookEndsTheChain)
+{
+    WorkloadChain c(Device::PowerMode::Continuous, 0.1, 10);
+    c.sim.setPostEventHook([&] {
+        if (c.done.size() == 4)
+            c.sim.stop();
+    });
+    c.dev.start();
+    c.sim.run();
+    EXPECT_EQ(c.done.size(), 4u);
+    EXPECT_DOUBLE_EQ(c.sim.now(), c.done.back());
+    EXPECT_EQ(c.sim.pendingEvents(), 1u);
+    c.sim.setPostEventHook({});
+    c.sim.run();
+    EXPECT_EQ(c.done.size(), 10u);
+}
+
+TEST(DeviceInPlace, HookRunsOncePerEventInPlaceOrQueued)
+{
+    // Intermittent, with workloads long enough to brown out the small
+    // bank now and then: boots, charge wakes and brown-outs are
+    // queued, and completions run in place between them.
+    WorkloadChain c(Device::PowerMode::Intermittent, 20e-3);
+    std::uint64_t hooks = 0;
+    c.sim.setPostEventHook([&] {
+        ++hooks;
+        EXPECT_EQ(c.sim.eventsExecuted(), hooks);
+    });
+    const std::uint64_t in_place = sim::workCounts.inPlace;
+    c.dev.start();
+    c.sim.runUntil(30.0);
+    const std::uint64_t ran_in_place = sim::workCounts.inPlace - in_place;
+    EXPECT_EQ(hooks, c.sim.eventsExecuted());
+    EXPECT_GT(c.dev.stats().powerFailures, 0u);
+    EXPECT_GT(ran_in_place, 0u);
+    EXPECT_LT(ran_in_place, c.dev.stats().workloadsCompleted);
+}
+
+TEST(DeviceInPlace, FailureFromTheHookAbortsTheDeferredWorkload)
+{
+    WorkloadChain c(Device::PowerMode::Intermittent, 1e-3);
+    std::uint64_t aborted_before = 0;
+    bool injected = false;
+    c.sim.setPostEventHook([&] {
+        // Right after the third completion, whose continuation has
+        // started the fourth workload.
+        if (injected || c.done.size() != 3)
+            return;
+        injected = true;
+        aborted_before = c.dev.stats().workloadsAborted;
+        EXPECT_TRUE(
+            c.dev.injectPowerFailure(Device::FailureKind::Glitch));
+        EXPECT_EQ(c.dev.stats().workloadsAborted, aborted_before + 1);
+        EXPECT_EQ(c.dev.lastAbortedWorkload().elapsed, 0.0);
+        EXPECT_EQ(c.dev.lastAbortedWorkload().railPower, 8.4e-3);
+        EXPECT_FALSE(c.dev.isOn());
+        c.sim.stop();
+    });
+    c.dev.start();
+    c.sim.runUntil(10.0);
+    ASSERT_TRUE(injected);
+    EXPECT_EQ(c.dev.stats().injectedFailures, 1u);
+    EXPECT_EQ(c.dev.stats().powerFailures, 1u);
+    EXPECT_EQ(c.dev.stats().workloadsAborted, aborted_before + 1);
+    // The aborted workload's continuation never ran, and nothing of
+    // it stays queued: the one pending event is the charge wake.
+    EXPECT_EQ(c.dev.stats().workloadsCompleted, 3u);
+    EXPECT_EQ(c.done.size(), 3u);
+    EXPECT_TRUE(c.dev.isCharging());
+    EXPECT_EQ(c.sim.pendingEvents(), 1u);
 }
 
 TEST(Peripherals, CatalogSane)

@@ -11,6 +11,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -20,6 +21,7 @@
 #include "sim/simulator.hh"
 #include "sim/stats.hh"
 #include "sim/trace.hh"
+#include "sim/work.hh"
 
 using namespace capy;
 using namespace capy::sim;
@@ -620,6 +622,142 @@ TEST(Simulator, NestedSchedulingUsesCurrentTime)
     });
     s.run();
     EXPECT_DOUBLE_EQ(inner_time, 3.0);
+}
+
+namespace
+{
+
+/**
+ * A self-continuing chain of owned events @p step seconds apart that
+ * runs each next one in place when the simulator allows and schedules
+ * it otherwise: the device's completion loop, without the device.
+ */
+struct InPlaceChain
+{
+    Simulator &sim;
+    std::vector<std::string> *log;
+    int left;
+    Time step = 1.0;
+    Event ev{[](void *c) { static_cast<InPlaceChain *>(c)->fire(); },
+             this};
+
+    void
+    fire()
+    {
+        for (;;) {
+            log->push_back("chain@" + std::to_string(sim.now()));
+            if (--left == 0)
+                return;
+            Time next = sim.now() + step;
+            sim.closeEvent();
+            if (!sim.claimInPlace(next)) {
+                sim.scheduleAt(next, ev);
+                return;
+            }
+        }
+    }
+};
+
+std::string
+at(const char *who, double t)
+{
+    return std::string(who) + "@" + std::to_string(t);
+}
+
+} // namespace
+
+TEST(InPlace, ChainCountsEveryEventAndRunsTheHookOnce)
+{
+    Simulator s;
+    std::vector<std::string> log;
+    InPlaceChain chain{s, &log, 10};
+    std::uint64_t hooks = 0;
+    std::vector<std::uint64_t> seen;
+    s.setPostEventHook([&] {
+        ++hooks;
+        seen.push_back(s.eventsExecuted());
+    });
+    const std::uint64_t in_place = workCounts.inPlace;
+    s.schedule(0.0, chain.ev);
+    s.run();
+    EXPECT_EQ(log.size(), 10u);
+    EXPECT_DOUBLE_EQ(s.now(), 9.0);
+    EXPECT_EQ(s.eventsExecuted(), 10u);
+    EXPECT_EQ(hooks, 10u);
+    // The hook sees each event counted, in place or queued.
+    for (std::size_t i = 0; i < seen.size(); ++i)
+        EXPECT_EQ(seen[i], i + 1);
+    EXPECT_EQ(workCounts.inPlace - in_place, 9u);
+}
+
+TEST(InPlace, ChainStopsAtTheRunLimit)
+{
+    Simulator s;
+    std::vector<std::string> log;
+    InPlaceChain chain{s, &log, 10};
+    s.schedule(0.0, chain.ev);
+    s.runUntil(4.5);
+    EXPECT_EQ(log.size(), 5u);
+    EXPECT_DOUBLE_EQ(s.now(), 4.5);
+    EXPECT_EQ(s.pendingEvents(), 1u);
+    EXPECT_TRUE(chain.ev.scheduled());
+    // An event exactly at the limit is within it.
+    s.runUntil(6.0);
+    EXPECT_EQ(log.size(), 7u);
+    EXPECT_EQ(log.back(), at("chain", 6.0));
+    s.run();
+    EXPECT_EQ(log.size(), 10u);
+    EXPECT_EQ(s.eventsExecuted(), 10u);
+}
+
+TEST(InPlace, QueuedEventRunsFirstOnATieAndWhenEarlier)
+{
+    Simulator s;
+    std::vector<std::string> log;
+    InPlaceChain chain{s, &log, 6};
+    s.schedule(0.0, chain.ev);
+    s.scheduleAt(2.5, [&] { log.push_back(at("early", s.now())); });
+    s.scheduleAt(4.0, [&] { log.push_back(at("tie", s.now())); });
+    s.run();
+    EXPECT_EQ(log, (std::vector<std::string>{
+                       at("chain", 0), at("chain", 1), at("chain", 2),
+                       at("early", 2.5), at("chain", 3), at("tie", 4),
+                       at("chain", 4), at("chain", 5)}));
+    EXPECT_EQ(s.eventsExecuted(), 8u);
+}
+
+TEST(InPlace, StopFromTheHookEndsTheChainAfterTheCurrentEvent)
+{
+    Simulator s;
+    std::vector<std::string> log;
+    InPlaceChain chain{s, &log, 10};
+    s.setPostEventHook([&] {
+        if (s.eventsExecuted() == 4)
+            s.stop();
+    });
+    s.schedule(0.0, chain.ev);
+    s.run();
+    EXPECT_EQ(log.size(), 4u);
+    EXPECT_DOUBLE_EQ(s.now(), 3.0);
+    EXPECT_TRUE(chain.ev.scheduled());
+    s.run();
+    EXPECT_EQ(log.size(), 10u);
+    EXPECT_EQ(s.eventsExecuted(), 10u);
+}
+
+TEST(InPlace, StopFromTheHandlerRefusesTheClaim)
+{
+    Simulator s;
+    bool claimed = true;
+    s.schedule(1.0, [&] {
+        s.stop();
+        s.closeEvent();
+        claimed = s.claimInPlace(2.0);
+    });
+    s.run();
+    EXPECT_FALSE(claimed);
+    EXPECT_EQ(s.eventsExecuted(), 1u);
+    EXPECT_DOUBLE_EQ(s.now(), 1.0);
 }
 
 TEST(Rng, DeterministicForSeed)

@@ -28,6 +28,9 @@
  *                a std::function); the device schedules its one owned
  *                sim::Event, so only fault injection's timed attempts
  *                count
+ *   inplace      events run in place (sim::Simulator::claimInPlace):
+ *                a workload completion that the queue would have run
+ *                next anyway; counted in events too
  *   exps         exp(-dt/tau) evaluations of the power solver that no
  *                power::ExpCache served
  *   new          operator new calls, including every std::function
@@ -174,8 +177,8 @@ measure(const std::string &name, Run &&run)
     };
     std::printf("%-14s events=%llu transitions=%llu crc=%llu "
                 "advances=%llu queries=%llu phases=%llu solves=%llu "
-                "seeks=%llu cb_events=%llu exps=%llu new=%llu "
-                "heap_peak=%llu out=%016llx\n",
+                "seeks=%llu cb_events=%llu inplace=%llu exps=%llu "
+                "new=%llu heap_peak=%llu out=%016llx\n",
                 name.c_str(), (unsigned long long)events,
                 (unsigned long long)transitions,
                 delta(a.work.crcCalls, b.work.crcCalls),
@@ -185,6 +188,7 @@ measure(const std::string &name, Run &&run)
                 delta(a.work.solves, b.work.solves),
                 delta(a.work.seeks, b.work.seeks),
                 delta(a.work.callbackEvents, b.work.callbackEvents),
+                delta(a.work.inPlace, b.work.inPlace),
                 delta(a.work.exps, b.work.exps),
                 delta(a.news, b.news),
                 (unsigned long long)(peakBytes - a.live),
