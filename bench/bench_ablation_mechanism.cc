@@ -61,7 +61,8 @@ coldStart(std::unique_ptr<power::PowerSystem> ps)
                              boot_at = simulator.now();
                              simulator.stop();
                          },
-                     .onPowerFail = nullptr});
+                     .onPowerFail = nullptr,
+                     .onWorkloadDone = nullptr});
     device.start();
     simulator.runUntil(36000.0);
     return boot_at;

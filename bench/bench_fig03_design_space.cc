@@ -59,15 +59,15 @@ measure(double capacitance)
                  if (boot_at >= 0.0)
                      return;  // only the first span counts
                  boot_at = simulator.now();
-                 device.runWorkload(device.mcu().activePower, 1e9,
-                                    [] {});
+                 device.runWorkload(device.mcu().activePower, 1e9);
              },
          .onPowerFail =
              [&] {
                  if (fail_at < 0.0)
                      fail_at = simulator.now();
                  simulator.stop();
-             }});
+             },
+         .onWorkloadDone = nullptr});
     device.start();
     simulator.runUntil(36000.0);
     if (boot_at < 0.0 || fail_at < 0.0)

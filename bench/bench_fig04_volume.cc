@@ -58,15 +58,15 @@ measure(const power::CapacitorSpec &bank)
                  if (boot_at >= 0.0)
                      return;
                  boot_at = simulator.now();
-                 device.runWorkload(device.mcu().activePower, 1e9,
-                                    [] {});
+                 device.runWorkload(device.mcu().activePower, 1e9);
              },
          .onPowerFail =
              [&] {
                  if (fail_at < 0.0)
                      fail_at = simulator.now();
                  simulator.stop();
-             }});
+             },
+         .onWorkloadDone = nullptr});
     device.start();
     simulator.runUntil(36000.0);
     if (boot_at < 0.0 || fail_at < 0.0)

@@ -59,7 +59,7 @@ Device::onPending()
         failPower(false);
         break;
       case Pending::WorkloadDone:
-        onWorkloadDone();
+        completeWorkloads();
         break;
     }
 }
@@ -200,8 +200,7 @@ Device::onBootDone()
 }
 
 void
-Device::runWorkload(double rail_power, double duration,
-                    std::function<void()> on_complete)
+Device::runWorkload(double rail_power, double duration)
 {
     capy_assert(state == State::On,
                 "runWorkload while the device is not on");
@@ -213,7 +212,6 @@ Device::runWorkload(double rail_power, double duration,
     workloadPower = rail_power;
     workloadStart = sim.now();
     workloadActive = true;
-    workloadDone = std::move(on_complete);
 
     sim::Time t_end = sim.now() + duration;
     if (mode == PowerMode::Continuous) {
@@ -226,7 +224,7 @@ Device::runWorkload(double rail_power, double duration,
     if (ps->time() != sim.now())
         ps->advanceTo(sim.now());
     // One walk: the brown-out instant, or the end state
-    // onWorkloadDone()'s advance commits.
+    // finishWorkload()'s advance commits.
     sim::Time t_bo = ps->runLoad(rail_power, t_end);
     if (t_bo < duration - kRaceTol) {
         ++devStats.workloadsAborted;
@@ -248,7 +246,7 @@ Device::completeAt(sim::Time t_end)
 }
 
 void
-Device::onWorkloadDone()
+Device::completeWorkloads()
 {
     // A loop, not recursion: each round completes one workload, and a
     // completion the simulator lets run in place is the next round.
@@ -280,11 +278,9 @@ Device::finishWorkload()
         ps->setRailLoad(mcuSpec.activePower);
     }
     ++devStats.workloadsCompleted;
-    // Move the continuation out first: it usually starts the next
-    // workload, which refills the member.
-    std::function<void()> done = std::move(workloadDone);
     inCompletion = true;
-    done();
+    if (hooks.onWorkloadDone)
+        hooks.onWorkloadDone();
     inCompletion = false;
 }
 
@@ -293,7 +289,6 @@ Device::failPower(bool during_boot)
 {
     workloadActive = false;
     completionDeferred = false;
-    workloadDone = nullptr;
     ++devStats.powerFailures;
     if (!during_boot) {
         lastAborted = AbortedWorkload{workloadPower,
@@ -359,7 +354,6 @@ Device::powerDown()
     sim.cancel(pending);
     workloadActive = false;
     completionDeferred = false;
-    workloadDone = nullptr;
     if (observer.onRailDown)
         observer.onRailDown(RailDownReason::Park);
     if (mode == PowerMode::Continuous) {

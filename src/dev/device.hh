@@ -46,6 +46,9 @@ class Device
         std::function<void()> onBoot;
         /** Power failed mid-operation; volatile state is lost. */
         std::function<void()> onPowerFail;
+        /** The workload runWorkload() started completed; software
+         *  may start the next one from here. */
+        std::function<void()> onWorkloadDone;
     };
 
     /** How an injected power failure treats the storage buffer. */
@@ -134,20 +137,19 @@ class Device
 
     /**
      * Execute an atomic workload drawing @p rail_power watts for
-     * @p duration seconds. The device holds @p on_complete until the
-     * workload resolves. If the buffer browns out first, or the
-     * workload is cut short by powerDown() or an injected failure,
-     * the workload is aborted: @p on_complete is destroyed unrun and
-     * the onPowerFail hook fires instead (not for powerDown()).
+     * @p duration seconds. When it completes, the onWorkloadDone hook
+     * fires. If the buffer browns out first, or the workload is cut
+     * short by powerDown() or an injected failure, the workload is
+     * aborted: onWorkloadDone never fires for it, and the onPowerFail
+     * hook fires instead (not for powerDown()).
      *
-     * Called from a completion (inside the previous workload's
-     * @p on_complete), the new completion is not scheduled at once:
-     * the device runs it in place when the simulator's rule allows
-     * (sim::Simulator::claimInPlace) and schedules it otherwise.
+     * Called from onWorkloadDone, the new completion is not scheduled
+     * at once: the device runs it in place when the simulator's rule
+     * allows (sim::Simulator::claimInPlace) and schedules it
+     * otherwise.
      * @pre isOn() and no workload in flight.
      */
-    void runWorkload(double rail_power, double duration,
-                     std::function<void()> on_complete);
+    void runWorkload(double rail_power, double duration);
 
     /**
      * Voluntarily power down to recharge (the pause the runtime takes
@@ -204,7 +206,7 @@ class Device
         ChargeWake,       ///< onChargeWake()
         BootBrownOut,     ///< failPower(true)
         RunBrownOut,      ///< failPower(false)
-        WorkloadDone,     ///< onWorkloadDone()
+        WorkloadDone,     ///< completeWorkloads()
     };
 
     /** Schedule the pending event as @p kind at absolute time @p at. */
@@ -218,11 +220,11 @@ class Device
     void onBootDone();
     /** Complete the workload, then every completion it chains that
      *  the simulator lets run in place. */
-    void onWorkloadDone();
-    /** Resolve the in-flight workload and run its continuation. */
+    void completeWorkloads();
+    /** Resolve the in-flight workload and fire onWorkloadDone. */
     void finishWorkload();
     /** Schedule the in-flight workload's completion at @p t_end, or
-     *  defer it to onWorkloadDone()'s loop inside a completion. */
+     *  defer it to completeWorkloads()'s loop inside a completion. */
     void completeAt(sim::Time t_end);
     void failPower(bool during_boot);
     void transitionSpan(const char *label);
@@ -244,15 +246,13 @@ class Device
     /** A workload is in flight (runWorkload scheduled, not resolved). */
     bool workloadActive = false;
     bool warnedStuck = false;
-    /** finishWorkload() is running the continuation. */
+    /** finishWorkload() is running the onWorkloadDone hook. */
     bool inCompletion = false;
-    /** The continuation started a workload whose completion, at
+    /** The hook started a workload whose completion, at
      *  deferredEnd, is neither scheduled nor claimed yet; any abort
      *  or scheduled event clears it. */
     bool completionDeferred = false;
     sim::Time deferredEnd = 0.0;
-    /** The in-flight workload's continuation; reset on any abort. */
-    std::function<void()> workloadDone;
     Stats devStats;
     sim::SpanTrace activity;
     double workloadPower = 0.0;

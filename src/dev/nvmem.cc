@@ -75,17 +75,14 @@ nvCrc32(const void *data, std::size_t len)
 }
 
 void
-NvMemory::noteWrite(std::uint64_t cell_writes)
+NvMemory::noteWornOut(std::uint64_t cell_writes)
 {
-    ++numWrites;
-    if (endurance != 0 && cell_writes > endurance && !wornFlag) {
-        wornFlag = true;
-        capy_warn("non-volatile device '%s' exceeded write endurance "
-                  "(%llu writes to one cell, rated %llu)",
-                  deviceName.c_str(),
-                  static_cast<unsigned long long>(cell_writes),
-                  static_cast<unsigned long long>(endurance));
-    }
+    wornFlag = true;
+    capy_warn("non-volatile device '%s' exceeded write endurance "
+              "(%llu writes to one cell, rated %llu)",
+              deviceName.c_str(),
+              static_cast<unsigned long long>(cell_writes),
+              static_cast<unsigned long long>(endurance));
 }
 
 } // namespace capy::dev

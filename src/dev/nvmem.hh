@@ -54,7 +54,18 @@ class NvMemory
     {}
 
     void noteRead() { ++numReads; }
-    void noteWrite(std::uint64_t cell_writes);
+
+    /** One write to a cell that has now been written @p cell_writes
+     *  times. */
+    void
+    noteWrite(std::uint64_t cell_writes)
+    {
+        ++numWrites;
+        // Out of line past the check, so this inlines into every NV
+        // cell write (one per Chain transition).
+        if (endurance != 0 && cell_writes > endurance && !wornFlag)
+            noteWornOut(cell_writes);
+    }
 
     std::uint64_t reads() const { return numReads; }
     std::uint64_t writes() const { return numWrites; }
@@ -90,6 +101,9 @@ class NvMemory
     /// @}
 
   private:
+    /** Flag the device worn out and warn once. */
+    void noteWornOut(std::uint64_t cell_writes);
+
     std::string deviceName;
     std::uint64_t endurance;
     std::uint64_t numReads = 0;

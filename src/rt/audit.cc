@@ -89,29 +89,39 @@ CrashAuditor::watchKernel(const Kernel &kernel)
     });
 
     addInvariant("chain-task-valid", [k]() -> std::string {
-        const Task *t = k->taskCell().peek();
-        if (t == nullptr)
-            return "recovered NV task pointer is null";
-        if (!k->app().owns(t))
-            return "recovered NV task pointer is not a task of "
-                   "the app";
+        std::uint32_t i = k->taskCell().peek();
+        if (i >= k->app().taskCount())
+            return fmt("recovered NV task index %u is not a task of "
+                       "the app (%zu tasks)",
+                       i, k->app().taskCount());
         return "";
     });
 
-    addInvariant("chain-journal", [k]() -> std::string {
-        auto st = k->taskCell().auditState();
-        if (st.commits > 0 && st.active < 0)
-            return fmt("no valid journal slot after %llu commits",
-                       (unsigned long long)st.commits);
+    // The transition commits by writing the one NV task word exactly
+    // once: any other write (say, of an attempt that then aborted) is
+    // a commit the accounting never saw.
+    addInvariant("chain-commit-count", [k]() -> std::string {
+        std::uint64_t writes = k->taskCell().writeCount();
+        std::uint64_t transitions = k->stats().transitions;
+        if (writes != transitions)
+            return fmt("NV task word written %llu times for %llu "
+                       "transitions",
+                       (unsigned long long)writes,
+                       (unsigned long long)transitions);
         return "";
     });
 
-    addInvariant("chain-recovery-integrity", [k]() -> std::string {
-        const Task *seen = k->taskCell().peek();
-        const Task *strict = k->taskCell().auditRecover();
-        if (seen != strict)
-            return fmt("read path recovered %p, protocol recovers %p",
-                       (const void *)seen, (const void *)strict);
+    // An aborted attempt commits nothing: until the task runs again,
+    // the NV task word still designates it.
+    addInvariant("chain-abort-keeps-task", [k]() -> std::string {
+        const Task *a = k->abortedTask();
+        if (a == nullptr)
+            return "";
+        std::uint32_t i = k->taskCell().peek();
+        if (i != a->index)
+            return fmt("NV task index %u after an aborted attempt of "
+                       "'%s' (index %zu)",
+                       i, a->name.c_str(), a->index);
         return "";
     });
 

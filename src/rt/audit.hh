@@ -9,11 +9,12 @@
  *
  *  - monotonic progress: committed checkpoint/task progress never
  *    regresses across an outage;
- *  - atomic transitions: a recovered NV task pointer always
- *    designates a real task, and the Chain accounting identity
- *    (completions == transitions + halted) holds;
- *  - journal integrity: a torn commit is detected by the two-slot
- *    protocol, never returned as a value;
+ *  - atomic transitions: the recovered NV task word always
+ *    designates a real task, it is written once per committed
+ *    transition and never by an aborted attempt, and the Chain
+ *    accounting identity (completions == transitions + halted) holds;
+ *  - journal integrity: a torn checkpoint commit is detected by the
+ *    two-slot protocol, never returned as a value;
  *  - latch retention: an unpowered bank switch holds its commanded
  *    state exactly until its analytic expiry and reverts to its
  *    default after;

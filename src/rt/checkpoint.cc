@@ -28,6 +28,7 @@ CheckpointKernel::start()
     dev.setHooks(dev::Device::Hooks{
         .onBoot = [this] { onBoot(); },
         .onPowerFail = [this] { onPowerFail(); },
+        .onWorkloadDone = [this] { onWorkloadDone(); },
     });
     dev.start();
 }
@@ -80,20 +81,52 @@ CheckpointKernel::onPowerFail()
 }
 
 void
+CheckpointKernel::onWorkloadDone()
+{
+    // Overhead and counts account on completion: an aborted restore
+    // is overheadLost, not a restore, and an aborted checkpoint write
+    // is overheadLost plus a torn journal slot (onPowerFail).
+    switch (currentPhase) {
+      case Phase::Restore:
+        ++ckptStats.restores;
+        ckptStats.overheadTime += spec.restoreTime;
+        currentPhase = Phase::None;
+        computeSlice();
+        break;
+      case Phase::Compute:
+        currentPhase = Phase::None;
+        sliceInFlight += runningSlice;
+        // Work finished (final checkpoint) or LVI fired (save state
+        // while energy remains): commit either way.
+        writeCheckpoint(sliceInFlight);
+        break;
+      case Phase::Checkpoint:
+        ++ckptStats.checkpoints;
+        ckptStats.overheadTime += spec.checkpointTime;
+        nvProgress.set(pendingCommit);
+        sliceInFlight = 0.0;
+        currentPhase = Phase::None;
+        if (nvProgress.get() >= totalWork - 1e-12) {
+            done = true;
+            if (onComplete)
+                onComplete();
+            return;
+        }
+        // Hibernate until the buffer refills.
+        dev.powerDown();
+        break;
+      case Phase::None:
+        capy_panic("checkpoint kernel: a workload completed in no "
+                   "phase");
+    }
+}
+
+void
 CheckpointKernel::restoreThenCompute()
 {
     if (nvProgress.get() > 0.0) {
         currentPhase = Phase::Restore;
-        dev.runWorkload(dev.mcu().activePower, spec.restoreTime,
-                        [this] {
-                            // Overhead accounts on completion: an
-                            // aborted restore is overheadLost, not a
-                            // restore.
-                            ++ckptStats.restores;
-                            ckptStats.overheadTime += spec.restoreTime;
-                            currentPhase = Phase::None;
-                            computeSlice();
-                        });
+        dev.runWorkload(dev.mcu().activePower, spec.restoreTime);
         return;
     }
     computeSlice();
@@ -135,15 +168,9 @@ CheckpointKernel::computeSlice()
         return;
     }
 
-    double slice = std::min(remaining, t_lvi);
+    runningSlice = std::min(remaining, t_lvi);
     currentPhase = Phase::Compute;
-    dev.runWorkload(compute_power, slice, [this, slice] {
-        currentPhase = Phase::None;
-        sliceInFlight += slice;
-        // Work finished (final checkpoint) or LVI fired (save state
-        // while energy remains): commit either way.
-        writeCheckpoint(sliceInFlight);
-    });
+    dev.runWorkload(compute_power, runningSlice);
 }
 
 void
@@ -151,25 +178,8 @@ CheckpointKernel::writeCheckpoint(double slice_work)
 {
     currentPhase = Phase::Checkpoint;
     pendingCommit = nvProgress.get() + slice_work;
-    dev.runWorkload(
-        dev.mcu().activePower + spec.checkpointPower,
-        spec.checkpointTime, [this] {
-            // Overhead and count account on completion; an aborted
-            // write is overheadLost plus a torn journal slot.
-            ++ckptStats.checkpoints;
-            ckptStats.overheadTime += spec.checkpointTime;
-            nvProgress.set(pendingCommit);
-            sliceInFlight = 0.0;
-            currentPhase = Phase::None;
-            if (nvProgress.get() >= totalWork - 1e-12) {
-                done = true;
-                if (onComplete)
-                    onComplete();
-                return;
-            }
-            // Hibernate until the buffer refills.
-            dev.powerDown();
-        });
+    dev.runWorkload(dev.mcu().activePower + spec.checkpointPower,
+                    spec.checkpointTime);
 }
 
 } // namespace capy::rt

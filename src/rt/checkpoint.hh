@@ -121,6 +121,8 @@ class CheckpointKernel
   private:
     void onBoot();
     void onPowerFail();
+    /** The workload of currentPhase completed. */
+    void onWorkloadDone();
     void restoreThenCompute();
     void computeSlice();
     void writeCheckpoint(double slice_work);
@@ -132,6 +134,8 @@ class CheckpointKernel
     std::function<void()> onComplete;
     dev::NvJournaledCell<double> nvProgress;
     double sliceInFlight = 0.0;
+    /** The compute slice whose workload is in flight, s. */
+    double runningSlice = 0.0;
     Phase currentPhase = Phase::None;
     /** Progress value the in-flight checkpoint write will commit. */
     double pendingCommit = 0.0;

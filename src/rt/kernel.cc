@@ -8,8 +8,19 @@ namespace capy::rt
 {
 
 Kernel::Kernel(dev::Device &device, const App &app, dev::NvMemory *nv)
-    : dev(device), application(app), nvCurrent(nv, app.entry())
-{}
+    : dev(device), application(app),
+      nvCurrent(nv, static_cast<std::uint32_t>(app.entry()->index))
+{
+    // A transition is one NV word write, atomic only if the task
+    // index fits the word the memory commits at once.
+    capy_assert(nv == nullptr || sizeof(std::uint32_t) <= nv->wordBytes(),
+                "NV task index (%zu bytes) wider than the %zu-byte "
+                "atomic word",
+                sizeof(std::uint32_t), nv->wordBytes());
+    capy_assert(app.taskAt(app.entry()->index) == app.entry(),
+                "entry task '%s' is not one of the kernel's app",
+                app.entry()->name.c_str());
+}
 
 void
 Kernel::setPreTaskGate(PreTaskGate gate)
@@ -26,6 +37,7 @@ Kernel::start()
     dev.setHooks(dev::Device::Hooks{
         .onBoot = [this] { onBoot(); },
         .onPowerFail = [this] { onPowerFail(); },
+        .onWorkloadDone = [this] { onWorkloadDone(); },
     });
     dev.start();
 }
@@ -35,19 +47,20 @@ Kernel::onBoot()
 {
     if (isHalted)
         return;
-    executeCurrent();
+    attempt(currentTask());
 }
 
 void
 Kernel::onPowerFail()
 {
     // The interrupted attempt left no visible effects (task bodies run
-    // only at completion); the NV task pointer still designates the
+    // only at completion); the NV task index still designates the
     // interrupted task, which restarts on the next boot.
     if (inTask) {
         inTask = false;
+        interrupted = running;
         ++kernelStats.taskRestarts;
-        auto &use = energyOf(nvCurrent.get());
+        auto &use = energyOf(running);
         ++use.failedAttempts;
         const auto &aborted = dev.lastAbortedWorkload();
         use.wastedEnergy += aborted.railPower * aborted.elapsed;
@@ -55,10 +68,17 @@ Kernel::onPowerFail()
 }
 
 void
-Kernel::executeCurrent()
+Kernel::onWorkloadDone()
 {
-    const Task *task = nvCurrent.get();
-    capy_assert(task != nullptr, "kernel scheduled with no task");
+    if (inTask)
+        completeTask(running);
+    else
+        attempt(currentTask());  // the Task::sleepAfter pause ended
+}
+
+void
+Kernel::attempt(const Task *task)
+{
     if (preTaskGate && !preTaskGate(*task)) {
         capy_assert(!dev.isOn(),
                     "pre-task gate held back '%s' without parking the "
@@ -73,11 +93,12 @@ void
 Kernel::runTask(const Task *task)
 {
     inTask = true;
+    running = task;
+    interrupted = nullptr;
     double power = task->absolutePower > 0.0
                        ? task->absolutePower
                        : dev.mcu().activePower + task->extraPower;
-    dev.runWorkload(power, task->duration,
-                    [this, task] { completeTask(task); });
+    dev.runWorkload(power, task->duration);
 }
 
 void
@@ -100,11 +121,10 @@ Kernel::completeTask(const Task *task)
         // Low-power pause after the transition committed; the pause is
         // outside the atomic region, so a power failure during it
         // leaves the committed transition standing.
-        dev.runWorkload(dev.mcu().sleepPower, task->sleepAfter,
-                        [this] { executeCurrent(); });
+        dev.runWorkload(dev.mcu().sleepPower, task->sleepAfter);
         return;
     }
-    executeCurrent();
+    attempt(next);
 }
 
 Kernel::TaskEnergyUse &
@@ -131,8 +151,14 @@ Kernel::commitTransition(const Task *next)
         isHalted = true;
         return;
     }
+    // The word holds only the index: a task of another App with the
+    // same index would silently become this App's task.
+    capy_assert(next->index < application.taskCount() &&
+                    application.taskAt(next->index) == next,
+                "task '%s' is not one of the kernel's app",
+                next->name.c_str());
     ++kernelStats.transitions;
-    nvCurrent.set(next);
+    nvCurrent.set(static_cast<std::uint32_t>(next->index));
 }
 
 } // namespace capy::rt

@@ -1,8 +1,8 @@
 /**
  * @file
  * The intermittent-execution kernel: drives an App's task graph on a
- * Device, keeping the current-task pointer in non-volatile memory so
- * execution resumes at the interrupted task after every power
+ * Device, keeping the current task's index in one non-volatile word
+ * so execution resumes at the interrupted task after every power
  * failure.
  *
  * The Capybara runtime (src/core) attaches through the pre-task gate:
@@ -14,6 +14,7 @@
 #ifndef CAPY_RT_KERNEL_HH
 #define CAPY_RT_KERNEL_HH
 
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <string>
@@ -79,14 +80,23 @@ class Kernel
     /** Wire device hooks and begin (device starts charging). */
     void start();
 
-    /** The task the NV pointer currently designates. */
-    const Task *currentTask() const { return nvCurrent.get(); }
+    /** The task the NV task index currently designates. */
+    const Task *currentTask() const
+    {
+        return application.taskAt(nvCurrent.get());
+    }
 
-    /** The crash-consistent task-pointer journal (audit access). */
-    const dev::NvJournaledCell<const Task *> &taskCell() const
+    /** The NV task index, Task::index of the current task (audit
+     *  access). */
+    const dev::NvCell<std::uint32_t> &taskCell() const
     {
         return nvCurrent;
     }
+
+    /** The task whose attempt the last power failure cut short, until
+     *  that task's next attempt starts; nullptr when none is pending
+     *  (audit access). */
+    const Task *abortedTask() const { return interrupted; }
 
     /** The application this kernel schedules. */
     const App &app() const { return application; }
@@ -108,7 +118,10 @@ class Kernel
   private:
     void onBoot();
     void onPowerFail();
-    void executeCurrent();
+    void onWorkloadDone();
+    /** Pass @p task (the one the NV word designates) through the
+     *  gate and run it. */
+    void attempt(const Task *task);
     void runTask(const Task *task);
     void completeTask(const Task *task);
     void commitTransition(const Task *next);
@@ -116,10 +129,10 @@ class Kernel
 
     dev::Device &dev;
     const App &application;
-    /** The Chain NV task pointer. Committed through a two-slot
-     *  journal: the transition is atomic even though a pointer spans
-     *  two memory words. */
-    dev::NvJournaledCell<const Task *> nvCurrent;
+    /** The Chain NV task word: the current task's Task::index. One
+     *  word commits atomically (dev::NvMemory::wordBytes), so a
+     *  transition needs no journal. */
+    dev::NvCell<std::uint32_t> nvCurrent;
     PreTaskGate preTaskGate;
     Stats kernelStats;
     std::map<std::string, TaskEnergyUse> taskEnergy;
@@ -133,8 +146,15 @@ class Kernel
      *  per-transition accounting skips the string-keyed lookup. Tasks
      *  sharing a name share a node. */
     std::vector<EnergySlot> energyIndex;
+    /** The task of the latest attempt; its workload is in flight
+     *  while inTask holds. */
+    const Task *running = nullptr;
+    /** See abortedTask(). */
+    const Task *interrupted = nullptr;
     bool started = false;
     bool isHalted = false;
+    /** A task's workload is in flight; otherwise the kernel's only
+     *  workload is a Task::sleepAfter pause. */
     bool inTask = false;
 };
 

@@ -37,6 +37,12 @@ App::entry() const
     return entryTask;
 }
 
+void
+App::indexOutOfRange(std::size_t index) const
+{
+    capy_panic("task index %zu of %zu", index, tasks.size());
+}
+
 const Task *
 App::find(const std::string &name) const
 {
@@ -44,15 +50,6 @@ App::find(const std::string &name) const
         if (t.name == name)
             return &t;
     return nullptr;
-}
-
-bool
-App::owns(const Task *task) const
-{
-    for (const Task &t : tasks)
-        if (&t == task)
-            return true;
-    return false;
 }
 
 } // namespace capy::rt

@@ -7,9 +7,9 @@
  * An application is a graph of function-like tasks. A task executes
  * atomically: its externally visible effects (its body) apply only
  * when the task runs to completion, and control transfers to the next
- * task through a non-volatile task pointer committed at the
- * transition. A power failure mid-task discards the attempt; on
- * reboot the same task restarts from the top.
+ * task through a non-volatile task word (the successor's index)
+ * committed at the transition. A power failure mid-task discards the
+ * attempt; on reboot the same task restarts from the top.
  */
 
 #ifndef CAPY_RT_TASK_HH
@@ -63,7 +63,8 @@ struct Task
      */
     double sleepAfter = 0.0;
     /** Position in the owning App (App::taskAt), set by
-     *  App::addTask; per-task tables index by it. */
+     *  App::addTask; per-task tables and the kernel's NV task word
+     *  index by it. */
     std::size_t index = 0;
 };
 
@@ -90,20 +91,19 @@ class App
     const Task *
     taskAt(std::size_t index) const
     {
-        capy_assert(index < tasks.size(), "task index %zu of %zu", index,
-                    tasks.size());
+        // The panic is out of line so that this inlines: the kernel
+        // checks every transition's task through here.
+        if (index >= tasks.size())
+            indexOutOfRange(index);
         return &tasks[index];
     }
 
     /** Look up a task by name; nullptr when absent. */
     const Task *find(const std::string &name) const;
 
-    /** Whether @p task is one of this app's tasks (audit check on a
-     *  pointer recovered from non-volatile memory). Compares
-     *  addresses only, so it never dereferences @p task. */
-    bool owns(const Task *task) const;
-
   private:
+    [[noreturn]] void indexOutOfRange(std::size_t index) const;
+
     std::deque<Task> tasks;
     const Task *entryTask = nullptr;
 };

@@ -53,7 +53,8 @@ TEST(Device, BootsWhenBufferFull)
                         booted = true;
                         boot_time = s.now();
                     },
-                .onPowerFail = nullptr});
+                .onPowerFail = nullptr,
+                .onWorkloadDone = nullptr});
     d.start();
     s.runUntil(10.0);
     EXPECT_TRUE(booted);
@@ -71,10 +72,10 @@ TEST(Device, WorkloadCompletesWithinEnergy)
     d.setHooks({.onBoot =
                     [&] {
                         // 730 uF-class bank: a few ms of compute fits.
-                        d.runWorkload(8.4e-3, 2e-3,
-                                      [&] { done = true; });
+                        d.runWorkload(8.4e-3, 2e-3);
                     },
-                .onPowerFail = nullptr});
+                .onPowerFail = nullptr,
+                .onWorkloadDone = [&] { done = true; }});
     d.start();
     s.runUntil(20.0);
     EXPECT_TRUE(done);
@@ -93,9 +94,10 @@ TEST(Device, OversizedWorkloadBrownsOutAndRetries)
                     [&] {
                         ++boots;
                         // Far more energy than the small bank stores.
-                        d.runWorkload(20e-3, 10.0, [] {});
+                        d.runWorkload(20e-3, 10.0);
                     },
-                .onPowerFail = [&] { ++fails; }});
+                .onPowerFail = [&] { ++fails; },
+                .onWorkloadDone = [&] { ADD_FAILURE(); }});
     d.start();
     s.runUntil(30.0);
     EXPECT_GE(boots, 2) << "device must recharge and retry";
@@ -114,10 +116,10 @@ TEST(Device, PowerDownRechargesAndReboots)
                     [&] {
                         ++boots;
                         if (boots == 1)
-                            d.runWorkload(8.4e-3, 1e-3,
-                                          [&] { d.powerDown(); });
+                            d.runWorkload(8.4e-3, 1e-3);
                     },
-                .onPowerFail = nullptr});
+                .onPowerFail = nullptr,
+                .onWorkloadDone = [&] { d.powerDown(); }});
     d.start();
     s.runUntil(30.0);
     EXPECT_EQ(boots, 2);
@@ -130,12 +132,13 @@ TEST(Device, ContinuousModeNeverFails)
     Device d(s, smallBankSystem(0.0), msp430fr5969(),
              Device::PowerMode::Continuous);
     int completions = 0;
-    std::function<void()> loop = [&] {
-        if (++completions < 100)
-            d.runWorkload(50e-3, 0.1, loop);
-    };
-    d.setHooks({.onBoot = [&] { d.runWorkload(50e-3, 0.1, loop); },
-                .onPowerFail = nullptr});
+    d.setHooks({.onBoot = [&] { d.runWorkload(50e-3, 0.1); },
+                .onPowerFail = nullptr,
+                .onWorkloadDone =
+                    [&] {
+                        if (++completions < 100)
+                            d.runWorkload(50e-3, 0.1);
+                    }});
     d.start();
     s.runUntil(60.0);
     EXPECT_EQ(completions, 100);
@@ -149,7 +152,8 @@ TEST(Device, ContinuousBootIsFast)
              Device::PowerMode::Continuous);
     double boot_at = -1;
     d.setHooks({.onBoot = [&] { boot_at = s.now(); },
-                .onPowerFail = nullptr});
+                .onPowerFail = nullptr,
+                .onWorkloadDone = nullptr});
     d.start();
     s.run();
     EXPECT_NEAR(boot_at, msp430fr5969().bootTime, 1e-12);
@@ -164,10 +168,10 @@ TEST(Device, ChargingTimeTracked)
     d.setHooks({.onBoot =
                     [&] {
                         if (++boots == 1)
-                            d.runWorkload(8.4e-3, 1e-3,
-                                          [&] { d.powerDown(); });
+                            d.runWorkload(8.4e-3, 1e-3);
                     },
-                .onPowerFail = nullptr});
+                .onPowerFail = nullptr,
+                .onWorkloadDone = [&] { d.powerDown(); }});
     d.start();
     s.runUntil(10.0);
     EXPECT_GT(d.stats().timeCharging, 0.0);
@@ -190,7 +194,8 @@ TEST(Device, UnharvestableDeviceStaysOff)
              Device::PowerMode::Intermittent);
     bool booted = false;
     d.setHooks({.onBoot = [&] { booted = true; },
-                .onPowerFail = nullptr});
+                .onPowerFail = nullptr,
+                .onWorkloadDone = nullptr});
     d.start();
     s.runUntil(1000.0);
     capy::setQuiet(false);
@@ -208,8 +213,9 @@ TEST(Device, BigBankBootsSlowerThanSmall)
         Device d(s, std::move(ps), msp430fr5969(),
                  Device::PowerMode::Intermittent);
         double at = -1;
-        d.setHooks(
-            {.onBoot = [&] { at = s.now(); }, .onPowerFail = nullptr});
+        d.setHooks({.onBoot = [&] { at = s.now(); },
+                    .onPowerFail = nullptr,
+                    .onWorkloadDone = nullptr});
         d.start();
         s.runUntil(2000.0);
         return at;
@@ -226,8 +232,9 @@ namespace
 
 /**
  * A device running a back-to-back chain of workloads, each started by
- * the previous one's completion, the way the Chain kernel runs tasks:
- * every completion after the first is a candidate to run in place.
+ * the previous one's onWorkloadDone hook, the way the Chain kernel
+ * runs tasks: every completion after the first is a candidate to run
+ * in place.
  */
 struct WorkloadChain
 {
@@ -246,19 +253,20 @@ struct WorkloadChain
           duration(duration_s), limit(max_workloads)
     {
         dev.setHooks({.onBoot = [this] { next(); },
-                      .onPowerFail = nullptr});
+                      .onPowerFail = nullptr,
+                      .onWorkloadDone = [this] { completed(); }});
     }
 
+    void next() { dev.runWorkload(8.4e-3, duration); }
+
     void
-    next()
+    completed()
     {
-        dev.runWorkload(8.4e-3, duration, [this] {
-            done.push_back(sim.now());
-            if (onDone)
-                onDone();
-            if (done.size() < limit)
-                next();
-        });
+        done.push_back(sim.now());
+        if (onDone)
+            onDone();
+        if (done.size() < limit)
+            next();
     }
 };
 
@@ -349,8 +357,8 @@ TEST(DeviceInPlace, FailureFromTheHookAbortsTheDeferredWorkload)
     std::uint64_t aborted_before = 0;
     bool injected = false;
     c.sim.setPostEventHook([&] {
-        // Right after the third completion, whose continuation has
-        // started the fourth workload.
+        // Right after the third completion, whose hook has started
+        // the fourth workload.
         if (injected || c.done.size() != 3)
             return;
         injected = true;
@@ -369,12 +377,138 @@ TEST(DeviceInPlace, FailureFromTheHookAbortsTheDeferredWorkload)
     EXPECT_EQ(c.dev.stats().injectedFailures, 1u);
     EXPECT_EQ(c.dev.stats().powerFailures, 1u);
     EXPECT_EQ(c.dev.stats().workloadsAborted, aborted_before + 1);
-    // The aborted workload's continuation never ran, and nothing of
-    // it stays queued: the one pending event is the charge wake.
+    // The aborted workload's hook never fired, and nothing of it
+    // stays queued: the one pending event is the charge wake.
     EXPECT_EQ(c.dev.stats().workloadsCompleted, 3u);
     EXPECT_EQ(c.done.size(), 3u);
     EXPECT_TRUE(c.dev.isCharging());
     EXPECT_EQ(c.sim.pendingEvents(), 1u);
+}
+
+TEST(DeviceWorkloadHook, FiresOncePerCompletedWorkload)
+{
+    // Workloads long enough to brown the small bank out now and then:
+    // each completion fires the hook once, each abort never.
+    WorkloadChain c(Device::PowerMode::Intermittent, 20e-3);
+    c.dev.start();
+    c.sim.runUntil(30.0);
+    EXPECT_GT(c.dev.stats().workloadsAborted, 0u);
+    EXPECT_EQ(c.done.size(), c.dev.stats().workloadsCompleted);
+    // One completion per instant: the hook never fires twice for a
+    // workload.
+    for (std::size_t i = 1; i < c.done.size(); ++i)
+        EXPECT_GT(c.done[i], c.done[i - 1]) << i;
+}
+
+TEST(DeviceWorkloadHook, SilentAfterTheLastWorkload)
+{
+    sim::Simulator s;
+    Device d(s, smallBankSystem(0.0), msp430fr5969(),
+             Device::PowerMode::Continuous);
+    int fired = 0;
+    d.setHooks({.onBoot = [&] { d.runWorkload(8.4e-3, 0.5); },
+                .onPowerFail = nullptr,
+                .onWorkloadDone = [&] { ++fired; }});
+    d.start();
+    s.run();
+    EXPECT_EQ(fired, 1);
+    EXPECT_EQ(d.stats().workloadsCompleted, 1u);
+    EXPECT_EQ(s.pendingEvents(), 0u);
+}
+
+TEST(DeviceWorkloadHook, NotFiredForABrownOut)
+{
+    sim::Simulator s;
+    Device d(s, smallBankSystem(), msp430fr5969(),
+             Device::PowerMode::Intermittent);
+    int boots = 0;
+    int fired = 0;
+    d.setHooks({.onBoot =
+                    [&] {
+                        // The first workload outlasts the bank; the
+                        // second fits.
+                        if (++boots == 1)
+                            d.runWorkload(20e-3, 10.0);
+                        else if (boots == 2)
+                            d.runWorkload(8.4e-3, 1e-3);
+                    },
+                .onPowerFail = nullptr,
+                .onWorkloadDone = [&] { ++fired; }});
+    d.start();
+    s.runUntil(30.0);
+    ASSERT_EQ(boots, 2);
+    EXPECT_EQ(d.stats().workloadsAborted, 1u);
+    EXPECT_EQ(fired, 1);
+    EXPECT_EQ(d.stats().workloadsCompleted, 1u);
+}
+
+TEST(DeviceWorkloadHook, NotFiredForAPowerDown)
+{
+    sim::Simulator s;
+    Device d(s, smallBankSystem(0.0), msp430fr5969(),
+             Device::PowerMode::Continuous);
+    int boots = 0;
+    int fired = 0;
+    d.setHooks({.onBoot =
+                    [&] {
+                        if (++boots == 1) {
+                            d.runWorkload(8.4e-3, 1.0);
+                            // Park halfway through the workload.
+                            s.schedule(0.5, [&] { d.powerDown(); });
+                        } else if (boots == 2) {
+                            d.runWorkload(8.4e-3, 1e-3);
+                        }
+                    },
+                .onPowerFail = nullptr,
+                .onWorkloadDone = [&] { ++fired; }});
+    d.start();
+    s.run();
+    ASSERT_EQ(boots, 2);
+    EXPECT_EQ(fired, 1);
+    EXPECT_EQ(d.stats().workloadsCompleted, 1u);
+    EXPECT_EQ(d.stats().powerFailures, 0u);
+}
+
+TEST(DeviceWorkloadHook, NotFiredForAnInjectedFailure)
+{
+    sim::Simulator s;
+    Device d(s, smallBankSystem(), msp430fr5969(),
+             Device::PowerMode::Intermittent);
+    int boots = 0;
+    int fired = 0;
+    d.setHooks({.onBoot =
+                    [&] {
+                        // Both workloads fit the bank; the first is
+                        // cut short halfway.
+                        d.runWorkload(8.4e-3, 2e-3);
+                        if (++boots == 1)
+                            s.schedule(1e-3, [&] {
+                                EXPECT_TRUE(d.injectPowerFailure(
+                                    Device::FailureKind::Glitch));
+                            });
+                    },
+                .onPowerFail = nullptr,
+                .onWorkloadDone = [&] { ++fired; }});
+    d.start();
+    s.runUntil(30.0);
+    ASSERT_EQ(boots, 2);
+    EXPECT_EQ(d.stats().injectedFailures, 1u);
+    EXPECT_EQ(d.stats().workloadsAborted, 1u);
+    EXPECT_EQ(fired, 1);
+    EXPECT_EQ(d.stats().workloadsCompleted, 1u);
+}
+
+TEST(DeviceWorkloadHook, WorkloadStartedInTheHookRunsInPlace)
+{
+    // The boot's workload completes through the queue; the four
+    // started from the hook complete in place.
+    WorkloadChain c(Device::PowerMode::Continuous, 0.1, 5);
+    const std::uint64_t in_place = sim::workCounts.inPlace;
+    c.dev.start();
+    c.sim.run();
+    ASSERT_EQ(c.done.size(), 5u);
+    EXPECT_EQ(sim::workCounts.inPlace - in_place, 4u);
+    EXPECT_EQ(c.sim.eventsExecuted(), 6u);
 }
 
 TEST(Peripherals, CatalogSane)

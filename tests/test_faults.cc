@@ -576,7 +576,7 @@ TEST(InjectFailure, CollapseDrainsStorageGlitchKeepsIt)
                     // the injection preempts it one second in, well
                     // before the physics' own brownout.
                     rig.device->runWorkload(
-                        rig.device->mcu().activePower, 1000.0, [] {});
+                        rig.device->mcu().activePower, 1000.0);
                     rig.sim.schedule(1.0, [&] {
                         if (injected)
                             return;
@@ -592,6 +592,7 @@ TEST(InjectFailure, CollapseDrainsStorageGlitchKeepsIt)
                     });
                 },
             .onPowerFail = [] {},
+            .onWorkloadDone = nullptr,
         });
         rig.device->start();
         rig.sim.runUntil(8.0);
@@ -619,6 +620,7 @@ TEST(InjectFailure, BackToBackBootFailuresAccountExactlyOnce)
     rig.device->setHooks(Device::Hooks{
         .onBoot = [&] { ++boots; },
         .onPowerFail = [] {},
+        .onWorkloadDone = nullptr,
     });
     // The charge-complete event leaves the device mid-boot, so an
     // attempt after every executed event strikes the boot window.
@@ -657,7 +659,7 @@ TEST(InjectFailure, PreemptingPredictedBrownoutCountsOneAbort)
                 // doomed at schedule time, so the abort is counted
                 // when the physics schedules the brownout.
                 rig.device->runWorkload(
-                    rig.device->mcu().activePower, 1000.0, [] {});
+                    rig.device->mcu().activePower, 1000.0);
                 rig.sim.schedule(1.0, [&] {
                     if (injected)
                         return;
@@ -666,6 +668,7 @@ TEST(InjectFailure, PreemptingPredictedBrownoutCountsOneAbort)
                 });
             },
         .onPowerFail = [] {},
+        .onWorkloadDone = nullptr,
     });
     rig.device->start();
     rig.sim.runUntil(8.0);
@@ -673,66 +676,6 @@ TEST(InjectFailure, PreemptingPredictedBrownoutCountsOneAbort)
     ASSERT_TRUE(hit) << "device must be mid-workload";
     EXPECT_EQ(rig.device->stats().workloadsAborted, 1u);
     EXPECT_EQ(rig.device->stats().injectedFailures, 1u);
-}
-
-TEST(InjectFailure, AbortReleasesHeldContinuation)
-{
-    // The device holds a workload's continuation until the workload
-    // resolves. Every way a workload can be cut short must destroy
-    // it at the abort, unrun, so its captures are freed there and no
-    // stale continuation can fire after the reboot.
-    enum class Cut { Inject, PowerDown, Brownout };
-    for (Cut cut : {Cut::Inject, Cut::PowerDown, Cut::Brownout}) {
-        SCOPED_TRACE("cut " + std::to_string(static_cast<int>(cut)));
-        FaultRig rig;
-        auto token = std::make_shared<int>(0);
-        int boots = 0, completions = 0;
-        bool ran = false;
-        long held_at_boot = -1, held_after_cut = -1;
-        rig.device->setHooks(Device::Hooks{
-            .onBoot =
-                [&] {
-                    ++boots;
-                    double p = rig.device->mcu().activePower;
-                    if (boots > 1) {
-                        // The rebooted device runs a fresh workload
-                        // through the same held slot.
-                        rig.device->runWorkload(p, 1e-3,
-                                                [&] { ++completions; });
-                        return;
-                    }
-                    // Doomed at schedule time (10 mW harvest vs
-                    // 22 mW draw); its brownout lands well after 1 s.
-                    rig.device->runWorkload(
-                        p, 1000.0, [&ran, token] { ran = true; });
-                    held_at_boot = token.use_count();
-                    if (cut == Cut::Brownout)
-                        return;
-                    rig.sim.schedule(1.0, [&] {
-                        if (cut == Cut::Inject)
-                            EXPECT_TRUE(
-                                rig.device->injectPowerFailure());
-                        else
-                            rig.device->powerDown();
-                        held_after_cut = token.use_count();
-                    });
-                },
-            .onPowerFail =
-                [&] {
-                    if (cut == Cut::Brownout)
-                        held_after_cut = token.use_count();
-                },
-        });
-        rig.device->start();
-        rig.sim.runUntil(300.0);
-
-        EXPECT_EQ(held_at_boot, 2) << "the device holds one copy";
-        EXPECT_EQ(held_after_cut, 1) << "released at the abort";
-        EXPECT_EQ(boots, 2);
-        EXPECT_EQ(completions, 1);
-        EXPECT_FALSE(ran);
-        EXPECT_EQ(token.use_count(), 1);
-    }
 }
 
 // --- Crash audits over the application workloads -------------------

@@ -95,10 +95,10 @@ TEST(Integration, OrbitDrivenDeviceSleepsInEclipse)
         {.onBoot =
              [&] {
                  boot_times.push_back(simulator.now());
-                 device.runWorkload(22e-3, 0.05,
-                                    [&] { device.powerDown(); });
+                 device.runWorkload(22e-3, 0.05);
              },
-         .onPowerFail = nullptr});
+         .onPowerFail = nullptr,
+         .onWorkloadDone = [&] { device.powerDown(); }});
     device.start();
     simulator.runUntil(orbit.spec().orbitPeriod);
 
@@ -135,10 +135,10 @@ TEST(Integration, TraceDrivenDayNightCycle)
                  int phase =
                      std::min(3, int(simulator.now() / 100.0));
                  ++boots_by_phase[phase];
-                 device.runWorkload(22e-3, 0.02,
-                                    [&] { device.powerDown(); });
+                 device.runWorkload(22e-3, 0.02);
              },
-         .onPowerFail = nullptr});
+         .onPowerFail = nullptr,
+         .onWorkloadDone = [&] { device.powerDown(); }});
     device.start();
     simulator.runUntil(500.0);
 

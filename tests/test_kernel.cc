@@ -13,6 +13,7 @@
 #include "dev/device.hh"
 #include "power/parts.hh"
 #include "power/power_system.hh"
+#include "rt/audit.hh"
 #include "rt/channel.hh"
 #include "rt/kernel.hh"
 #include "rt/task.hh"
@@ -118,6 +119,8 @@ TEST(Kernel, OversizedTaskRestartsWithoutEffects)
     EXPECT_GT(k.stats().taskRestarts, 0u);
     EXPECT_EQ(k.currentTask(), big) << "NV pointer must stay on the "
                                        "interrupted task";
+    EXPECT_EQ(k.abortedTask(), big);
+    EXPECT_EQ(k.taskCell().writeCount(), 0u) << "no attempt committed";
 }
 
 TEST(Kernel, MultiTaskProgressAcrossPowerFailures)
@@ -139,6 +142,11 @@ TEST(Kernel, MultiTaskProgressAcrossPowerFailures)
                              return t1;
                          });
     Kernel k(*rig.device, rig.app);
+    // Every abort here interrupts a task whose successor is the other
+    // task, so an NV task word written before the workload ran would
+    // show at the rail-down after the abort.
+    CrashAuditor auditor(*rig.device);
+    auditor.watchKernel(k);
     k.start();
     rig.sim.runUntil(120.0);
     ASSERT_GT(log.size(), 20u);
@@ -146,6 +154,11 @@ TEST(Kernel, MultiTaskProgressAcrossPowerFailures)
         EXPECT_NE(log[i], log[i - 1]) << "strict alternation expected";
     EXPECT_GT(rig.device->stats().powerFailures, 0u)
         << "test should actually exercise intermittency";
+    EXPECT_EQ(k.taskCell().writeCount(), k.stats().transitions)
+        << "one NV task word write per transition";
+    auditor.checkNow();
+    EXPECT_TRUE(auditor.clean()) << auditor.report();
+    EXPECT_GT(auditor.outagesAudited(), 0u);
 }
 
 TEST(Kernel, ChannelCommitsOnlyOnCompletion)

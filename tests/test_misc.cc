@@ -98,7 +98,7 @@ TEST(DeviceMisc, AbortReportingMatchesWorkload)
     bool checked = false;
     d.setHooks({.onBoot =
                     [&] {
-                        d.runWorkload(30e-3, 100.0, [] {});
+                        d.runWorkload(30e-3, 100.0);
                     },
                 .onPowerFail =
                     [&] {
@@ -110,7 +110,8 @@ TEST(DeviceMisc, AbortReportingMatchesWorkload)
                         EXPECT_GT(a.elapsed, 0.0);
                         EXPECT_LT(a.elapsed, 100.0);
                         s.stop();
-                    }});
+                    },
+                .onWorkloadDone = nullptr});
     d.start();
     s.runUntil(60.0);
     EXPECT_TRUE(checked);
