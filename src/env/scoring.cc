@@ -46,17 +46,6 @@ rank(Outcome o)
 
 } // namespace
 
-void
-SampleLog::addChunk()
-{
-    std::size_t capacity = kFirstChunk;
-    for (std::size_t i = 0; i < chunks.size() && capacity < kChunk; ++i)
-        capacity *= 2;
-    std::vector<sim::Time> chunk;
-    chunk.reserve(capacity);
-    chunks.push_back(std::move(chunk));
-}
-
 static_assert(std::forward_iterator<SampleLog::const_iterator>);
 static_assert(std::forward_iterator<IntervalView::iterator>);
 

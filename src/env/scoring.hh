@@ -6,16 +6,19 @@
  * quality study (Fig. 11).
  *
  * A run's sample times are stored once, in an append-only SampleLog
- * of fixed-size chunks (about 8 B per sample, never copied as it
- * grows). Its intervals are not materialized: an IntervalView takes
- * the log over at the end of the run, with the times of the events
- * still missed, and yields each classified Interval as it is walked.
+ * of exact equal-step runs (a task that loops on itself samples at
+ * one step, so most samples only extend a run). Its intervals are
+ * not materialized: an IntervalView takes the log over at the end of
+ * the run, with the times of the events still missed, and yields
+ * each classified Interval as it is walked.
  */
 
 #ifndef CAPY_ENV_SCORING_HH
 #define CAPY_ENV_SCORING_HH
 
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <iterator>
 #include <vector>
 
@@ -37,35 +40,49 @@ enum class Outcome
 const char *outcomeName(Outcome outcome);
 
 /**
- * Append-only log of sample times in chunks. The first chunk holds
- * kFirstChunk samples and each next one twice as many, up to
- * kChunk, so a short run stays small and a long one pays neither
- * a regrowing vector's slack nor its copies.
+ * Append-only log of sample times as runs of equal steps, each
+ * {start, step, count}. A run's step is its second sample minus its
+ * first, kept only if adding it back gives the second sample; a
+ * sample extends the run only if the last one plus the step is that
+ * sample, bit for bit. The iterator rebuilds each time with the same
+ * addition, so every pushed time comes back exactly. A sample that
+ * breaks the step opens a new run: at worst (no two equal steps in
+ * a row) a run per two samples, about 12 B per sample.
  */
 class SampleLog
 {
-  public:
-    static constexpr std::size_t kFirstChunk = 256;
-    static constexpr std::size_t kChunk = 16384;
+    struct Run
+    {
+        sim::Time start;
+        sim::Time step;  ///< set by the run's second sample
+        std::size_t count;
+    };
 
-    /** Forward iterator over the samples in append order. */
+  public:
+    /** Forward iterator yielding the samples in append order, by
+     *  value (so a legacy input iterator, as IntervalView's is). */
     class const_iterator
     {
       public:
-        using iterator_category = std::forward_iterator_tag;
+        using iterator_concept = std::forward_iterator_tag;
+        using iterator_category = std::input_iterator_tag;
         using value_type = sim::Time;
         using difference_type = std::ptrdiff_t;
-        using pointer = const sim::Time *;
-        using reference = const sim::Time &;
+        using pointer = void;
+        using reference = sim::Time;
 
         const_iterator() = default;
-        reference operator*() const { return (*chunk)[pos]; }
+        sim::Time operator*() const { return t; }
         const_iterator &
         operator++()
         {
-            if (++pos == chunk->size()) {
-                ++chunk;
+            if (++pos < run->count) {
+                t += run->step;
+            } else {
+                ++run;
                 pos = 0;
+                if (run != last)
+                    t = run->start;
             }
             return *this;
         }
@@ -76,44 +93,67 @@ class SampleLog
             ++*this;
             return old;
         }
-        bool operator==(const const_iterator &) const = default;
+        bool
+        operator==(const const_iterator &o) const
+        {
+            return run == o.run && pos == o.pos;
+        }
 
       private:
         friend class SampleLog;
-        const_iterator(const std::vector<sim::Time> *c, std::size_t p)
-            : chunk(c), pos(p)
+        const_iterator(const Run *r, const Run *end)
+            : run(r), last(end), t(r != end ? r->start : 0.0)
         {}
 
-        const std::vector<sim::Time> *chunk = nullptr;
+        const Run *run = nullptr;
+        const Run *last = nullptr;  ///< one past the final run
         std::size_t pos = 0;
+        sim::Time t = 0.0;
     };
 
     void
     push(sim::Time t)
     {
-        if (chunks.empty() ||
-            chunks.back().size() == chunks.back().capacity())
-            addChunk();
-        chunks.back().push_back(t);
+        if (runs.empty() || !extend(runs.back(), t))
+            runs.push_back({t, 0.0, 1});
+        latest = t;
         ++count;
     }
 
     std::size_t size() const { return count; }
     bool empty() const { return count == 0; }
-    sim::Time back() const { return chunks.back().back(); }
+    sim::Time back() const { return latest; }
 
-    const_iterator begin() const { return {chunks.data(), 0}; }
+    const_iterator
+    begin() const
+    {
+        return {runs.data(), runs.data() + runs.size()};
+    }
     const_iterator
     end() const
     {
-        return {chunks.data() + chunks.size(), 0};
+        const Run *last = runs.data() + runs.size();
+        return {last, last};
     }
 
   private:
-    void addChunk();
+    /** Append @p t to @p r if the run's step reaches it exactly;
+     *  otherwise leave @p r as it is and return false. */
+    bool
+    extend(Run &r, sim::Time t) const
+    {
+        sim::Time step = r.count == 1 ? t - latest : r.step;
+        // Bit patterns, not ==, so a signed zero comes back as it went.
+        if (std::bit_cast<std::uint64_t>(latest + step) !=
+            std::bit_cast<std::uint64_t>(t))
+            return false;
+        r.step = step;
+        ++r.count;
+        return true;
+    }
 
-    /** Each chunk is reserved once and never grows past it. */
-    std::vector<std::vector<sim::Time>> chunks;
+    std::vector<Run> runs;
+    sim::Time latest = 0.0;  ///< the last sample pushed
     std::size_t count = 0;
 };
 
@@ -129,8 +169,8 @@ struct Interval
  * A run's inter-sample intervals, computed as they are walked. Owns
  * the sample log, the sorted times of the events missed over the
  * run and the back-to-back threshold, so it outlives the Scoreboard
- * and EventSchedule it came from. Move-only: the log is the run's
- * largest record, and nothing needs a second one.
+ * and EventSchedule it came from. Move-only: nothing needs a second
+ * copy of a run's log.
  */
 class IntervalView
 {

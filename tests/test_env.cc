@@ -7,6 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -580,42 +583,116 @@ TEST(Scoreboard, SampleIntervalsMatchPerIntervalScan)
         expectIntervalsMatchScan(sb, s, samples,
                                  "seed " + std::to_string(seed));
     }
+}
 
-    // Logs of 0 and 1 samples, and logs that end exactly at the end
-    // of SampleLog chunk k or one sample into chunk k + 1.
-    auto chunkTotal = [](std::size_t k) {
-        std::size_t total = 0;
-        std::size_t cap = SampleLog::kFirstChunk;
-        for (std::size_t i = 0; i < k; ++i) {
-            total += cap;
-            cap = std::min(2 * cap, SampleLog::kChunk);
+namespace
+{
+
+/** Times built as the simulator builds a self-looping task's
+ *  completions: each is the last plus the step, in double. */
+std::vector<sim::Time>
+stepped(sim::Time t0, std::size_t n, auto step_at)
+{
+    std::vector<sim::Time> ts;
+    sim::Time t = t0;
+    for (std::size_t i = 0; i < n; ++i) {
+        ts.push_back(t);
+        t += step_at(i);
+    }
+    return ts;
+}
+
+/** A SampleLog of @p ts yields @p ts, bit for bit, and the same
+ *  intervals through a Scoreboard as a per-interval scan does. */
+void
+expectLogKeepsEveryTime(const std::vector<sim::Time> &ts,
+                        const std::string &label)
+{
+    SampleLog log;
+    for (sim::Time t : ts)
+        log.push(t);
+    ASSERT_EQ(log.size(), ts.size()) << label;
+    EXPECT_EQ(log.empty(), ts.empty()) << label;
+    if (!ts.empty()) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(log.back()),
+                  std::bit_cast<std::uint64_t>(ts.back()))
+            << label;
+    }
+    std::vector<std::uint64_t> want, got, copied;
+    for (sim::Time t : ts)
+        want.push_back(std::bit_cast<std::uint64_t>(t));
+    for (sim::Time t : log)
+        got.push_back(std::bit_cast<std::uint64_t>(t));
+    SampleLog copy = log;
+    for (auto it = copy.begin(); it != copy.end(); it++)
+        copied.push_back(std::bit_cast<std::uint64_t>(*it));
+    EXPECT_EQ(got, want) << label;
+    EXPECT_EQ(copied, want) << label;
+
+    sim::Rng rng(ts.size() + 1);
+    EventSchedule s = gridSchedule(rng, 30);
+    Scoreboard sb(s);
+    scoreRandomly(rng, sb, s);
+    expectIntervalsMatchScan(sb, s, ts, label);
+}
+
+} // namespace
+
+TEST(SampleLog, EveryTimeComesBackBitForBit)
+{
+    expectLogKeepsEveryTime({}, "0 samples");
+    expectLogKeepsEveryTime({3.5}, "1 sample");
+    expectLogKeepsEveryTime({0.1, 0.7}, "2 samples");
+
+    // A constant step across several powers of two: the sum's
+    // rounding changes at each one, so the stored step may too.
+    expectLogKeepsEveryTime(
+        stepped(0.0, 1500, [](std::size_t) { return 0.1; }),
+        "0.1 s step from 0 to 150 s");
+    expectLogKeepsEveryTime(
+        stepped(0.7, 3000, [](std::size_t) { return 1e-3; }),
+        "1 ms step from 0.7 to 3.7 s");
+
+    // Steps of 1.5 and 2.5 ulps at 1024 s: every sum is an exact
+    // tie, rounded to even. From an odd start the first increment is
+    // one ulp off the rest; from an even one they are all equal.
+    const double odd = std::nextafter(1024.0, 2048.0);
+    const double ulp = odd - 1024.0;
+    for (double t0 : {1024.0, odd}) {
+        for (double k : {1.5, 2.5}) {
+            expectLogKeepsEveryTime(
+                stepped(t0, 200, [&](std::size_t) { return k * ulp; }),
+                std::to_string(k) + "-ulp tie step from " +
+                    (t0 == odd ? "an odd" : "an even") + " start");
         }
-        return total;
-    };
-    std::vector<std::size_t> counts = {0, 1};
-    // The first chunk, a doubled one, the last doubled one and the
-    // first full-size one: exactly filled, and one sample over.
-    for (std::size_t k : {1, 2, 7, 8}) {
-        counts.push_back(chunkTotal(k));
-        counts.push_back(chunkTotal(k) + 1);
     }
-    for (std::size_t n : counts) {
-        sim::Rng rng(n + 1);
-        EventSchedule s = gridSchedule(rng, 30);
-        Scoreboard sb(s);
-        scoreRandomly(rng, sb, s);
-        // Spread over 0-70 s on the event grid and off it, so
-        // intervals of every kind land on both sides of a chunk
-        // boundary.
-        std::vector<sim::Time> samples;
-        for (std::size_t i = 0; i < n; ++i)
-            samples.push_back(rng.chance(0.5)
-                                  ? 0.25 * double(rng.uniformInt(0, 280))
-                                  : rng.uniform(0.0, 70.0));
-        std::sort(samples.begin(), samples.end());
-        expectIntervalsMatchScan(sb, s, samples,
-                                 std::to_string(n) + " samples");
+
+    // Equal consecutive times, and a zero of either sign.
+    expectLogKeepsEveryTime({1.0, 1.0, 1.0, 2.0, 2.0, 3.0, 3.0, 3.0, 3.0},
+                            "repeated times");
+    expectLogKeepsEveryTime({0.0, -0.0, -0.0, 0.0, 0.0, 0.5},
+                            "signed zeros");
+
+    // Steps that change every k samples, some by one ulp.
+    const double step = 0.1;
+    const double steps[] = {step, std::nextafter(step, 1.0), 0.3,
+                            std::nextafter(step, 0.0)};
+    for (std::size_t k : {1, 2, 3, 7}) {
+        expectLogKeepsEveryTime(
+            stepped(5.0, 400,
+                    [&](std::size_t i) { return steps[(i / k) % 4]; }),
+            "step changes every " + std::to_string(k));
     }
+
+    // No two equal steps in a row (the log's worst case).
+    expectLogKeepsEveryTime(
+        stepped(0.0, 600,
+                [](std::size_t i) { return 0.01 * double(1 + i % 3); }),
+        "cycling steps");
+    sim::Rng rng(7);
+    expectLogKeepsEveryTime(
+        stepped(0.0, 600, [&](std::size_t) { return rng.uniform(); }),
+        "random steps");
 }
 
 TEST(Scoreboard, OutcomeNames)
