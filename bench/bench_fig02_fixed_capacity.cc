@@ -39,7 +39,7 @@ struct FixedRun
     std::uint64_t samples = 0;
     std::uint64_t packets = 0;
     std::uint64_t txAborts = 0;
-    std::size_t chargeSpans = 0;
+    std::uint64_t chargeSpans = 0;
     double chargeMean = 0.0;
     double chargeMax = 0.0;
     double onFraction = 0.0;
@@ -91,18 +91,13 @@ run(const power::CapacitorSpec &bank, double horizon)
     kernel.start();
     simulator.runUntil(horizon);
 
-    for (const auto &s : device.spans().spans()) {
-        if (s.label != "charging")
-            continue;
-        ++out.chargeSpans;
-        out.chargeMean += s.duration();
-        if (s.duration() > out.chargeMax)
-            out.chargeMax = s.duration();
-    }
+    const dev::Device::Stats &st = device.stats();
+    out.chargeSpans = st.chargeSpans;
+    out.chargeMax = st.chargeSpanMax;
     if (out.chargeSpans)
-        out.chargeMean /= double(out.chargeSpans);
-    out.onFraction = device.stats().timeOn / horizon;
-    out.txAborts = device.stats().workloadsAborted;
+        out.chargeMean = st.timeCharging / double(out.chargeSpans);
+    out.onFraction = st.timeOn / horizon;
+    out.txAborts = st.workloadsAborted;
     return out;
 }
 
@@ -160,12 +155,12 @@ main()
                   "max charge (s)", "on fraction"});
     t.addRow({"low", sim::cell(low_bank.capacitance * 1e3),
               sim::cell(low.samples), sim::cell(low.packets),
-              sim::cell(low.txAborts), sim::cell(std::uint64_t(low.chargeSpans)),
+              sim::cell(low.txAborts), sim::cell(low.chargeSpans),
               sim::cell(low.chargeMean, 3), sim::cell(low.chargeMax, 3),
               sim::cell(low.onFraction, 3)});
     t.addRow({"high", sim::cell(high_bank.capacitance * 1e3),
               sim::cell(high.samples), sim::cell(high.packets),
-              sim::cell(high.txAborts), sim::cell(std::uint64_t(high.chargeSpans)),
+              sim::cell(high.txAborts), sim::cell(high.chargeSpans),
               sim::cell(high.chargeMean, 3), sim::cell(high.chargeMax, 3),
               sim::cell(high.onFraction, 3)});
     t.print();

@@ -24,6 +24,7 @@
 #include "sim/export.hh"
 #include "sim/logging.hh"
 #include "sim/simulator.hh"
+#include "sim/trace.hh"
 
 using namespace capy;
 using namespace capy::literals;
@@ -48,6 +49,8 @@ main(int argc, char **argv)
     ps->attachVoltageTrace(&volts);
     dev::Device device(simulator, std::move(ps), dev::msp430fr5969(),
                        dev::Device::PowerMode::Intermittent);
+    sim::SpanTrace spans;
+    device.attachSpanTrace(&spans);
 
     const auto tmp36 = dev::periph::tmp36();
     const auto ble = dev::bleRadio();
@@ -79,7 +82,7 @@ main(int argc, char **argv)
     std::string spans_csv = dir + "/fig2_spans.csv";
     std::string plot = dir + "/fig2_voltage.gp";
     bool ok = sim::writeCsv(volts, volts_csv);
-    ok &= sim::writeCsv(device.spans(), spans_csv);
+    ok &= sim::writeCsv(spans, spans_csv);
     {
         std::ofstream out(plot);
         out << sim::gnuplotScript(volts_csv,
@@ -95,7 +98,7 @@ main(int argc, char **argv)
 
     std::printf("wrote %s (%zu points), %s (%zu spans), %s\n",
                 volts_csv.c_str(), volts.size(), spans_csv.c_str(),
-                device.spans().spans().size(), plot.c_str());
+                spans.spans().size(), plot.c_str());
     std::printf("\nper-task energy profile (300 s):\n");
     for (const auto &[name, use] : kernel.energyByTask()) {
         std::printf("  %-10s %6llu runs, %8.3f mJ spent, %6.3f mJ "

@@ -1,6 +1,5 @@
 #include "apps/experiment.hh"
 
-#include <algorithm>
 #include <cmath>
 #include <utility>
 
@@ -40,17 +39,11 @@ collectMetrics(RunMetrics &out, env::Scoreboard &&sb,
     out.packetsLost = radio.packetsLost();
     out.simEvents = device.simulator().eventsExecuted();
 
-    double total = 0.0;
-    for (const auto &span : device.spans().spans()) {
-        if (span.label != "charging")
-            continue;
-        ++out.chargeSpans;
-        total += span.duration();
-        out.chargeSpanMax = std::max(out.chargeSpanMax,
-                                     span.duration());
-    }
+    out.chargeSpans = out.device.chargeSpans;
+    out.chargeSpanMax = out.device.chargeSpanMax;
     out.chargeSpanMean =
-        out.chargeSpans ? total / double(out.chargeSpans) : 0.0;
+        out.chargeSpans ? out.device.timeCharging / double(out.chargeSpans)
+                        : 0.0;
 
     const auto &ps = device.powerSystem();
     for (int i = 0; i < ps.numBanks(); ++i) {

@@ -1,5 +1,6 @@
 #include "dev/device.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "power/solver.hh"
@@ -65,23 +66,46 @@ Device::onPending()
 }
 
 void
-Device::transitionSpan(const char *label)
+Device::attachSpanTrace(sim::SpanTrace *trace)
 {
+    capy_assert(state == State::Idle,
+                "a span trace must be attached before start()");
+    spanTrace = trace;
+}
+
+void
+Device::transitionSpan(SpanKind kind)
+{
+    // The labels an attached trace records, by SpanKind.
+    static constexpr const char *kLabels[] = {"", "boot", "on",
+                                              "charging"};
     closeSpan();
-    activity.open(sim.now(), label);
+    spanKind = kind;
+    spanStart = sim.now();
+    if (spanTrace)
+        spanTrace->open(spanStart, kLabels[int(kind)]);
 }
 
 void
 Device::closeSpan()
 {
-    if (!activity.isOpen())
+    double dur = sim.now() - spanStart;
+    switch (spanKind) {
+      case SpanKind::None:
         return;
-    double dur = sim.now() - activity.openStart();
-    if (activity.openLabel() == "on")
+      case SpanKind::Boot:
+        break;
+      case SpanKind::On:
         devStats.timeOn += dur;
-    else if (activity.openLabel() == "charging")
+        break;
+      case SpanKind::Charging:
         devStats.timeCharging += dur;
-    activity.close(sim.now());
+        ++devStats.chargeSpans;
+        devStats.chargeSpanMax = std::max(devStats.chargeSpanMax, dur);
+        break;
+    }
+    if (spanTrace)
+        spanTrace->close(sim.now());
 }
 
 void
@@ -91,7 +115,7 @@ Device::start()
     if (mode == PowerMode::Continuous) {
         // Bench supply: the rail is always available.
         state = State::Booting;
-        activity.open(sim.now(), "boot");
+        transitionSpan(SpanKind::Boot);
         schedulePending(Pending::BootDone, sim.now() + mcuSpec.bootTime);
         return;
     }
@@ -104,7 +128,7 @@ Device::enterCharging()
     state = State::Charging;
     ps->advanceTo(sim.now());
     ps->setRailEnabled(false);
-    transitionSpan("charging");
+    transitionSpan(SpanKind::Charging);
     scheduleChargeWake();
 }
 
@@ -170,7 +194,7 @@ Device::beginBoot()
     state = State::Booting;
     ps->advanceTo(sim.now());
     ps->setRailEnabled(true);
-    transitionSpan("boot");
+    transitionSpan(SpanKind::Boot);
 
     // One walk: the brown-out instant, or the end state onBootDone()'s
     // advance commits.
@@ -192,7 +216,7 @@ Device::onBootDone()
         ps->advanceTo(sim.now());
         ps->setRailLoad(mcuSpec.activePower);
     }
-    transitionSpan("on");
+    transitionSpan(SpanKind::On);
     if (observer.onRailUp)
         observer.onRailUp();
     if (hooks.onBoot)
@@ -359,7 +383,7 @@ Device::powerDown()
     if (mode == PowerMode::Continuous) {
         // A continuously-powered board "recharges" instantly: reboot.
         state = State::Booting;
-        transitionSpan("boot");
+        transitionSpan(SpanKind::Boot);
         schedulePending(Pending::BootDone, sim.now() + mcuSpec.bootTime);
         return;
     }

@@ -103,7 +103,13 @@ class Device
         std::uint64_t workloadsCompleted = 0;
         std::uint64_t workloadsAborted = 0;
         double timeOn = 0.0;
+        /** Completed charging spans' durations, summed in the order
+         *  they closed, so timeCharging / chargeSpans is their mean. */
         double timeCharging = 0.0;
+        /** Completed charging spans; one still open is not counted. */
+        std::uint64_t chargeSpans = 0;
+        /** Longest completed charging span, s. */
+        double chargeSpanMax = 0.0;
     };
 
     Device(sim::Simulator &simulator,
@@ -118,6 +124,15 @@ class Device
 
     /** Install audit instrumentation (may be set at any time). */
     void setObserver(Observer obs) { observer = std::move(obs); }
+
+    /**
+     * Record every boot ("boot"), operating ("on") and charging
+     * ("charging") span into @p trace, which the caller owns and
+     * keeps alive while the device runs. Without one the device keeps
+     * no span log, only the sums in stats(). Must happen before
+     * start().
+     */
+    void attachSpanTrace(sim::SpanTrace *trace);
 
     /** Begin operation (start charging, or boot if continuous). */
     void start();
@@ -186,9 +201,6 @@ class Device
         return lastAborted;
     }
 
-    /** Operating ("on") vs charging ("charging") interval trace. */
-    const sim::SpanTrace &spans() const { return activity; }
-
   private:
     enum class State
     {
@@ -197,6 +209,15 @@ class Device
         Booting,   ///< rail up, boot sequence running
         On,        ///< software executing
         Dead,      ///< provably unable to ever boot
+    };
+
+    /** The activity span the device is in. */
+    enum class SpanKind
+    {
+        None,      ///< before start()
+        Boot,
+        On,
+        Charging,
     };
 
     /** What the device's one pending event does when it fires. */
@@ -227,7 +248,9 @@ class Device
      *  defer it to completeWorkloads()'s loop inside a completion. */
     void completeAt(sim::Time t_end);
     void failPower(bool during_boot);
-    void transitionSpan(const char *label);
+    /** Close the open span and open a @p kind span now. */
+    void transitionSpan(SpanKind kind);
+    /** Add the open span to the stats (and any attached trace). */
     void closeSpan();
 
     sim::Simulator &sim;
@@ -254,7 +277,9 @@ class Device
     bool completionDeferred = false;
     sim::Time deferredEnd = 0.0;
     Stats devStats;
-    sim::SpanTrace activity;
+    SpanKind spanKind = SpanKind::None;
+    sim::Time spanStart = 0.0;
+    sim::SpanTrace *spanTrace = nullptr;
     double workloadPower = 0.0;
     sim::Time workloadStart = 0.0;
     AbortedWorkload lastAborted;

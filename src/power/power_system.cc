@@ -269,13 +269,13 @@ PowerSystem::updateLatches(sim::Time t)
 void
 PowerSystem::rebuildAfterReconfig()
 {
-    std::vector<CapacitorBank *> active;
+    activeBanks.clear();
     for (BankState &bs : banks) {
         if (bs.active())
-            active.push_back(&bs.bank);
+            activeBanks.push_back(&bs.bank);
     }
-    if (active.size() > 1)
-        energyStats.sharingLoss += equalizeParallel(active);
+    if (activeBanks.size() > 1)
+        energyStats.sharingLoss += equalizeParallel(activeBanks);
     compose();
     wasFull = isFull();
 }

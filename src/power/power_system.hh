@@ -331,6 +331,9 @@ class PowerSystem
     Spec spec;
     std::unique_ptr<Harvester> harvester;
     std::vector<BankState> banks;
+    /** rebuildAfterReconfig()'s active-bank list, kept so that a
+     *  reconfiguration allocates nothing once it has grown. */
+    std::vector<CapacitorBank *> activeBanks;
     sim::Time lastTime = 0.0;
     bool railOn = false;
     double loadPower = 0.0;

@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -19,6 +22,7 @@
 #include "power/parts.hh"
 #include "power/units.hh"
 #include "sim/simulator.hh"
+#include "sim/trace.hh"
 #include "sim/work.hh"
 
 using namespace capy;
@@ -176,8 +180,10 @@ TEST(Device, ChargingTimeTracked)
     s.runUntil(10.0);
     EXPECT_GT(d.stats().timeCharging, 0.0);
     EXPECT_GT(d.stats().timeOn, 0.0);
-    // Spans recorded for charging and on periods.
-    EXPECT_GE(d.spans().countFor("charging"), 1u);
+    // Charging spans summed as they closed.
+    EXPECT_GE(d.stats().chargeSpans, 1u);
+    EXPECT_GT(d.stats().chargeSpanMax, 0.0);
+    EXPECT_LE(d.stats().chargeSpanMax, d.stats().timeCharging);
 }
 
 TEST(Device, UnharvestableDeviceStaysOff)
@@ -192,6 +198,8 @@ TEST(Device, UnharvestableDeviceStaysOff)
     capy::setQuiet(true);
     Device d(s, std::move(ps), msp430fr5969(),
              Device::PowerMode::Intermittent);
+    sim::SpanTrace trace;
+    d.attachSpanTrace(&trace);
     bool booted = false;
     d.setHooks({.onBoot = [&] { booted = true; },
                 .onPowerFail = nullptr,
@@ -200,6 +208,12 @@ TEST(Device, UnharvestableDeviceStaysOff)
     s.runUntil(1000.0);
     capy::setQuiet(false);
     EXPECT_FALSE(booted);
+    // Its one charging span never closes: counted by neither.
+    EXPECT_TRUE(trace.spans().empty());
+    EXPECT_EQ(trace.openLabel(), "charging");
+    EXPECT_EQ(d.stats().chargeSpans, 0u);
+    EXPECT_EQ(d.stats().timeCharging, 0.0);
+    EXPECT_EQ(d.stats().chargeSpanMax, 0.0);
 }
 
 TEST(Device, BigBankBootsSlowerThanSmall)
@@ -509,6 +523,156 @@ TEST(DeviceWorkloadHook, WorkloadStartedInTheHookRunsInPlace)
     ASSERT_EQ(c.done.size(), 5u);
     EXPECT_EQ(sim::workCounts.inPlace - in_place, 4u);
     EXPECT_EQ(c.sim.eventsExecuted(), 6u);
+}
+
+namespace
+{
+
+/**
+ * An intermittent device that charges many times: each boot runs one
+ * workload, every third one too big for the bank (a brown-out), the
+ * rest followed by a voluntary power-down. Boot 5's workload is cut
+ * short by an injected Collapse.
+ */
+struct CyclingDevice
+{
+    sim::Simulator sim;
+    Device dev;
+    int boots = 0;
+    /** Stop the run from the onPowerFail hook of this failure (0:
+     *  never), so it ends inside the charging span that follows. */
+    std::uint64_t stopAtFailure = 0;
+
+    explicit CyclingDevice(sim::SpanTrace *trace)
+        : dev(sim, smallBankSystem(), msp430fr5969(),
+              Device::PowerMode::Intermittent)
+    {
+        if (trace)
+            dev.attachSpanTrace(trace);
+        dev.setHooks({.onBoot = [this] { booted(); },
+                      .onPowerFail =
+                          [this] {
+                              // Counted before the hook runs.
+                              if (dev.stats().powerFailures ==
+                                  stopAtFailure)
+                                  sim.stop();
+                          },
+                      .onWorkloadDone = [this] { dev.powerDown(); }});
+    }
+
+    void
+    booted()
+    {
+        if (++boots % 3 == 0) {
+            dev.runWorkload(20e-3, 10.0);
+            return;
+        }
+        dev.runWorkload(8.4e-3, 2e-3);
+        if (boots == 5)
+            sim.schedule(1e-3, [this] {
+                EXPECT_TRUE(dev.injectPowerFailure());
+            });
+    }
+};
+
+/** What a trace's completed charging spans give, summed in order. */
+struct ChargeSummary
+{
+    std::uint64_t spans = 0;
+    double total = 0.0;
+    double max = 0.0;
+};
+
+ChargeSummary
+chargeSummary(const sim::SpanTrace &trace)
+{
+    ChargeSummary c;
+    for (const sim::Span &s : trace.spans()) {
+        if (s.label != "charging")
+            continue;
+        ++c.spans;
+        c.total += s.duration();
+        c.max = std::max(c.max, s.duration());
+    }
+    return c;
+}
+
+std::uint64_t
+bits(double v)
+{
+    return std::bit_cast<std::uint64_t>(v);
+}
+
+void
+expectStatsMatchTrace(const Device::Stats &st, const sim::SpanTrace &trace)
+{
+    ChargeSummary c = chargeSummary(trace);
+    EXPECT_EQ(st.chargeSpans, c.spans);
+    EXPECT_EQ(bits(st.timeCharging), bits(c.total));
+    EXPECT_EQ(bits(st.chargeSpanMax), bits(c.max));
+}
+
+void
+expectSameStats(const Device::Stats &a, const Device::Stats &b)
+{
+    EXPECT_EQ(a.boots, b.boots);
+    EXPECT_EQ(a.powerFailures, b.powerFailures);
+    EXPECT_EQ(a.bootFailures, b.bootFailures);
+    EXPECT_EQ(a.injectedFailures, b.injectedFailures);
+    EXPECT_EQ(a.workloadsCompleted, b.workloadsCompleted);
+    EXPECT_EQ(a.workloadsAborted, b.workloadsAborted);
+    EXPECT_EQ(bits(a.timeOn), bits(b.timeOn));
+    EXPECT_EQ(bits(a.timeCharging), bits(b.timeCharging));
+    EXPECT_EQ(a.chargeSpans, b.chargeSpans);
+    EXPECT_EQ(bits(a.chargeSpanMax), bits(b.chargeSpanMax));
+}
+
+} // namespace
+
+TEST(DeviceSpans, StatsMatchAnAttachedTraceBitForBit)
+{
+    sim::SpanTrace trace;
+    CyclingDevice c(&trace);
+    c.dev.start();
+    c.sim.runUntil(60.0);
+    const Device::Stats &st = c.dev.stats();
+    ASSERT_GE(st.chargeSpans, 20u);
+    ASSERT_GE(st.powerFailures, 5u);
+    ASSERT_EQ(st.injectedFailures, 1u);
+    ASSERT_GE(st.workloadsCompleted, 10u);
+    expectStatsMatchTrace(st, trace);
+    // Boot and on spans are logged too, one of each per boot.
+    EXPECT_EQ(trace.countFor("on"), st.boots);
+    EXPECT_GE(trace.countFor("boot"), st.boots);
+    EXPECT_EQ(bits(trace.totalFor("on")), bits(st.timeOn));
+}
+
+TEST(DeviceSpans, SameStatsWithoutATrace)
+{
+    sim::SpanTrace trace;
+    CyclingDevice traced(&trace);
+    CyclingDevice bare(nullptr);
+    traced.dev.start();
+    bare.dev.start();
+    traced.sim.runUntil(60.0);
+    bare.sim.runUntil(60.0);
+    expectSameStats(bare.dev.stats(), traced.dev.stats());
+    EXPECT_EQ(bare.sim.eventsExecuted(), traced.sim.eventsExecuted());
+}
+
+TEST(DeviceSpans, SpanOpenAtTheHorizonIsCountedByNeither)
+{
+    sim::SpanTrace trace;
+    CyclingDevice c(&trace);
+    c.stopAtFailure = 4;
+    c.dev.start();
+    c.sim.runUntil(60.0);
+    ASSERT_EQ(c.dev.stats().powerFailures, 4u);
+    ASSERT_TRUE(c.dev.isCharging());
+    ASSERT_TRUE(trace.isOpen());
+    EXPECT_EQ(trace.openLabel(), "charging");
+    EXPECT_GE(c.dev.stats().chargeSpans, 4u);
+    expectStatsMatchTrace(c.dev.stats(), trace);
 }
 
 TEST(Peripherals, CatalogSane)

@@ -37,10 +37,13 @@
  *                whose capture outgrows its inline storage
  *   heap_peak    peak live bytes requested through operator new
  *                during the run, above those live when it started
- *   out          FNV-1a over the bit patterns of every
- *                dev::Device::Stats field of the run's device(s),
- *                so a change to the simulated output moves a row
- *                even where every count above stays put
+ *   out          FNV-1a over the bit patterns of the run's
+ *                device(s)' dev::Device::Stats counters and times
+ *                (boots through timeCharging; chargeSpans and
+ *                chargeSpanMax, summed from the same spans as
+ *                timeCharging, are left out), so a change to the
+ *                simulated output moves a row even where every
+ *                count above stays put
  *
  * The `golden_work_counts` ctest diffs the output with
  * tests/golden/work_counts.txt byte for byte. A change that moves a
