@@ -46,19 +46,25 @@ BM_EventScheduleRun(benchmark::State &state)
 }
 BENCHMARK(BM_EventScheduleRun);
 
+/** An owned event whose handler does nothing. */
+struct IdleEvent
+{
+    sim::Event ev{[](void *) {}, nullptr};
+};
+
 void
 BM_EventScheduleCancel(benchmark::State &state)
 {
     // Cancel-heavy traffic: every scheduled event is cancelled before
-    // it can run, exercising the O(1) slot bump and slot reuse.
+    // it can run, leaving a stale record for the heap head to skip.
     sim::EventQueue q;
-    sim::EventId ids[64];
+    IdleEvent evs[64];
     double t = 0.0;
     for (auto _ : state) {
         for (int i = 0; i < 64; ++i)
-            ids[i] = q.schedule(t + double(i), [] {});
+            q.schedule(t + double(i), evs[i].ev);
         for (int i = 0; i < 64; ++i)
-            benchmark::DoNotOptimize(q.cancel(ids[i]));
+            benchmark::DoNotOptimize(q.cancel(evs[i].ev));
         // Drain the stale records so heap size stays bounded.
         benchmark::DoNotOptimize(q.empty());
         t += 100.0;
@@ -73,13 +79,15 @@ BM_EventRetimerChurn(benchmark::State &state)
     // The device-model pattern: one pending timeout that is
     // repeatedly cancelled and rescheduled as conditions change.
     sim::EventQueue q;
+    IdleEvent timeout;
     double t = 0.0;
-    sim::EventId pending = q.schedule(1e18, [] {});
+    q.schedule(1e18, timeout.ev);
     for (auto _ : state) {
-        q.cancel(pending);
-        pending = q.schedule(1e18 + t, [] {});
+        q.cancel(timeout.ev);
+        q.schedule(1e18 + t, timeout.ev);
         t += 1.0;
-        benchmark::DoNotOptimize(pending);
+        // Drop the stale record, so heap size stays bounded.
+        benchmark::DoNotOptimize(q.empty());
     }
     state.SetItemsProcessed(state.iterations());
 }

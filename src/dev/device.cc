@@ -327,7 +327,7 @@ Device::failPower(bool during_boot)
     // Audit instrumentation runs after the software hook so it sees
     // the exact state the outage leaves behind.
     if (observer.onRailDown)
-        observer.onRailDown(RailDownReason::PowerFailure);
+        observer.onRailDown();
     if (mode == PowerMode::Continuous) {
         capy_panic("continuous-power device cannot brown out");
     }
@@ -379,7 +379,7 @@ Device::powerDown()
     workloadActive = false;
     completionDeferred = false;
     if (observer.onRailDown)
-        observer.onRailDown(RailDownReason::Park);
+        observer.onRailDown();
     if (mode == PowerMode::Continuous) {
         // A continuously-powered board "recharges" instantly: reboot.
         state = State::Booting;

@@ -70,25 +70,19 @@ class Device
         Glitch,
     };
 
-    /** Why the rail went down (Observer::onRailDown). */
-    enum class RailDownReason
-    {
-        PowerFailure,  ///< brown-out or injected failure
-        Park,          ///< voluntary powerDown() to recharge
-    };
-
     /**
      * Audit instrumentation. Unlike Hooks (the software under test),
-     * an Observer watches from outside: onRailDown fires *after* the
-     * software's onPowerFail hook, so it sees the exact non-volatile
-     * state that must survive the outage, and onRailUp fires on boot
-     * completion *before* the software's onBoot hook, so it sees the
-     * recovered state before recovery code can repair it.
+     * an Observer watches from outside: onRailDown fires on a power
+     * failure and on powerDown(), *after* the software's onPowerFail
+     * hook, so it sees the exact non-volatile state that must survive
+     * the outage, and onRailUp fires on boot completion *before* the
+     * software's onBoot hook, so it sees the recovered state before
+     * recovery code can repair it.
      */
     struct Observer
     {
         std::function<void()> onRailUp;
-        std::function<void(RailDownReason)> onRailDown;
+        std::function<void()> onRailDown;
     };
 
     /** Lifetime counters. */

@@ -33,8 +33,7 @@ CrashAuditor::CrashAuditor(dev::Device &device) : dev(device)
 {
     dev.setObserver(dev::Device::Observer{
         .onRailUp = [this] { onRailUp(); },
-        .onRailDown =
-            [this](dev::Device::RailDownReason r) { onRailDown(r); },
+        .onRailDown = [this] { onRailDown(); },
     });
 
     // Device-level failure accounting is audited unconditionally:
@@ -199,7 +198,7 @@ CrashAuditor::checkNow()
 }
 
 void
-CrashAuditor::onRailDown(dev::Device::RailDownReason)
+CrashAuditor::onRailDown()
 {
     // Runs after the software's onPowerFail hook: this is the exact
     // non-volatile state that must survive the outage.

@@ -67,24 +67,6 @@ class CrashAuditor
     /// @name Check registration
     /// @{
 
-    /**
-     * A named invariant, evaluated at every rail transition and on
-     * checkNow(). Returns an empty string when the invariant holds,
-     * otherwise the violation evidence.
-     */
-    using Check = std::function<std::string()>;
-
-    void addInvariant(std::string rule, Check check);
-
-    /**
-     * A named monotonic quantity: any later sample below the
-     * high-water mark (minus @p tol) is a violation. Sampled at every
-     * rail transition and on checkNow(). The canonical use is
-     * committed progress, which an outage must never roll back.
-     */
-    void addMonotonic(std::string rule, std::function<double()> probe,
-                      double tol = 1e-12);
-
     /** Attach the Chain-kernel contract checks. */
     void watchKernel(const Kernel &kernel);
 
@@ -128,6 +110,24 @@ class CrashAuditor
     /// @}
 
   private:
+    /**
+     * A named invariant, evaluated at every rail transition and on
+     * checkNow(). Returns an empty string when the invariant holds,
+     * otherwise the violation evidence.
+     */
+    using Check = std::function<std::string()>;
+
+    void addInvariant(std::string rule, Check check);
+
+    /**
+     * A named monotonic quantity: any later sample below the
+     * high-water mark (minus @p tol) is a violation. Sampled at every
+     * rail transition and on checkNow(). The canonical use is
+     * committed progress, which an outage must never roll back.
+     */
+    void addMonotonic(std::string rule, std::function<double()> probe,
+                      double tol = 1e-12);
+
     struct MonotonicProbe
     {
         std::string rule;
@@ -147,7 +147,7 @@ class CrashAuditor
     };
 
     void onRailUp();
-    void onRailDown(dev::Device::RailDownReason reason);
+    void onRailDown();
     void runChecks();
     void sampleMonotonics();
     void recordLatches();

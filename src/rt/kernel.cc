@@ -95,10 +95,7 @@ Kernel::runTask(const Task *task)
     inTask = true;
     running = task;
     interrupted = nullptr;
-    double power = task->absolutePower > 0.0
-                       ? task->absolutePower
-                       : dev.mcu().activePower + task->extraPower;
-    dev.runWorkload(power, task->duration);
+    dev.runWorkload(railPower(*task), task->duration);
 }
 
 void
@@ -108,10 +105,7 @@ Kernel::completeTask(const Task *task)
     ++kernelStats.taskCompletions;
     auto &use = energyOf(task);
     ++use.completions;
-    double power = task->absolutePower > 0.0
-                       ? task->absolutePower
-                       : dev.mcu().activePower + task->extraPower;
-    use.railEnergy += power * task->duration;
+    use.railEnergy += railPower(*task) * task->duration;
     use.activeTime += task->duration;
     const Task *next = task->body(*this);
     commitTransition(next);
@@ -125,6 +119,14 @@ Kernel::completeTask(const Task *task)
         return;
     }
     attempt(next);
+}
+
+double
+Kernel::railPower(const Task &task) const
+{
+    return task.absolutePower > 0.0
+               ? task.absolutePower
+               : dev.mcu().activePower + task.extraPower;
 }
 
 Kernel::TaskEnergyUse &

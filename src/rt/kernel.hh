@@ -124,6 +124,9 @@ class Kernel
     void attempt(const Task *task);
     void runTask(const Task *task);
     void completeTask(const Task *task);
+    /** The rail power @p task's workload draws: runTask draws it and
+     *  completeTask books it, so the two cannot drift apart. */
+    double railPower(const Task &task) const;
     void commitTransition(const Task *next);
     TaskEnergyUse &energyOf(const Task *task);
 

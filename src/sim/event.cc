@@ -39,23 +39,20 @@ EventQueue::schedule(Time when, Event &ev)
     ++pendingCount;
 }
 
-EventId
+void
 EventQueue::schedule(Time when, std::function<void()> fn)
 {
     capy_assert(static_cast<bool>(fn), "scheduled a null callback");
     ++workCounts.callbackEvents;
-    std::uint32_t idx;
+    Slot *s;
     if (!freeSlots.empty()) {
-        idx = freeSlots.back();
+        s = freeSlots.back();
         freeSlots.pop_back();
     } else {
-        idx = std::uint32_t(slots.size());
-        slots.push_back(std::make_unique<Slot>(this, idx));
+        s = slots.emplace_back(std::make_unique<Slot>(this)).get();
     }
-    Slot &s = *slots[idx];
-    s.fn = std::move(fn);
-    schedule(when, s.ev);
-    return makeId(idx, s.gen);
+    s->fn = std::move(fn);
+    schedule(when, s->ev);
 }
 
 void
@@ -63,7 +60,7 @@ EventQueue::Slot::run(void *slot)
 {
     auto *s = static_cast<Slot *>(slot);
     std::function<void()> fn = std::move(s->fn);
-    s->queue->retire(*s);
+    s->queue->freeSlots.push_back(s);
     fn();
 }
 
@@ -78,40 +75,6 @@ EventQueue::cancel(Event &ev)
     ev.liveSeq = Event::kIdle;
     --pendingCount;
     return true;
-}
-
-EventQueue::Slot *
-EventQueue::slotFor(EventId id) const
-{
-    if (id == kInvalidEvent)
-        return nullptr;
-    std::uint32_t idx = std::uint32_t(id & 0xffffffffu) - 1;
-    if (idx >= slots.size())
-        return nullptr;
-    Slot *s = slots[idx].get();
-    if (s->gen != std::uint32_t(id >> 32) || !s->ev.scheduled())
-        return nullptr;
-    return s;
-}
-
-bool
-EventQueue::cancel(EventId id)
-{
-    Slot *s = slotFor(id);
-    if (!s)
-        return false;
-    cancel(s->ev);
-    // The callback's captures are released now and the slot is
-    // reusable immediately.
-    s->fn = nullptr;
-    retire(*s);
-    return true;
-}
-
-bool
-EventQueue::isPending(EventId id) const
-{
-    return slotFor(id) != nullptr;
 }
 
 void

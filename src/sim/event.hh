@@ -1,7 +1,7 @@
 /**
  * @file
  * Discrete-event queue: time-ordered events with stable FIFO ordering
- * among simultaneous events and O(1) cancellation.
+ * among simultaneous events and O(1) cancellation of owned events.
  *
  * An event is an Event object owned by the component it wakes: a
  * handler function pointer and a context. The queue's heap orders
@@ -12,11 +12,11 @@
  * record never outlives its event: ~Event purges the event's records,
  * a heap scan paid at teardown only.
  *
- * Callback events (schedule(Time, std::function)) are pooled Events in
- * the same queue, one per slot of a generation-counted slot table: the
- * slot holds the callback, and an EventId names (generation, slot).
- * Slots recycle through a free list, so long-lived simulators with
- * heavy cancel traffic retain no tombstone state.
+ * An event is cancelled only through the Event that holds it. Callback
+ * events (schedule(Time, std::function)) are fire-and-forget: pooled
+ * Events in the same queue, one per slot of a slot table that holds
+ * the callback. A slot recycles through a free list when its callback
+ * runs, and no handle names it, so nothing can cancel it.
  */
 
 #ifndef CAPY_SIM_EVENT_HH
@@ -36,12 +36,6 @@ using Time = double;
 
 /** A time no event comes after (popDue's limit for "any event"). */
 inline constexpr Time kForever = std::numeric_limits<Time>::infinity();
-
-/** Handle identifying a scheduled callback event; 0 is never valid. */
-using EventId = std::uint64_t;
-
-/** Sentinel id meaning "no event". */
-inline constexpr EventId kInvalidEvent = 0;
 
 class EventQueue;
 
@@ -113,26 +107,15 @@ class EventQueue
      */
     void schedule(Time when, Event &ev);
 
-    /**
-     * Schedule @p fn to run at absolute time @p when, as a pooled
-     * event.
-     * @return a handle usable with cancel().
-     */
-    EventId schedule(Time when, std::function<void()> fn);
+    /** Schedule @p fn to run at absolute time @p when, as a pooled
+     *  event that cannot be cancelled. */
+    void schedule(Time when, std::function<void()> fn);
 
     /**
      * Cancel @p ev's pending occurrence.
      * @retval true if it was pending and is now cancelled.
      */
     bool cancel(Event &ev);
-
-    /**
-     * Cancel a previously scheduled callback event.
-     * @retval true if the event was pending and is now cancelled.
-     * @retval false if it already ran, was already cancelled, or the
-     *         handle is invalid.
-     */
-    bool cancel(EventId id);
 
     /** @return true when no runnable events remain. */
     bool empty() const;
@@ -158,7 +141,7 @@ class EventQueue
      * Pop the earliest pending event if it is due at or before
      * @p until: store its time in @p when and return it, counted as
      * executed and no longer scheduled, for the caller to fire().
-     * Firing a callback event retires its slot before the callback
+     * Firing a callback event frees its slot before the callback
      * runs, so running it may schedule into that slot or grow the
      * slot table.
      * @return nullptr when no event is due.
@@ -170,9 +153,6 @@ class EventQueue
 
     /** Number of events currently pending (excludes cancelled). */
     std::size_t pending() const { return pendingCount; }
-
-    /** @retval true if @p id refers to a still-pending event. */
-    bool isPending(EventId id) const;
 
     /** Slots allocated over the queue's lifetime (bookkeeping bound:
      *  never exceeds the peak number of simultaneously pending
@@ -190,23 +170,17 @@ class EventQueue
         Event *ev;
     };
 
-    /** A callback event: the pooled Event that runs fn. gen changes
-     *  whenever the slot's current event ends (runs or is
-     *  cancelled), invalidating old handles. */
+    /** A callback event: the pooled Event that runs fn. */
     struct Slot
     {
-        Slot(EventQueue *q, std::uint32_t idx)
-            : ev(&Slot::run, this), queue(q), index(idx)
-        {}
+        explicit Slot(EventQueue *q) : ev(&Slot::run, this), queue(q) {}
 
-        /** Move the callback out, retire the slot, then run it. */
+        /** Move the callback out, free the slot, then run it. */
         static void run(void *slot);
 
         Event ev;
         std::function<void()> fn;
         EventQueue *queue;
-        std::uint32_t index;
-        std::uint32_t gen = 0;
     };
 
     struct Later
@@ -219,25 +193,6 @@ class EventQueue
             return a.seq > b.seq;
         }
     };
-
-    /** An EventId packs (generation, slot + 1) so that 0 stays
-     *  invalid and handles from recycled slots never compare equal. */
-    static EventId
-    makeId(std::uint32_t slot, std::uint32_t gen)
-    {
-        return (EventId(gen) << 32) | EventId(slot + 1);
-    }
-
-    /** The live slot @p id names, or nullptr. */
-    Slot *slotFor(EventId id) const;
-
-    /** Invalidate @p s's handles and recycle it. */
-    void
-    retire(Slot &s)
-    {
-        ++s.gen;
-        freeSlots.push_back(s.index);
-    }
 
     /** Pop the head record. */
     void popHead() const;
@@ -252,7 +207,8 @@ class EventQueue
     mutable std::vector<Record> heap;
     /** Heap-allocated so an Event's address survives table growth. */
     std::vector<std::unique_ptr<Slot>> slots;
-    std::vector<std::uint32_t> freeSlots;
+    /** Slots whose callback has run, for reuse. */
+    std::vector<Slot *> freeSlots;
     std::size_t pendingCount = 0;
     std::uint64_t nextSeq = 0;
     std::uint64_t numExecuted = 0;

@@ -60,8 +60,12 @@ FaultInjector::FaultInjector(Simulator &simulator, FaultPlan plan_in,
     for (Time t : plan.times) {
         if (t < sim.now())
             continue;  // pre-start instants can never fire
-        timedAttempts.push_back(
-            sim.scheduleAt(t, [this] { attempt(); }));
+        sim.scheduleAt(
+            t, timedAttempts.emplace_back(
+                   [](void *inj) {
+                       static_cast<FaultInjector *>(inj)->attempt();
+                   },
+                   this));
     }
     if (plan.everyNthEvent > 0) {
         sim.setPostEventHook([this] { onEventExecuted(); });
@@ -70,9 +74,6 @@ FaultInjector::FaultInjector(Simulator &simulator, FaultPlan plan_in,
 
 FaultInjector::~FaultInjector()
 {
-    // The simulator may run on after the injector is gone.
-    for (EventId id : timedAttempts)
-        sim.cancel(id);
     if (plan.everyNthEvent > 0)
         sim.setPostEventHook({});
 }

@@ -21,6 +21,7 @@
 #define CAPY_SIM_FAULT_HH
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <limits>
 #include <vector>
@@ -82,10 +83,13 @@ struct FaultPlan
  *
  * The action is invoked at each attempt and reports whether a failure
  * actually fired (false when the target is already unpowered — a
- * supply glitch is invisible to a device that is off). The injector
- * owns the simulator's post-event hook for its lifetime; one injector
- * per simulator, which must outlive it. Destroying the injector
- * cancels its pending attempts.
+ * supply glitch is invisible to a device that is off). Each planned
+ * time is an Event the injector owns, scheduled at construction in
+ * plan order, so an attempt runs before any event scheduled later
+ * for the same instant; destroying the injector cancels the attempts
+ * still pending. The injector owns the simulator's post-event hook
+ * for its lifetime; one injector per simulator, which must outlive
+ * it.
  */
 class FaultInjector
 {
@@ -118,8 +122,9 @@ class FaultInjector
     std::uint64_t numAttempts = 0;
     std::uint64_t numFired = 0;
     std::vector<Time> whenFired;
-    /** The time-triggered attempts, cancelled with the injector. */
-    std::vector<EventId> timedAttempts;
+    /** One event per planned time; a deque, so the events never
+     *  move once scheduled. */
+    std::deque<Event> timedAttempts;
 };
 
 } // namespace capy::sim

@@ -24,20 +24,20 @@ Simulator::scheduleAt(Time when, Event &ev)
     queue.schedule(when, ev);
 }
 
-EventId
+void
 Simulator::schedule(Time delay, std::function<void()> fn)
 {
     capy_assert(delay >= 0.0, "negative delay %g", delay);
-    return queue.schedule(currentTime + delay, std::move(fn));
+    queue.schedule(currentTime + delay, std::move(fn));
 }
 
-EventId
+void
 Simulator::scheduleAt(Time when, std::function<void()> fn)
 {
     capy_assert(when >= currentTime,
                 "scheduleAt(%g) is in the past (now %g)", when,
                 currentTime);
-    return queue.schedule(when, std::move(fn));
+    queue.schedule(when, std::move(fn));
 }
 
 void

@@ -46,25 +46,21 @@ class Simulator
     void scheduleAt(Time when, Event &ev);
 
     /**
-     * Schedule @p fn to run @p delay seconds from now.
+     * Schedule @p fn to run @p delay seconds from now, as a callback
+     * event that cannot be cancelled.
      * @pre delay >= 0.
      */
-    EventId schedule(Time delay, std::function<void()> fn);
+    void schedule(Time delay, std::function<void()> fn);
 
     /**
-     * Schedule @p fn at absolute time @p when.
+     * Schedule @p fn at absolute time @p when, as a callback event
+     * that cannot be cancelled.
      * @pre when >= now().
      */
-    EventId scheduleAt(Time when, std::function<void()> fn);
+    void scheduleAt(Time when, std::function<void()> fn);
 
     /** Cancel @p ev's pending occurrence. @sa EventQueue::cancel */
     bool cancel(Event &ev) { return queue.cancel(ev); }
-
-    /** Cancel a pending event. @sa EventQueue::cancel */
-    bool cancel(EventId id) { return queue.cancel(id); }
-
-    /** @retval true if @p id refers to a still-pending event. */
-    bool isPending(EventId id) const { return queue.isPending(id); }
 
     /** Run until the event queue drains or stop() is called. */
     void run();

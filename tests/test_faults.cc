@@ -117,6 +117,40 @@ TEST(FaultPlan, DestroyedInjectorLeavesNoAttemptQueued)
     EXPECT_EQ(sim.eventsExecuted(), 1u);
 }
 
+TEST(FaultPlan, TimedAttemptRunsBeforeALaterScheduledEventAtItsInstant)
+{
+    // The injector schedules its attempts when it is built, so an
+    // event scheduled afterwards for the same instant runs second.
+    sim::Simulator sim;
+    std::vector<std::string> log;
+    sim::FaultInjector inj(sim, sim::FaultPlan::atTimes({1.0}), [&] {
+        log.push_back("attempt");
+        return true;
+    });
+    sim.scheduleAt(1.0, [&] { log.push_back("event"); });
+    sim.run();
+    EXPECT_EQ(log, (std::vector<std::string>{"attempt", "event"}));
+}
+
+TEST(FaultPlan, RepeatedPlanTimeIsAttemptedTwice)
+{
+    sim::Simulator sim;
+    std::vector<std::string> log;
+    sim.scheduleAt(2.0, [&] { log.push_back("before"); });
+    sim::FaultInjector inj(sim, sim::FaultPlan::atTimes({2.0, 1.0, 2.0}),
+                           [&] {
+                               log.push_back("attempt");
+                               return true;
+                           });
+    sim.scheduleAt(2.0, [&] { log.push_back("after"); });
+    sim.run();
+    EXPECT_EQ(log, (std::vector<std::string>{"attempt", "before",
+                                             "attempt", "attempt",
+                                             "after"}));
+    EXPECT_EQ(inj.attempts(), 3u);
+    EXPECT_EQ(inj.firedTimes(), (std::vector<sim::Time>{1.0, 2.0, 2.0}));
+}
+
 TEST(FaultPlan, EveryNthEventHonoursOffsetAndCap)
 {
     sim::Simulator sim;

@@ -1,6 +1,6 @@
 /**
  * @file
- * Coverage for remaining public API surface: simulator event handles,
+ * Coverage for remaining public API surface: simulator event counts,
  * RNG ranges, span accessors, parts composition edge cases, device
  * abort reporting, and schedule generators.
  */
@@ -20,17 +20,6 @@
 
 using namespace capy;
 using namespace capy::sim;
-
-TEST(SimulatorMisc, IsPendingTracksHandles)
-{
-    Simulator s;
-    EventId id = s.schedule(5.0, [] {});
-    EXPECT_TRUE(s.isPending(id));
-    EXPECT_EQ(s.pendingEvents(), 1u);
-    s.cancel(id);
-    EXPECT_FALSE(s.isPending(id));
-    EXPECT_EQ(s.pendingEvents(), 0u);
-}
 
 TEST(SimulatorMisc, EventsExecutedCounter)
 {

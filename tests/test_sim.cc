@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -25,6 +26,26 @@
 
 using namespace capy;
 using namespace capy::sim;
+
+namespace
+{
+
+/** A component owning one event that logs its tag when it fires. */
+struct Owner
+{
+    Owner(std::vector<int> *log_to, int tag_in)
+        : log(log_to), tag(tag_in),
+          ev([](void *o) { static_cast<Owner *>(o)->fired(); }, this)
+    {}
+
+    void fired() { log->push_back(tag); }
+
+    std::vector<int> *log;
+    int tag;
+    Event ev;
+};
+
+} // namespace
 
 TEST(EventQueue, RunsInTimeOrder)
 {
@@ -60,44 +81,43 @@ TEST(EventQueue, SimultaneousEventsRunFifo)
 TEST(EventQueue, CancelPreventsExecution)
 {
     EventQueue q;
-    bool ran = false;
-    EventId id = q.schedule(1.0, [&] { ran = true; });
-    EXPECT_TRUE(q.cancel(id));
+    std::vector<int> log;
+    Owner a(&log, 1);
+    q.schedule(1.0, a.ev);
+    EXPECT_TRUE(q.cancel(a.ev));
     EXPECT_TRUE(q.empty());
-    EXPECT_FALSE(ran);
+    EXPECT_TRUE(log.empty());
 }
 
 TEST(EventQueue, CancelExecutedEventReturnsFalse)
 {
     EventQueue q;
-    EventId id = q.schedule(1.0, [] {});
+    std::vector<int> log;
+    Owner a(&log, 1);
+    q.schedule(1.0, a.ev);
     q.runNext();
-    EXPECT_FALSE(q.cancel(id));
+    EXPECT_FALSE(q.cancel(a.ev));
 }
 
 TEST(EventQueue, DoubleCancelReturnsFalse)
 {
     EventQueue q;
-    EventId id = q.schedule(1.0, [] {});
-    EXPECT_TRUE(q.cancel(id));
-    EXPECT_FALSE(q.cancel(id));
-}
-
-TEST(EventQueue, CancelInvalidIdReturnsFalse)
-{
-    EventQueue q;
-    EXPECT_FALSE(q.cancel(kInvalidEvent));
-    EXPECT_FALSE(q.cancel(12345));
+    std::vector<int> log;
+    Owner a(&log, 1);
+    q.schedule(1.0, a.ev);
+    EXPECT_TRUE(q.cancel(a.ev));
+    EXPECT_FALSE(q.cancel(a.ev));
 }
 
 TEST(EventQueue, CancelDoesNotDisturbOtherEvents)
 {
     EventQueue q;
     std::vector<int> order;
+    Owner two(&order, 2);
     q.schedule(1.0, [&] { order.push_back(1); });
-    EventId id = q.schedule(2.0, [&] { order.push_back(2); });
+    q.schedule(2.0, two.ev);
     q.schedule(3.0, [&] { order.push_back(3); });
-    q.cancel(id);
+    q.cancel(two.ev);
     while (!q.empty())
         q.runNext();
     EXPECT_EQ(order, (std::vector<int>{1, 3}));
@@ -106,48 +126,32 @@ TEST(EventQueue, CancelDoesNotDisturbOtherEvents)
 TEST(EventQueue, PendingCountTracksLifecycle)
 {
     EventQueue q;
-    EventId a = q.schedule(1.0, [] {});
+    std::vector<int> log;
+    Owner a(&log, 1);
+    q.schedule(1.0, a.ev);
     q.schedule(2.0, [] {});
     EXPECT_EQ(q.pending(), 2u);
-    q.cancel(a);
+    q.cancel(a.ev);
     EXPECT_EQ(q.pending(), 1u);
     q.runNext();
     EXPECT_EQ(q.pending(), 0u);
     EXPECT_EQ(q.executed(), 1u);
 }
 
-TEST(EventQueue, CancelledSlotIsRecycledWithFreshIdentity)
-{
-    EventQueue q;
-    bool b_ran = false;
-    EventId a = q.schedule(1.0, [] {});
-    EXPECT_TRUE(q.cancel(a));
-    EventId b = q.schedule(2.0, [&] { b_ran = true; });
-    // The slot is reused but the handle generation differs, so the
-    // old handle neither matches nor can cancel the new event.
-    EXPECT_NE(a, b);
-    EXPECT_FALSE(q.isPending(a));
-    EXPECT_TRUE(q.isPending(b));
-    EXPECT_FALSE(q.cancel(a));
-    EXPECT_TRUE(q.isPending(b));
-    q.runNext();
-    EXPECT_TRUE(b_ran);
-    EXPECT_LE(q.slotCapacity(), 1u);
-}
-
 TEST(EventQueue, HeavyCancelTrafficRetainsNoTombstones)
 {
     // A long-lived simulator that schedules and cancels a timeout
     // over and over (the device-model retimer pattern) must keep its
-    // bookkeeping bounded and exact: one slot, zero pending.
+    // bookkeeping exact: zero pending, no stale record left runnable.
     EventQueue q;
+    std::vector<int> log;
+    Owner timeout(&log, 1);
     for (int i = 0; i < 10000; ++i) {
-        EventId id = q.schedule(double(i), [] {});
-        EXPECT_TRUE(q.cancel(id));
+        q.schedule(double(i), timeout.ev);
+        EXPECT_TRUE(q.cancel(timeout.ev));
         EXPECT_EQ(q.pending(), 0u);
         EXPECT_TRUE(q.empty());
     }
-    EXPECT_LE(q.slotCapacity(), 1u);
     EXPECT_EQ(q.executed(), 0u);
     // The queue still works normally afterwards.
     bool ran = false;
@@ -155,21 +159,24 @@ TEST(EventQueue, HeavyCancelTrafficRetainsNoTombstones)
     EXPECT_EQ(q.pending(), 1u);
     q.runNext();
     EXPECT_TRUE(ran);
+    EXPECT_TRUE(log.empty());
 }
 
 TEST(EventQueue, PendingBookkeepingStaysExactUnderInterleaving)
 {
     EventQueue q;
-    std::vector<EventId> live;
+    std::vector<int> log;
+    std::deque<Owner> live;
     std::size_t expected = 0;
     for (int round = 0; round < 50; ++round) {
         for (int i = 0; i < 10; ++i) {
-            live.push_back(q.schedule(double(round * 10 + i), [] {}));
+            q.schedule(double(round * 10 + i),
+                       live.emplace_back(&log, round * 10 + i).ev);
             ++expected;
         }
-        // Cancel every other handle from this round.
+        // Cancel every other event from this round.
         for (int i = 0; i < 10; i += 2) {
-            EXPECT_TRUE(q.cancel(live[live.size() - 10 + size_t(i)]));
+            EXPECT_TRUE(q.cancel(live[live.size() - 10 + size_t(i)].ev));
             --expected;
         }
         // Run two events.
@@ -182,6 +189,7 @@ TEST(EventQueue, PendingBookkeepingStaysExactUnderInterleaving)
     while (!q.empty())
         q.runNext();
     EXPECT_EQ(q.pending(), 0u);
+    EXPECT_EQ(log.size(), 250u);
 }
 
 TEST(EventQueue, SequentialChainReusesOneSlot)
@@ -203,13 +211,13 @@ TEST(EventQueue, SequentialChainReusesOneSlot)
 TEST(EventQueue, CancelFromCallbackOfSimultaneousEvent)
 {
     EventQueue q;
-    bool second_ran = false;
-    EventId second = 0;
-    q.schedule(1.0, [&] { EXPECT_TRUE(q.cancel(second)); });
-    second = q.schedule(1.0, [&] { second_ran = true; });
+    std::vector<int> log;
+    Owner second(&log, 2);
+    q.schedule(1.0, [&] { EXPECT_TRUE(q.cancel(second.ev)); });
+    q.schedule(1.0, second.ev);
     while (!q.empty())
         q.runNext();
-    EXPECT_FALSE(second_ran);
+    EXPECT_TRUE(log.empty());
     EXPECT_EQ(q.executed(), 1u);
     EXPECT_EQ(q.pending(), 0u);
 }
@@ -217,11 +225,13 @@ TEST(EventQueue, CancelFromCallbackOfSimultaneousEvent)
 TEST(EventQueue, ExecutedExcludesCancelledEvents)
 {
     EventQueue q;
-    EventId a = q.schedule(1.0, [] {});
+    std::vector<int> log;
+    Owner a(&log, 1), c(&log, 3);
+    q.schedule(1.0, a.ev);
     q.schedule(2.0, [] {});
-    EventId c = q.schedule(3.0, [] {});
-    q.cancel(a);
-    q.cancel(c);
+    q.schedule(3.0, c.ev);
+    q.cancel(a.ev);
+    q.cancel(c.ev);
     while (!q.empty())
         q.runNext();
     EXPECT_EQ(q.executed(), 1u);
@@ -240,26 +250,6 @@ TEST(EventQueue, CallbackMaySchedule)
         q.runNext();
     EXPECT_EQ(depth, 5);
 }
-
-namespace
-{
-
-/** A component owning one event that logs its tag when it fires. */
-struct Owner
-{
-    Owner(std::vector<int> *log_to, int tag_in)
-        : log(log_to), tag(tag_in),
-          ev([](void *o) { static_cast<Owner *>(o)->fired(); }, this)
-    {}
-
-    void fired() { log->push_back(tag); }
-
-    std::vector<int> *log;
-    int tag;
-    Event ev;
-};
-
-} // namespace
 
 TEST(OwnedEvent, SharesSchedulingOrderWithCallbacksAtOneInstant)
 {
@@ -326,9 +316,8 @@ TEST(OwnedEvent, ScheduledPendingAndIsPendingAgree)
     Owner a(&log, 1);
     EXPECT_FALSE(a.ev.scheduled());
     s.schedule(1.0, a.ev);
-    EventId id = s.schedule(2.0, [] {});
+    s.schedule(2.0, [] {});
     EXPECT_TRUE(a.ev.scheduled());
-    EXPECT_TRUE(s.isPending(id));
     EXPECT_EQ(s.pendingEvents(), 2u);
 
     s.cancel(a.ev);
@@ -338,7 +327,6 @@ TEST(OwnedEvent, ScheduledPendingAndIsPendingAgree)
     EXPECT_EQ(s.pendingEvents(), 2u);
 
     s.runUntil(2.0);
-    EXPECT_FALSE(s.isPending(id));
     EXPECT_TRUE(a.ev.scheduled());
     EXPECT_EQ(s.pendingEvents(), 1u);
     s.run();
@@ -407,32 +395,53 @@ namespace
 /**
  * Drives an EventQueue and a reference model side by side. The
  * reference is a std::map ordered by (when, seq), so it pops events
- * in exactly the order the queue's contract promises. Every event
- * captures a shared_ptr token; the harness keeps only a weak_ptr, so
- * it can see when the queue releases an event's captures.
+ * in exactly the order the queue's contract promises. Events are of
+ * both kinds: owned Events, which the harness cancels at random, and
+ * callback events, which capture a shared_ptr token; the harness
+ * keeps only a weak_ptr, so it can see when the queue releases a
+ * callback's captures.
  */
 struct QueueDifferential
 {
     using Key = std::pair<Time, std::uint64_t>;
 
+    /** An owned event that fires the harness with its tag. */
+    struct Owned
+    {
+        Owned(QueueDifferential *harness, int tag_in)
+            : d(harness), tag(tag_in),
+              ev([](void *o) {
+                     auto *self = static_cast<Owned *>(o);
+                     self->d->fire(self->tag, self->tag);
+                 },
+                 this)
+        {}
+
+        QueueDifferential *d;
+        int tag;
+        Event ev;
+    };
+
     struct Ev
     {
-        EventId id = kInvalidEvent;
+        std::unique_ptr<Owned> owned;  ///< null for a callback event
         Key key{};
-        std::weak_ptr<int> token;
+        std::weak_ptr<int> token;      ///< a callback event's capture
         bool done = false;  ///< ran or cancelled
     };
 
     EventQueue q;
     std::map<Key, int> ref;  ///< pending events -> tag
     std::vector<Ev> evs;     ///< by tag
+    std::vector<int> owned;  ///< tags of the owned events
     std::vector<int> ran;    ///< tags in execution order
     std::uint64_t seq = 0;
     Time now = 0.0;
     Rng rng;
-    /** Coverage: dispatches that grew the slot table, and
-     *  successful cancels. */
+    /** Coverage: dispatches that grew the slot table or reused the
+     *  dispatched callback's slot, and successful cancels. */
     int grownInDispatch = 0;
+    int reusedInDispatch = 0;
     int cancels = 0;
 
     explicit QueueDifferential(std::uint64_t seed) : rng(seed, 0x51) {}
@@ -445,26 +454,31 @@ struct QueueDifferential
             return 0;
         std::uint64_t r = rng.uniformInt(0, 19);
         if (r == 0 && q.slotCapacity() < 256) {
-            // A burst that needs more new slots than the table holds,
-            // so it reallocates mid-dispatch whatever its spare
-            // capacity.
+            // A burst of callbacks that needs more new slots than the
+            // table holds, so it reallocates mid-dispatch whatever its
+            // spare capacity.
             return 2 * int(q.slotCapacity()) + 1;
         }
         return r < 6 ? 1 : 0;
     }
 
+    /** Schedule an owned event at @p when, or a callback event. */
     int
-    schedule(Time when)
+    schedule(Time when, bool callback)
     {
         int tag = int(evs.size());
-        auto token = std::make_shared<int>(tag);
-        evs.push_back(Ev{});
-        evs[tag].token = token;
-        evs[tag].key = Key{when, seq++};
-        evs[tag].id = q.schedule(when, [this, tag, token] {
-            fire(tag, *token);
-        });
-        ref.emplace(evs[tag].key, tag);
+        Ev &ev = evs.emplace_back();
+        ev.key = Key{when, seq++};
+        if (callback) {
+            auto token = std::make_shared<int>(tag);
+            ev.token = token;
+            q.schedule(when, [this, tag, token] { fire(tag, *token); });
+        } else {
+            ev.owned = std::make_unique<Owned>(this, tag);
+            q.schedule(when, ev.owned->ev);
+            owned.push_back(tag);
+        }
+        ref.emplace(ev.key, tag);
         return tag;
     }
 
@@ -475,34 +489,40 @@ struct QueueDifferential
         ran.push_back(tag);
         std::size_t capacity = q.slotCapacity();
         int kids = childrenFor(tag);
+        bool burst = kids > 1;
         for (int k = 0; k < kids; ++k) {
+            bool callback = burst || rng.uniformInt(0, 2) == 0;
             // Integer delays make simultaneous events common.
-            int child = schedule(now + double(rng.uniformInt(0, 3)));
-            if (k == 0) {
-                // The dispatched event's slot was recycled before
-                // its callback ran, so the first child reuses it.
-                EXPECT_EQ(evs[child].id & 0xffffffffu,
-                          evs[tag].id & 0xffffffffu);
+            schedule(now + double(rng.uniformInt(0, 3)), callback);
+            if (k == 0 && callback && !evs[tag].owned) {
+                // The dispatched callback's slot was freed before it
+                // ran, so the first callback child reuses it.
+                EXPECT_EQ(q.slotCapacity(), capacity);
+                ++reusedInDispatch;
             }
         }
-        // The moved-out callback survives any slot-table growth.
         grownInDispatch += q.slotCapacity() > capacity;
-        EXPECT_EQ(evs[tag].token.use_count(), 1);
+        if (!evs[tag].owned) {
+            // The moved-out callback survives any slot-table growth.
+            EXPECT_EQ(evs[tag].token.use_count(), 1);
+        }
     }
 
+    /** Cancel a random owned event; a callback event cannot be
+     *  cancelled. */
     void
     cancelSome()
     {
-        int tag = int(rng.uniformInt(0, evs.size() - 1));
-        Ev &ev = evs[tag];
-        EXPECT_EQ(q.cancel(ev.id), !ev.done);
+        if (owned.empty())
+            return;
+        Ev &ev = evs[owned[rng.uniformInt(0, owned.size() - 1)]];
+        EXPECT_EQ(q.cancel(ev.owned->ev), !ev.done);
+        EXPECT_FALSE(ev.owned->ev.scheduled());
         if (!ev.done) {
             ev.done = true;
             ref.erase(ev.key);
             ++cancels;
         }
-        EXPECT_TRUE(ev.token.expired()) << "cancel releases captures";
-        EXPECT_FALSE(q.isPending(ev.id));
     }
 
     void
@@ -543,9 +563,10 @@ TEST(EventQueue, MatchesOrderedReferenceUnderRandomTraffic)
         QueueDifferential d(seed);
         for (int op = 0; op < 3000 && !HasFatalFailure(); ++op) {
             std::uint64_t r = d.rng.uniformInt(0, 9);
-            if (r < 4 || d.ref.empty())
-                d.schedule(d.now + double(d.rng.uniformInt(0, 5)));
-            else if (r < 6)
+            if (r < 4 || d.ref.empty()) {
+                Time when = d.now + double(d.rng.uniformInt(0, 5));
+                d.schedule(when, d.rng.uniformInt(0, 2) == 0);
+            } else if (r < 6)
                 d.cancelSome();
             else
                 d.runOne();
@@ -562,6 +583,7 @@ TEST(EventQueue, MatchesOrderedReferenceUnderRandomTraffic)
         for (const auto &ev : d.evs)
             EXPECT_TRUE(ev.token.expired());
         EXPECT_GT(d.grownInDispatch, 0);
+        EXPECT_GT(d.reusedInDispatch, 0);
         EXPECT_GT(d.cancels, 100);
     }
 }

@@ -25,9 +25,8 @@
  *                power::TraceHarvester) that fell back to a binary
  *                search
  *   cb_events    callback events scheduled (EventQueue::schedule with
- *                a std::function); the device schedules its one owned
- *                sim::Event, so only fault injection's timed attempts
- *                count
+ *                a std::function); the device and the fault injector
+ *                schedule sim::Events they own, so 0 on every row
  *   inplace      events run in place (sim::Simulator::claimInPlace):
  *                a workload completion that the queue would have run
  *                next anyway; counted in events too
