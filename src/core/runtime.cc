@@ -62,10 +62,16 @@ Runtime::install()
     capy_assert(!installed, "runtime already installed");
     installed = true;
     annotations.resize(kernel.app().taskCount());
-    for (Annotation &ann : annotations)
+    bool annotated = false;
+    for (Annotation &ann : annotations) {
         ann = effectiveAnnotation(ann);
-    kernel.setPreTaskGate(
-        [this](const rt::Task &task) { return gate(task); });
+        annotated = annotated || ann.kind != AnnKind::None;
+    }
+    // With every task unannotated (Pwr, Fixed) the gate would only
+    // touch NV cells that no annotation reads: install none.
+    if (annotated)
+        kernel.setPreTaskGate(
+            [this](const rt::Task &task) { return gate(task); });
 }
 
 Annotation

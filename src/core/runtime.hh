@@ -76,7 +76,8 @@ class Runtime
     void annotate(const rt::Task *task, Annotation ann);
 
     /** Resolve every task's annotation under the policy and install
-     *  the gate on the kernel; call before Kernel::start(). */
+     *  the gate on the kernel, unless no task is left annotated (Pwr,
+     *  Fixed); call before Kernel::start(). */
     void install();
 
     const Stats &stats() const { return rtStats; }

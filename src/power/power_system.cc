@@ -310,22 +310,21 @@ PowerSystem::advanceTo(sim::Time t)
                 lastTime);
     // runLoad()'s stage stands in for the first segment's walk when
     // this advance ends where the run does; any other advance drops it.
-    std::optional<Staged> staged = std::exchange(stage, std::nullopt);
-    if (staged && (staged->from != lastTime || staged->to != t))
-        staged.reset();
+    if (stage && (stage->from != lastTime || stage->to != t))
+        stage.reset();
     int guard = 0;
     while (true) {
         capy_assert(++guard < 1000000,
                     "advanceTo failed to make progress at t=%g",
                     lastTime);
         // The staged segment's span is the one runLoad() took.
-        double dt_max = staged ? staged->span : segmentSpan(lastTime, t);
+        double dt_max = stage ? stage->span : segmentSpan(lastTime, t);
 
         if (dt_max > 0.0) {
             if (node.valid) {
-                if (staged) {
-                    node.energy = staged->energy;
-                    energyStats = staged->stats;
+                if (stage) {
+                    node.energy = stage->energy;
+                    energyStats = stage->stats;
                 } else {
                     ++sim::workCounts.advanceWalks;
                     walkSegment(node, lastTime, dt_max, nullptr,
@@ -336,7 +335,7 @@ PowerSystem::advanceTo(sim::Time t)
             decayInactive(dt_max);
             lastTime += dt_max;
         }
-        staged.reset();
+        stage.reset();
 
         // A node that filled during the segment counts before a latch
         // reverting at its end reconfigures it.
@@ -568,21 +567,25 @@ PowerSystem::runLoad(double watts, sim::Time t_end)
     ++sim::workCounts.queryWalks;
     Node n = node;
     Stop stop{floor_v};
-    Staged end{lastTime, t_end, 0.0, 0.0, energyStats};
     sim::Time t_abs = lastTime;
     for (int guard = 0; t_abs < t_end; ++guard) {
         capy_assert(guard < 1000000,
                     "runLoad failed to make progress at t=%g", t_abs);
         double span = segmentSpan(t_abs, t_end);
-        // The first segment is the one advanceTo(t_end) walks first:
-        // book its flows and stage its end.
-        EnergyStats *acc = guard == 0 ? &end.stats : nullptr;
-        if (walkSegment(n, t_abs, span, &stop, acc))
-            return stop.elapsed;
-        if (acc) {
-            end.span = span;
-            end.energy = n.energy;
-            stage = end;
+        if (guard > 0) {
+            if (walkSegment(n, t_abs, span, &stop, nullptr))
+                return stop.elapsed;
+        } else {
+            // The first segment is the one advanceTo(t_end) walks
+            // first: book its flows straight into the stage, which
+            // stands only if the rail holds through the segment.
+            Staged &first = stage.emplace(lastTime, t_end, span, 0.0,
+                                          energyStats);
+            if (walkSegment(n, t_abs, span, &stop, &first.stats)) {
+                stage.reset();
+                return stop.elapsed;
+            }
+            first.energy = n.energy;
         }
         t_abs += span;
     }

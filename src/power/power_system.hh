@@ -347,7 +347,8 @@ class PowerSystem
     sim::TimeSeries *voltTrace = nullptr;
 
     /** runLoad()'s walk from @p from toward @p to, over the first
-     *  harvester segment. */
+     *  harvester segment: emplaced and booked into by runLoad(),
+     *  committed from and reset by advanceTo(). */
     struct Staged
     {
         sim::Time from;

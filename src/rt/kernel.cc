@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "sim/logging.hh"
+#include "sim/work.hh"
 
 namespace capy::rt
 {
@@ -34,6 +35,13 @@ Kernel::start()
 {
     capy_assert(!started, "kernel already started");
     started = true;
+    // A task's duration and powers are fixed from here on (task.hh).
+    taskTable.resize(application.taskCount());
+    for (std::size_t i = 0; i < taskTable.size(); ++i) {
+        const Task *task = application.taskAt(i);
+        const double power = railPower(*task);
+        taskTable[i] = {task, power, power * task->duration, nullptr};
+    }
     dev.setHooks(dev::Device::Hooks{
         .onBoot = [this] { onBoot(); },
         .onPowerFail = [this] { onPowerFail(); },
@@ -79,12 +87,15 @@ Kernel::onWorkloadDone()
 void
 Kernel::attempt(const Task *task)
 {
-    if (preTaskGate && !preTaskGate(*task)) {
-        capy_assert(!dev.isOn(),
-                    "pre-task gate held back '%s' without parking the "
-                    "device",
-                    task->name.c_str());
-        return;
+    if (preTaskGate) {
+        ++sim::workCounts.gates;
+        if (!preTaskGate(*task)) {
+            capy_assert(!dev.isOn(),
+                        "pre-task gate held back '%s' without parking "
+                        "the device",
+                        task->name.c_str());
+            return;
+        }
     }
     runTask(task);
 }
@@ -95,7 +106,7 @@ Kernel::runTask(const Task *task)
     inTask = true;
     running = task;
     interrupted = nullptr;
-    dev.runWorkload(railPower(*task), task->duration);
+    dev.runWorkload(taskTable[task->index].power, task->duration);
 }
 
 void
@@ -105,7 +116,7 @@ Kernel::completeTask(const Task *task)
     ++kernelStats.taskCompletions;
     auto &use = energyOf(task);
     ++use.completions;
-    use.railEnergy += railPower(*task) * task->duration;
+    use.railEnergy += taskTable[task->index].energy;
     use.activeTime += task->duration;
     const Task *next = task->body(*this);
     commitTransition(next);
@@ -132,18 +143,12 @@ Kernel::railPower(const Task &task) const
 Kernel::TaskEnergyUse &
 Kernel::energyOf(const Task *task)
 {
-    const std::size_t i = task->index;
-    if (i < energyIndex.size() && energyIndex[i].task == task)
-        return *energyIndex[i].use;
-    // The task's first attempt. The address check catches a task of
-    // another App whose index happens to be in range here.
-    capy_assert(application.taskAt(i) == task,
-                "task '%s' is not one of the kernel's app",
-                task->name.c_str());
-    if (i >= energyIndex.size())
-        energyIndex.resize(application.taskCount());
-    energyIndex[i] = {task, &taskEnergy[task->name]};
-    return *energyIndex[i].use;
+    // The task of an attempt: the NV word's, which commitTransition
+    // checked against the table.
+    TaskSlot &slot = taskTable[task->index];
+    if (slot.use == nullptr)
+        slot.use = &taskEnergy[task->name];
+    return *slot.use;
 }
 
 void
@@ -154,9 +159,10 @@ Kernel::commitTransition(const Task *next)
         return;
     }
     // The word holds only the index: a task of another App with the
-    // same index would silently become this App's task.
-    capy_assert(next->index < application.taskCount() &&
-                    application.taskAt(next->index) == next,
+    // same index would silently become this App's task. A task added
+    // after start() has no row and is caught here too.
+    capy_assert(next->index < taskTable.size() &&
+                    taskTable[next->index].task == next,
                 "task '%s' is not one of the kernel's app",
                 next->name.c_str());
     ++kernelStats.transitions;

@@ -124,8 +124,8 @@ class Kernel
     void attempt(const Task *task);
     void runTask(const Task *task);
     void completeTask(const Task *task);
-    /** The rail power @p task's workload draws: runTask draws it and
-     *  completeTask books it, so the two cannot drift apart. */
+    /** The rail power @p task's workload draws; start() tabulates it
+     *  for every task. */
     double railPower(const Task &task) const;
     void commitTransition(const Task *next);
     TaskEnergyUse &energyOf(const Task *task);
@@ -139,16 +139,25 @@ class Kernel
     PreTaskGate preTaskGate;
     Stats kernelStats;
     std::map<std::string, TaskEnergyUse> taskEnergy;
-    /** A task and its taskEnergy node (map nodes are stable). */
-    struct EnergySlot
+    /** One task's row of the kernel's per-task table. */
+    struct TaskSlot
     {
         const Task *task = nullptr;
+        /** W the task's workload draws (railPower()). */
+        double power = 0.0;
+        /** J a completion books: power * Task::duration. */
+        double energy = 0.0;
+        /** The task's taskEnergy node (map nodes are stable), filled
+         *  on the task's first completion or failure, so the map
+         *  holds only attempted tasks and the per-transition
+         *  accounting skips the string-keyed lookup. Tasks sharing a
+         *  name share a node. */
         TaskEnergyUse *use = nullptr;
     };
-    /** By Task::index, filled on the task's first attempt, so the
-     *  per-transition accounting skips the string-keyed lookup. Tasks
-     *  sharing a name share a node. */
-    std::vector<EnergySlot> energyIndex;
+    /** By Task::index, one row per task of the app, filled by
+     *  start(): runTask draws from it and completeTask books from
+     *  it, so the two cannot drift apart. */
+    std::vector<TaskSlot> taskTable;
     /** The task of the latest attempt; its workload is in flight
      *  while inTask holds. */
     const Task *running = nullptr;

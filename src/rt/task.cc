@@ -15,9 +15,11 @@ App::addTask(std::string name, double duration, double extra_power,
                 name.c_str());
     capy_assert(body != nullptr, "task '%s': missing body",
                 name.c_str());
-    tasks.push_back(Task{std::move(name), duration, extra_power, 0.0,
-                         std::move(body), sleep_after, tasks.size()});
-    Task *t = &tasks.back();
+    auto task = std::make_unique<Task>(
+        Task{std::move(name), duration, extra_power, 0.0,
+             std::move(body), sleep_after, tasks.size()});
+    Task *t = task.get();
+    tasks.push_back(std::move(task));
     if (!entryTask)
         entryTask = t;
     return t;
@@ -46,9 +48,9 @@ App::indexOutOfRange(std::size_t index) const
 const Task *
 App::find(const std::string &name) const
 {
-    for (const Task &t : tasks)
-        if (t.name == name)
-            return &t;
+    for (const auto &t : tasks)
+        if (t->name == name)
+            return t.get();
     return nullptr;
 }
 

@@ -16,9 +16,10 @@
 #define CAPY_RT_TASK_HH
 
 #include <cstddef>
-#include <deque>
 #include <functional>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "sim/logging.hh"
 
@@ -41,6 +42,9 @@ using TaskBody = std::function<const Task *(Kernel &)>;
  * One application task. Execution cost is explicit: @ref duration
  * seconds of atomic operation at the MCU's active power plus
  * @ref extraPower for the peripherals and radios the task keeps on.
+ * Set a task's duration and powers before its kernel starts: the
+ * kernel reads them once, in Kernel::start(), and keeps what each
+ * attempt draws and each completion books.
  */
 struct Task
 {
@@ -76,7 +80,8 @@ class App
 {
   public:
     /** Create a task; the returned pointer is stable for the App's
-     *  lifetime. The first task added becomes the entry by default. */
+     *  lifetime (each task is its own allocation). The first task
+     *  added becomes the entry by default. */
     Task *addTask(std::string name, double duration, double extra_power,
                   TaskBody body, double sleep_after = 0.0);
 
@@ -95,7 +100,7 @@ class App
         // checks every transition's task through here.
         if (index >= tasks.size())
             indexOutOfRange(index);
-        return &tasks[index];
+        return tasks[index].get();
     }
 
     /** Look up a task by name; nullptr when absent. */
@@ -104,7 +109,7 @@ class App
   private:
     [[noreturn]] void indexOutOfRange(std::size_t index) const;
 
-    std::deque<Task> tasks;
+    std::vector<std::unique_ptr<Task>> tasks;
     const Task *entryTask = nullptr;
 };
 

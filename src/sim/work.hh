@@ -43,6 +43,10 @@ struct WorkCounts
     /** Events run in place (Simulator::claimInPlace) instead of
      *  through the queue; counted in the executed events too. */
     std::uint64_t inPlace = 0;
+    /** Pre-task gate calls (rt::Kernel, one per attempt where a gate
+     *  is installed); a policy that annotates nothing installs
+     *  none. */
+    std::uint64_t gates = 0;
 };
 
 /** This thread's counters; only ever incremented. */

@@ -17,6 +17,7 @@
 #include "dev/device.hh"
 #include "power/parts.hh"
 #include "sim/simulator.hh"
+#include "sim/work.hh"
 
 using namespace capy;
 using namespace capy::core;
@@ -169,6 +170,44 @@ TEST(Runtime, FixedPolicyIgnoresAnnotations)
     EXPECT_TRUE(kernel.halted());
     EXPECT_EQ(rt.stats().reconfigurations, 0u);
     EXPECT_FALSE(board.ps->bankActive(board.bigBank));
+}
+
+TEST(Runtime, NoGateWherePolicyAnnotatesNothing)
+{
+    // Pwr and Fixed compile every annotation away, so install() puts
+    // no gate on the kernel: the kernel's task word is the only NV
+    // cell written on the shared memory. A gate installed anyway
+    // writes the believed mode on every boot. Capy-R still gates.
+    for (Policy policy :
+         {Policy::Continuous, Policy::Fixed, Policy::CapyR}) {
+        SCOPED_TRACE(policyName(policy));
+        // 1 mW against a 7 mW loop: the small bank browns out.
+        Board board(1.0);
+        NvMemory mem;
+        Task *loop = nullptr;
+        loop = board.app.addTask("loop", 2e-3, 5e-3,
+                                 [&](Kernel &) -> const Task * {
+                                     return loop;
+                                 });
+        Kernel kernel(*board.device, board.app, &mem);
+        Runtime rt(kernel, board.registry, policy, &mem);
+        rt.annotate(loop, Annotation::config(board.smallMode));
+        rt.install();
+        const std::uint64_t gates_before = sim::workCounts.gates;
+        kernel.start();
+        board.sim.runUntil(60.0);
+        const std::uint64_t gates = sim::workCounts.gates - gates_before;
+        ASSERT_GT(kernel.stats().transitions, 0u);
+        ASSERT_GT(board.device->stats().powerFailures, 0u)
+            << "the run must reboot for the boot-time writes to show";
+        if (policy == Policy::CapyR) {
+            EXPECT_GT(gates, 0u);
+            EXPECT_GT(mem.writes(), kernel.stats().transitions);
+        } else {
+            EXPECT_EQ(gates, 0u);
+            EXPECT_EQ(mem.writes(), kernel.stats().transitions);
+        }
+    }
 }
 
 TEST(RuntimeDeathTest, AnnotateAfterInstallAborts)

@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "dev/device.hh"
@@ -333,6 +335,69 @@ TEST(Kernel, TasksSharingANameShareOneEnergyEntry)
     EXPECT_GT(twin.wastedEnergy, 0.0);
 }
 
+TEST(Kernel, TaskEnergyIsTheSequentialSumOfItsCompletions)
+{
+    // Each completion books its own rail power times its duration,
+    // added in completion order: the totals must match that loop bit
+    // for bit, for a task with peripheral power, one with an absolute
+    // rail power and two tasks that share a name.
+    Rig rig(0.0, parts::x5r100uF().parallel(4),
+            Device::PowerMode::Continuous);
+    std::vector<const Task *> done;
+    int rounds = 0;
+    Task *periph = nullptr;
+    Task *radio = nullptr;
+    Task *twin_a = nullptr;
+    Task *twin_b = nullptr;
+    periph = rig.app.addTask("periph", 1.3e-3, 3.7e-3,
+                             [&](Kernel &) -> const Task * {
+                                 done.push_back(periph);
+                                 return radio;
+                             });
+    radio = rig.app.addTask("radio", 0.7e-3, 0.0,
+                            [&](Kernel &) -> const Task * {
+                                done.push_back(radio);
+                                return twin_a;
+                            });
+    radio->absolutePower = 11.3e-3;
+    twin_a = rig.app.addTask("twin", 0.9e-3, 1.1e-3,
+                             [&](Kernel &) -> const Task * {
+                                 done.push_back(twin_a);
+                                 return twin_b;
+                             });
+    twin_b = rig.app.addTask("twin", 2.1e-3, 0.3e-3,
+                             [&](Kernel &) -> const Task * {
+                                 done.push_back(twin_b);
+                                 return ++rounds < 37 ? periph : nullptr;
+                             });
+    Kernel k(*rig.device, rig.app);
+    k.start();
+    rig.sim.runUntil(60.0);
+    ASSERT_TRUE(k.halted());
+    ASSERT_EQ(done.size(), 4u * 37u);
+
+    std::map<std::string, Kernel::TaskEnergyUse> want;
+    const double p_mcu = rig.device->mcu().activePower;
+    for (const Task *t : done) {
+        const double power = t->absolutePower > 0.0
+                                 ? t->absolutePower
+                                 : p_mcu + t->extraPower;
+        auto &use = want[t->name];
+        ++use.completions;
+        use.railEnergy += power * t->duration;
+        use.activeTime += t->duration;
+    }
+    const auto &got = k.energyByTask();
+    ASSERT_EQ(got.size(), 3u);
+    for (const auto &[name, use] : want) {
+        SCOPED_TRACE(name);
+        ASSERT_EQ(got.count(name), 1u);
+        EXPECT_EQ(got.at(name).completions, use.completions);
+        EXPECT_EQ(got.at(name).railEnergy, use.railEnergy);
+        EXPECT_EQ(got.at(name).activeTime, use.activeTime);
+    }
+}
+
 TEST(KernelDeathTest, TaskOfAnotherAppIsCaught)
 {
     // The alien task's index (0) is in range for the kernel's app, so
@@ -372,6 +437,27 @@ TEST(Kernel, AppFindByName)
     EXPECT_NE(app.find("alpha"), nullptr);
     EXPECT_EQ(app.find("beta"), nullptr);
     EXPECT_EQ(app.taskCount(), 1u);
+}
+
+TEST(AppDeathTest, ThousandTasksKeepTheirIndexAndAddress)
+{
+    App app;
+    std::vector<const Task *> added;
+    for (int i = 0; i < 1000; ++i)
+        added.push_back(app.addTask(
+            "t" + std::to_string(i), 1e-3, 0.0,
+            [](Kernel &) -> const Task * { return nullptr; }));
+    ASSERT_EQ(app.taskCount(), 1000u);
+    for (std::size_t i = 0; i < added.size(); ++i) {
+        EXPECT_EQ(app.taskAt(i), added[i]);
+        EXPECT_EQ(app.taskAt(i)->index, i);
+        EXPECT_EQ(added[i]->name, "t" + std::to_string(i));
+    }
+    EXPECT_EQ(app.entry(), added.front());
+    EXPECT_EQ(app.find("t0"), added[0]);
+    EXPECT_EQ(app.find("t999"), added[999]);
+    EXPECT_EQ(app.find("t1000"), nullptr);
+    EXPECT_DEATH(app.taskAt(1000), "task index 1000 of 1000");
 }
 
 TEST(RingChannel, PushWrapAndRead)

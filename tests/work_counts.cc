@@ -12,6 +12,8 @@
  *   transitions  task commits (Chain transitions; checkpoints on the
  *                checkpoint rig; samples + packets on CapySat, whose
  *                kernels commit one self-transition per body)
+ *   gates        pre-task gate calls (rt::Kernel); 0 where the policy
+ *                annotates nothing (Pwr, Fixed), which installs no gate
  *   crc          dev::nvCrc32 calls
  *   advances     PowerSystem advance walks; an advance that commits
  *                PowerSystem::runLoad's staged walk is not one
@@ -177,12 +179,13 @@ measure(const std::string &name, Run &&run)
     auto delta = [](std::uint64_t x, std::uint64_t y) {
         return (unsigned long long)(y - x);
     };
-    std::printf("%-14s events=%llu transitions=%llu crc=%llu "
-                "advances=%llu queries=%llu phases=%llu solves=%llu "
-                "seeks=%llu cb_events=%llu inplace=%llu exps=%llu "
-                "new=%llu heap_peak=%llu out=%016llx\n",
+    std::printf("%-14s events=%llu transitions=%llu gates=%llu "
+                "crc=%llu advances=%llu queries=%llu phases=%llu "
+                "solves=%llu seeks=%llu cb_events=%llu inplace=%llu "
+                "exps=%llu new=%llu heap_peak=%llu out=%016llx\n",
                 name.c_str(), (unsigned long long)events,
                 (unsigned long long)transitions,
+                delta(a.work.gates, b.work.gates),
                 delta(a.work.crcCalls, b.work.crcCalls),
                 delta(a.work.advanceWalks, b.work.advanceWalks),
                 delta(a.work.queryWalks, b.work.queryWalks),
