@@ -71,10 +71,6 @@ printHistogram(const Dist &d)
                 (unsigned long long)(d.metrics.intervals.size()));
     sim::Histogram h_short(0.0, 4.0, 8);
     sim::Histogram h_long(4.0, 310.0, 10);
-    // Only bin counts are printed; bound the retained-sample sets so
-    // interval-dense runs don't grow memory with the horizon.
-    h_short.capSamples(4096);
-    h_long.capSamples(4096);
     for (const auto &iv : d.metrics.intervals) {
         if (iv.length < 4.0)
             h_short.add(iv.length);

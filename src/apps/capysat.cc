@@ -113,33 +113,13 @@ runCapySat(double orbits, std::uint64_t seed,
     beacon->absolutePower = sat_radio.txPower;
     rt::Kernel kernel_comm(mcu_comm, comm_app);
 
-    // Fault wiring is manual here (FaultHarness assumes one device):
-    // both MCUs share the supply bus, so one injector drives failures
-    // into both, and each MCU gets its own auditor.
-    std::optional<rt::CrashAuditor> audit_sample;
-    std::optional<rt::CrashAuditor> audit_comm;
-    std::optional<sim::FaultInjector> injector;
+    // Both MCUs share the supply bus: each injected failure strikes
+    // both, and each MCU gets its own auditor.
+    std::optional<FaultHarness> harness;
     if (faults) {
-        if (faults->audit) {
-            audit_sample.emplace(mcu_sample);
-            audit_sample->watchKernel(kernel_sample);
-            audit_comm.emplace(mcu_comm);
-            audit_comm->watchKernel(kernel_comm);
-            if (faults->watchLatches) {
-                audit_sample->watchLatches();
-                audit_comm->watchLatches();
-            }
-        }
-        if (!faults->plan.empty()) {
-            injector.emplace(
-                simulator, faults->plan,
-                [&mcu_sample, &mcu_comm, kind = faults->kind] {
-                    bool hit_sample =
-                        mcu_sample.injectPowerFailure(kind);
-                    bool hit_comm = mcu_comm.injectPowerFailure(kind);
-                    return hit_sample || hit_comm;
-                });
-        }
+        harness.emplace({&mcu_sample, &mcu_comm}, *faults);
+        harness->watchKernel(kernel_sample);
+        harness->watchKernel(kernel_comm);
     }
 
     kernel_sample.start();
@@ -148,24 +128,8 @@ runCapySat(double orbits, std::uint64_t seed,
     assertLedgerBalances(mcu_sample.powerSystem());
     assertLedgerBalances(mcu_comm.powerSystem());
 
-    if (injector) {
-        result.faults.attempts = injector->attempts();
-        result.faults.fired = injector->fired();
-    }
-    for (auto *aud : {audit_sample ? &*audit_sample : nullptr,
-                      audit_comm ? &*audit_comm : nullptr}) {
-        if (!aud)
-            continue;
-        aud->checkNow();
-        result.faults.outagesAudited += aud->outagesAudited();
-        result.faults.checksRun += aud->checksRun();
-        result.faults.violations += aud->violations().size();
-        result.faults.violationText += aud->report();
-        auto spans = aud->activeSpans();
-        result.faults.activeSpans.insert(
-            result.faults.activeSpans.end(), spans.begin(),
-            spans.end());
-    }
+    if (harness)
+        result.faults = harness->finish();
 
     result.samplingMcu = mcu_sample.stats();
     result.commMcu = mcu_comm.stats();

@@ -101,7 +101,7 @@ runCorrSense(core::Policy policy, const env::EventSchedule &schedule,
 
     std::optional<FaultHarness> harness;
     if (faults) {
-        harness.emplace(*board.device, *faults, &fram);
+        harness.emplace({board.device.get()}, *faults, &fram);
         harness->watchKernel(kernel);
     }
 

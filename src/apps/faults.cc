@@ -13,38 +13,53 @@
 namespace capy::apps
 {
 
-FaultHarness::FaultHarness(dev::Device &device, const FaultSpec &spec,
-                           dev::NvMemory *nv)
+FaultHarness::FaultHarness(
+    std::initializer_list<dev::Device *> devices, const FaultSpec &spec,
+    dev::NvMemory *nv)
+    : devs(devices)
 {
+    capy_assert(!devs.empty(), "a fault harness needs a device");
     if (spec.breakRecovery) {
         capy_assert(nv != nullptr,
                     "breakRecovery needs the NV device");
         nv->disableRecoveryForTest(true);
     }
     if (spec.audit) {
-        aud.emplace(device);
-        if (spec.watchLatches)
-            aud->watchLatches();
+        for (dev::Device *d : devs)
+            auditors.emplace_back(*d);
     }
     if (!spec.plan.empty()) {
-        injector.emplace(device.simulator(), spec.plan,
-                         [&device, kind = spec.kind] {
-                             return device.injectPowerFailure(kind);
+        injector.emplace(devs.front()->simulator(), spec.plan,
+                         [this, kind = spec.kind] {
+                             bool hit = false;
+                             for (dev::Device *d : devs)
+                                 hit |= d->injectPowerFailure(kind);
+                             return hit;
                          });
     }
+}
+
+rt::CrashAuditor *
+FaultHarness::auditorOf(const dev::Device &device)
+{
+    for (rt::CrashAuditor &aud : auditors)
+        if (&aud.device() == &device)
+            return &aud;
+    capy_assert(auditors.empty(), "kernel on a device of another run");
+    return nullptr;
 }
 
 void
 FaultHarness::watchKernel(const rt::Kernel &kernel)
 {
-    if (aud)
+    if (rt::CrashAuditor *aud = auditorOf(kernel.device()))
         aud->watchKernel(kernel);
 }
 
 void
 FaultHarness::watchCheckpoint(const rt::CheckpointKernel &kernel)
 {
-    if (aud)
+    if (rt::CrashAuditor *aud = auditorOf(kernel.device()))
         aud->watchCheckpoint(kernel);
 }
 
@@ -56,15 +71,17 @@ FaultHarness::finish()
         rep.attempts = injector->attempts();
         rep.fired = injector->fired();
     }
-    if (aud) {
+    for (rt::CrashAuditor &aud : auditors) {
         // End-state pass: the device may have halted mid-charge with
         // no further rail transitions to audit at.
-        aud->checkNow();
-        rep.outagesAudited = aud->outagesAudited();
-        rep.checksRun = aud->checksRun();
-        rep.violations = aud->violations().size();
-        rep.violationText = aud->report();
-        rep.activeSpans = aud->activeSpans();
+        aud.checkNow();
+        rep.outagesAudited += aud.outagesAudited();
+        rep.checksRun += aud.checksRun();
+        rep.violations += aud.violations().size();
+        rep.violationText += aud.report();
+        auto spans = aud.activeSpans();
+        rep.activeSpans.insert(rep.activeSpans.end(), spans.begin(),
+                               spans.end());
     }
     return rep;
 }
@@ -98,7 +115,7 @@ runCheckpointCrashWorkload(const FaultSpec *faults, double total_work,
 
     std::optional<FaultHarness> harness;
     if (faults) {
-        harness.emplace(device, *faults, &fram);
+        harness.emplace({&device}, *faults, &fram);
         harness->watchCheckpoint(kernel);
     }
 

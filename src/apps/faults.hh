@@ -1,10 +1,12 @@
 /**
  * @file
  * Application-level fault-injection harness: one object that wires a
- * sim::FaultPlan (the adversarial failure schedule), the device's
- * injectPowerFailure() entry point, and an rt::CrashAuditor together
- * for an application run, and condenses the outcome into a
- * FaultReport that rides along in RunMetrics.
+ * sim::FaultPlan (the adversarial failure schedule), the devices'
+ * injectPowerFailure() entry point, and one rt::CrashAuditor per
+ * device together for an application run, and condenses the outcome
+ * into a FaultReport that rides along in RunMetrics. Every faulted
+ * run goes through it: one device, or CapySat's two MCUs on one
+ * supply bus, where each injected failure strikes both.
  *
  * The app entry points (runCorrSense, runGestureRemote, runTempAlarm,
  * runCapySat) accept an optional FaultSpec; the crash-sweep driver
@@ -16,6 +18,8 @@
 #define CAPY_APPS_FAULTS_HH
 
 #include <cstdint>
+#include <initializer_list>
+#include <list>
 #include <optional>
 #include <string>
 #include <utility>
@@ -43,10 +47,8 @@ struct FaultSpec
     /** Storage treatment of each injected failure. */
     dev::Device::FailureKind kind =
         dev::Device::FailureKind::Collapse;
-    /** Attach the crash-consistency auditor. */
+    /** Attach the crash-consistency auditors. */
     bool audit = true;
-    /** Include latch-retention checks in the audit. */
-    bool watchLatches = true;
     /**
      * Deliberately break the NV journal recovery path (CRC checks
      * skipped on read). The run should then FAIL its audit — this is
@@ -74,40 +76,47 @@ struct FaultReport
 };
 
 /**
- * Wires injection + audit onto one device for the duration of a run.
- * Construct after the device exists, attach the kernel-specific
- * watches, run the simulation, then call finish().
+ * Wires injection + audit onto a run's devices for the duration of
+ * the run. Construct after the devices exist, attach the kernels, run
+ * the simulation, then call finish().
  */
 class FaultHarness
 {
   public:
     /**
-     * @param device the device to inject into and audit.
+     * @param devices the run's devices (one, or CapySat's two MCUs on
+     *        one supply bus). Each gets an auditor; each injected
+     *        failure strikes them all, in this order.
      * @param spec what to inject/audit.
      * @param nv the NV accounting device backing the software's
      *        journaled cells (needed for spec.breakRecovery).
      */
-    FaultHarness(dev::Device &device, const FaultSpec &spec,
-                 dev::NvMemory *nv = nullptr);
+    FaultHarness(std::initializer_list<dev::Device *> devices,
+                 const FaultSpec &spec, dev::NvMemory *nv = nullptr);
 
     FaultHarness(const FaultHarness &) = delete;
     FaultHarness &operator=(const FaultHarness &) = delete;
 
-    /** Attach Chain-kernel checks (no-op when audit is off). */
+    /** Attach Chain-kernel checks to the auditor of the kernel's
+     *  device (no-op when audit is off). */
     void watchKernel(const rt::Kernel &kernel);
 
-    /** Attach checkpoint-kernel checks (no-op when audit is off). */
+    /** Attach checkpoint-kernel checks to the auditor of the kernel's
+     *  device (no-op when audit is off). */
     void watchCheckpoint(const rt::CheckpointKernel &kernel);
 
-    /** Direct auditor access; valid only when auditing(). */
-    rt::CrashAuditor &auditor() { return *aud; }
-    bool auditing() const { return aud.has_value(); }
-
-    /** Run a final audit pass and condense the outcome. */
+    /** Run a final audit pass and add up the outcome in device
+     *  order. */
     FaultReport finish();
 
   private:
-    std::optional<rt::CrashAuditor> aud;
+    /** The auditor of @p device; nullptr when audit is off. */
+    rt::CrashAuditor *auditorOf(const dev::Device &device);
+
+    std::vector<dev::Device *> devs;
+    /** In device order. A list: each auditor's address sits in its
+     *  device's observer, so it never moves. */
+    std::list<rt::CrashAuditor> auditors;
     std::optional<sim::FaultInjector> injector;
 };
 

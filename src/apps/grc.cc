@@ -156,7 +156,7 @@ runGestureRemote(GrcVariant variant, core::Policy policy,
 
     std::optional<FaultHarness> harness;
     if (faults) {
-        harness.emplace(*board.device, *faults, &fram);
+        harness.emplace({board.device.get()}, *faults, &fram);
         harness->watchKernel(kernel);
     }
 

@@ -81,7 +81,7 @@ runTempAlarm(core::Policy policy, const env::EventSchedule &schedule,
 
     std::optional<FaultHarness> harness;
     if (faults) {
-        harness.emplace(*board.device, *faults, &fram);
+        harness.emplace({board.device.get()}, *faults, &fram);
         harness->watchKernel(kernel);
     }
 

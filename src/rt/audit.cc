@@ -27,6 +27,129 @@ fmt(const char *f, ...)
     return buf;
 }
 
+// Device-level failure accounting: every boot failure and every
+// injected failure is also a power failure, counted exactly once.
+std::string
+devFailureAccounting(const dev::Device &dev)
+{
+    const auto &st = dev.stats();
+    if (st.bootFailures > st.powerFailures)
+        return fmt("bootFailures %llu > powerFailures %llu",
+                   (unsigned long long)st.bootFailures,
+                   (unsigned long long)st.powerFailures);
+    if (st.injectedFailures > st.powerFailures)
+        return fmt("injectedFailures %llu > powerFailures %llu",
+                   (unsigned long long)st.injectedFailures,
+                   (unsigned long long)st.powerFailures);
+    return "";
+}
+
+std::string
+chainAccounting(const Kernel &k)
+{
+    const auto &st = k.stats();
+    std::uint64_t expected = st.transitions + (k.halted() ? 1u : 0u);
+    if (st.taskCompletions != expected)
+        return fmt("completions %llu != transitions %llu + halted %d",
+                   (unsigned long long)st.taskCompletions,
+                   (unsigned long long)st.transitions,
+                   k.halted() ? 1 : 0);
+    return "";
+}
+
+std::string
+chainTaskValid(const Kernel &k)
+{
+    std::uint32_t i = k.taskCell().peek();
+    if (i >= k.app().taskCount())
+        return fmt("recovered NV task index %u is not a task of the "
+                   "app (%zu tasks)",
+                   i, k.app().taskCount());
+    return "";
+}
+
+// The transition commits by writing the one NV task word exactly
+// once: any other write (say, of an attempt that then aborted) is a
+// commit the accounting never saw.
+std::string
+chainCommitCount(const Kernel &k)
+{
+    std::uint64_t writes = k.taskCell().writeCount();
+    std::uint64_t transitions = k.stats().transitions;
+    if (writes != transitions)
+        return fmt("NV task word written %llu times for %llu "
+                   "transitions",
+                   (unsigned long long)writes,
+                   (unsigned long long)transitions);
+    return "";
+}
+
+// An aborted attempt commits nothing: until the task runs again, the
+// NV task word still designates it.
+std::string
+chainAbortKeepsTask(const Kernel &k)
+{
+    const Task *a = k.abortedTask();
+    if (a == nullptr)
+        return "";
+    std::uint32_t i = k.taskCell().peek();
+    if (i != a->index)
+        return fmt("NV task index %u after an aborted attempt of '%s' "
+                   "(index %zu)",
+                   i, a->name.c_str(), a->index);
+    return "";
+}
+
+std::string
+ckptProgressRange(const CheckpointKernel &k)
+{
+    double p = k.progressCell().peek();
+    if (p < -1e-9 || p > k.workTarget() + 1e-9)
+        return fmt("recovered progress %g outside [0, %g]", p,
+                   k.workTarget());
+    return "";
+}
+
+std::string
+ckptOverheadIdentity(const CheckpointKernel &k)
+{
+    const auto &st = k.stats();
+    const auto &spec = k.kernelSpec();
+    double expected = double(st.checkpoints) * spec.checkpointTime +
+                      double(st.restores) * spec.restoreTime;
+    if (std::abs(st.overheadTime - expected) > 1e-9)
+        return fmt("overheadTime %g != %llu ckpts * %g + "
+                   "%llu restores * %g",
+                   st.overheadTime, (unsigned long long)st.checkpoints,
+                   spec.checkpointTime,
+                   (unsigned long long)st.restores, spec.restoreTime);
+    return "";
+}
+
+std::string
+ckptJournal(const CheckpointKernel &k)
+{
+    auto st = k.progressCell().auditState();
+    if (st.commits > 0 && st.active < 0)
+        return fmt("no valid journal slot after %llu commits",
+                   (unsigned long long)st.commits);
+    return "";
+}
+
+// Re-derive recovery through the protocol and compare with what the
+// software's read path returns: catches a recovery implementation
+// that believes torn slots (skipped CRC checks).
+std::string
+ckptRecoveryIntegrity(const CheckpointKernel &k)
+{
+    double seen = k.progressCell().peek();
+    double strict = k.progressCell().auditRecover();
+    if (std::memcmp(&seen, &strict, sizeof seen) != 0)
+        return fmt("read path recovered %.17g, protocol recovers %.17g",
+                   seen, strict);
+    return "";
+}
+
 } // namespace
 
 CrashAuditor::CrashAuditor(dev::Device &device) : dev(device)
@@ -35,166 +158,25 @@ CrashAuditor::CrashAuditor(dev::Device &device) : dev(device)
         .onRailUp = [this] { onRailUp(); },
         .onRailDown = [this] { onRailDown(); },
     });
-
-    // Device-level failure accounting is audited unconditionally:
-    // every boot failure and every injected failure is also a power
-    // failure, counted exactly once.
-    addInvariant("dev-failure-accounting", [this]() -> std::string {
-        const auto &st = dev.stats();
-        if (st.bootFailures > st.powerFailures)
-            return fmt("bootFailures %llu > powerFailures %llu",
-                       (unsigned long long)st.bootFailures,
-                       (unsigned long long)st.powerFailures);
-        if (st.injectedFailures > st.powerFailures)
-            return fmt("injectedFailures %llu > powerFailures %llu",
-                       (unsigned long long)st.injectedFailures,
-                       (unsigned long long)st.powerFailures);
-        return "";
-    });
 }
 
 void
-CrashAuditor::addInvariant(std::string rule, Check check)
+CrashAuditor::watchKernel(const Kernel &k)
 {
-    capy_assert(check != nullptr, "null check '%s'", rule.c_str());
-    invariants.emplace_back(std::move(rule), std::move(check));
+    capy_assert(kernel == nullptr, "auditor already watches a kernel");
+    capy_assert(&k.device() == &dev,
+                "kernel runs on another device than the audited one");
+    kernel = &k;
 }
 
 void
-CrashAuditor::addMonotonic(std::string rule,
-                           std::function<double()> probe, double tol)
+CrashAuditor::watchCheckpoint(const CheckpointKernel &k)
 {
-    capy_assert(probe != nullptr, "null probe '%s'", rule.c_str());
-    monotonics.push_back(MonotonicProbe{std::move(rule),
-                                        std::move(probe), tol, 0.0});
-}
-
-void
-CrashAuditor::watchKernel(const Kernel &kernel)
-{
-    const Kernel *k = &kernel;
-
-    addInvariant("chain-accounting", [k]() -> std::string {
-        const auto &st = k->stats();
-        std::uint64_t expected =
-            st.transitions + (k->halted() ? 1u : 0u);
-        if (st.taskCompletions != expected)
-            return fmt("completions %llu != transitions %llu + "
-                       "halted %d",
-                       (unsigned long long)st.taskCompletions,
-                       (unsigned long long)st.transitions,
-                       k->halted() ? 1 : 0);
-        return "";
-    });
-
-    addInvariant("chain-task-valid", [k]() -> std::string {
-        std::uint32_t i = k->taskCell().peek();
-        if (i >= k->app().taskCount())
-            return fmt("recovered NV task index %u is not a task of "
-                       "the app (%zu tasks)",
-                       i, k->app().taskCount());
-        return "";
-    });
-
-    // The transition commits by writing the one NV task word exactly
-    // once: any other write (say, of an attempt that then aborted) is
-    // a commit the accounting never saw.
-    addInvariant("chain-commit-count", [k]() -> std::string {
-        std::uint64_t writes = k->taskCell().writeCount();
-        std::uint64_t transitions = k->stats().transitions;
-        if (writes != transitions)
-            return fmt("NV task word written %llu times for %llu "
-                       "transitions",
-                       (unsigned long long)writes,
-                       (unsigned long long)transitions);
-        return "";
-    });
-
-    // An aborted attempt commits nothing: until the task runs again,
-    // the NV task word still designates it.
-    addInvariant("chain-abort-keeps-task", [k]() -> std::string {
-        const Task *a = k->abortedTask();
-        if (a == nullptr)
-            return "";
-        std::uint32_t i = k->taskCell().peek();
-        if (i != a->index)
-            return fmt("NV task index %u after an aborted attempt of "
-                       "'%s' (index %zu)",
-                       i, a->name.c_str(), a->index);
-        return "";
-    });
-
-    addMonotonic("chain-transitions", [k] {
-        return static_cast<double>(k->stats().transitions);
-    });
-}
-
-void
-CrashAuditor::watchCheckpoint(const CheckpointKernel &kernel)
-{
-    const CheckpointKernel *k = &kernel;
-
-    addMonotonic("ckpt-progress",
-                 [k] { return k->progressCell().peek(); });
-
-    addInvariant("ckpt-progress-range", [k]() -> std::string {
-        double p = k->progressCell().peek();
-        if (p < -1e-9 || p > k->workTarget() + 1e-9)
-            return fmt("recovered progress %g outside [0, %g]", p,
-                       k->workTarget());
-        return "";
-    });
-
-    addInvariant("ckpt-overhead-identity", [k]() -> std::string {
-        const auto &st = k->stats();
-        const auto &spec = k->kernelSpec();
-        double expected =
-            double(st.checkpoints) * spec.checkpointTime +
-            double(st.restores) * spec.restoreTime;
-        if (std::abs(st.overheadTime - expected) > 1e-9)
-            return fmt("overheadTime %g != %llu ckpts * %g + "
-                       "%llu restores * %g",
-                       st.overheadTime,
-                       (unsigned long long)st.checkpoints,
-                       spec.checkpointTime,
-                       (unsigned long long)st.restores,
-                       spec.restoreTime);
-        return "";
-    });
-
-    addInvariant("ckpt-journal", [k]() -> std::string {
-        auto st = k->progressCell().auditState();
-        if (st.commits > 0 && st.active < 0)
-            return fmt("no valid journal slot after %llu commits",
-                       (unsigned long long)st.commits);
-        return "";
-    });
-
-    // Re-derive recovery through the protocol and compare with what
-    // the software's read path returns: catches a recovery
-    // implementation that believes torn slots (skipped CRC checks).
-    addInvariant("ckpt-recovery-integrity", [k]() -> std::string {
-        double seen = k->progressCell().peek();
-        double strict = k->progressCell().auditRecover();
-        if (std::memcmp(&seen, &strict, sizeof seen) != 0)
-            return fmt("read path recovered %.17g, protocol "
-                       "recovers %.17g",
-                       seen, strict);
-        return "";
-    });
-}
-
-void
-CrashAuditor::watchLatches()
-{
-    latchesWatched = true;
-}
-
-void
-CrashAuditor::checkNow()
-{
-    runChecks();
-    sampleMonotonics();
+    capy_assert(ckpt == nullptr,
+                "auditor already watches a checkpoint kernel");
+    capy_assert(&k.device() == &dev,
+                "kernel runs on another device than the audited one");
+    ckpt = &k;
 }
 
 void
@@ -202,10 +184,8 @@ CrashAuditor::onRailDown()
 {
     // Runs after the software's onPowerFail hook: this is the exact
     // non-volatile state that must survive the outage.
-    runChecks();
-    sampleMonotonics();
-    if (latchesWatched)
-        recordLatches();
+    checkNow();
+    recordLatches();
     downRecorded = true;
     lastDownTime = dev.simulator().now();
     if (lastUpTime >= 0.0) {
@@ -219,12 +199,10 @@ CrashAuditor::onRailUp()
 {
     // Runs before the software's onBoot hook: recovered state is
     // audited before recovery code can repair it.
-    runChecks();
-    sampleMonotonics();
+    checkNow();
     if (downRecorded) {
         ++numOutages;
-        if (latchesWatched)
-            checkLatches();
+        checkLatches();
         downRecorded = false;
     }
     lastUpTime = dev.simulator().now();
@@ -240,31 +218,51 @@ CrashAuditor::activeSpans() const
 }
 
 void
-CrashAuditor::runChecks()
+CrashAuditor::checkNow()
 {
-    for (const auto &[rule, check] : invariants) {
-        ++numChecks;
-        std::string detail = check();
-        if (!detail.empty())
-            violate(rule, std::move(detail));
+    // Rules first, then high-water marks: violations and report()
+    // follow this order.
+    check("dev-failure-accounting", devFailureAccounting(dev));
+    if (kernel) {
+        check("chain-accounting", chainAccounting(*kernel));
+        check("chain-task-valid", chainTaskValid(*kernel));
+        check("chain-commit-count", chainCommitCount(*kernel));
+        check("chain-abort-keeps-task", chainAbortKeepsTask(*kernel));
     }
+    if (ckpt) {
+        check("ckpt-progress-range", ckptProgressRange(*ckpt));
+        check("ckpt-overhead-identity", ckptOverheadIdentity(*ckpt));
+        check("ckpt-journal", ckptJournal(*ckpt));
+        check("ckpt-recovery-integrity", ckptRecoveryIntegrity(*ckpt));
+    }
+    if (kernel)
+        sample("chain-transitions", transitionsMark,
+               static_cast<double>(kernel->stats().transitions));
+    if (ckpt)
+        sample("ckpt-progress", progressMark,
+               ckpt->progressCell().peek());
 }
 
 void
-CrashAuditor::sampleMonotonics()
+CrashAuditor::check(const char *rule, std::string detail)
 {
-    for (MonotonicProbe &m : monotonics) {
-        ++numChecks;
-        double v = m.probe();
-        if (m.seeded && v < m.highWater - m.tol) {
-            violate(m.rule, fmt("value regressed to %.12g from "
-                                "high-water %.12g",
-                                v, m.highWater));
-        }
-        if (!m.seeded || v > m.highWater) {
-            m.highWater = v;
-            m.seeded = true;
-        }
+    ++numChecks;
+    if (!detail.empty())
+        violate(rule, std::move(detail));
+}
+
+void
+CrashAuditor::sample(const char *rule, HighWater &hw, double value)
+{
+    ++numChecks;
+    const double tol = 1e-12;
+    if (hw.seeded && value < hw.mark - tol)
+        violate(rule, fmt("value regressed to %.12g from high-water "
+                          "%.12g",
+                          value, hw.mark));
+    if (!hw.seeded || value > hw.mark) {
+        hw.mark = value;
+        hw.seeded = true;
     }
 }
 

@@ -21,6 +21,12 @@
  *  - time accounting: checkpoint overhead balances against completed
  *    checkpoint/restore counts.
  *
+ * The rule set is fixed: the device failure accounting rule always,
+ * the four Chain rules and the `chain-transitions` high-water mark for
+ * one watched Kernel, the four checkpoint rules and the
+ * `ckpt-progress` high-water mark for one watched CheckpointKernel,
+ * and latch retention/reversion always.
+ *
  * The auditor installs itself as the Device::Observer, so its probes
  * run after the software's own failure hook (post-tear state) and
  * before the software's boot hook (pre-repair state). Probes use
@@ -30,7 +36,6 @@
 #ifndef CAPY_RT_AUDIT_HH
 #define CAPY_RT_AUDIT_HH
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -44,8 +49,8 @@ class CheckpointKernel;
 
 /**
  * Watches one Device for crash-consistency violations. Construct,
- * attach the checks that apply to the software under test, run the
- * simulation, then inspect violations().
+ * attach the kernel the device runs, run the simulation, then inspect
+ * violations().
  */
 class CrashAuditor
 {
@@ -64,7 +69,10 @@ class CrashAuditor
     CrashAuditor(const CrashAuditor &) = delete;
     CrashAuditor &operator=(const CrashAuditor &) = delete;
 
-    /// @name Check registration
+    /** The audited device. */
+    const dev::Device &device() const { return dev; }
+
+    /// @name Kernel checks (at most one of each kind, on this device)
     /// @{
 
     /** Attach the Chain-kernel contract checks. */
@@ -73,24 +81,18 @@ class CrashAuditor
     /** Attach the checkpoint-kernel contract checks. */
     void watchCheckpoint(const CheckpointKernel &kernel);
 
-    /**
-     * Attach latch-retention checks: across every outage, each bank
-     * switch must hold its commanded state while the latch lasts and
-     * revert to default once its recorded expiry passes.
-     */
-    void watchLatches();
-
     /// @}
     /// @name Results
     /// @{
 
-    /** Evaluate all invariants and monotonic probes immediately. */
+    /** Evaluate every rule, then every high-water mark, now. */
     void checkNow();
 
     const std::vector<Violation> &violations() const { return found; }
     bool clean() const { return found.empty(); }
 
-    /** Individual check evaluations performed. */
+    /** Check evaluations performed: one per rule, one per high-water
+     *  sample, one per latch record. */
     std::uint64_t checksRun() const { return numChecks; }
     /** Rail-down/rail-up transition pairs observed. */
     std::uint64_t outagesAudited() const { return numOutages; }
@@ -111,29 +113,12 @@ class CrashAuditor
 
   private:
     /**
-     * A named invariant, evaluated at every rail transition and on
-     * checkNow(). Returns an empty string when the invariant holds,
-     * otherwise the violation evidence.
+     * Committed progress, which an outage must never roll back: any
+     * sample below the highest one seen so far is a violation.
      */
-    using Check = std::function<std::string()>;
-
-    void addInvariant(std::string rule, Check check);
-
-    /**
-     * A named monotonic quantity: any later sample below the
-     * high-water mark (minus @p tol) is a violation. Sampled at every
-     * rail transition and on checkNow(). The canonical use is
-     * committed progress, which an outage must never roll back.
-     */
-    void addMonotonic(std::string rule, std::function<double()> probe,
-                      double tol = 1e-12);
-
-    struct MonotonicProbe
+    struct HighWater
     {
-        std::string rule;
-        std::function<double()> probe;
-        double tol;
-        double highWater;
+        double mark = 0.0;
         bool seeded = false;
     };
 
@@ -148,16 +133,18 @@ class CrashAuditor
 
     void onRailUp();
     void onRailDown();
-    void runChecks();
-    void sampleMonotonics();
+    /** Count one rule evaluation; @p detail non-empty = violated. */
+    void check(const char *rule, std::string detail);
+    void sample(const char *rule, HighWater &hw, double value);
     void recordLatches();
     void checkLatches();
     void violate(const std::string &rule, std::string detail);
 
     dev::Device &dev;
-    std::vector<std::pair<std::string, Check>> invariants;
-    std::vector<MonotonicProbe> monotonics;
-    bool latchesWatched = false;
+    const Kernel *kernel = nullptr;
+    HighWater transitionsMark;
+    const CheckpointKernel *ckpt = nullptr;
+    HighWater progressMark;
     std::vector<LatchRecord> latchesAtDown;
     bool downRecorded = false;
     sim::Time lastDownTime = 0.0;

@@ -109,6 +109,8 @@ class CheckpointKernel
     /** Volatile work computed but not yet committed, s. */
     double uncommittedWork() const { return sliceInFlight; }
 
+    const dev::Device &device() const { return dev; }
+
     /** Current phase (for audits; valid inside failure hooks). */
     Phase phase() const { return currentPhase; }
 

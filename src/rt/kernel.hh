@@ -113,6 +113,7 @@ class Kernel
     }
 
     dev::Device &device() { return dev; }
+    const dev::Device &device() const { return dev; }
     sim::Time now() const { return dev.simulator().now(); }
 
   private:

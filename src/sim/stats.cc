@@ -60,17 +60,6 @@ void
 Histogram::add(double x)
 {
     ++totalAdds;
-    if (cap == 0 || samples.size() < cap) {
-        samples.push_back(x);
-        touchSamples();
-    } else {
-        // Algorithm R: keep the new sample with probability cap/n.
-        std::uint64_t j = nextRand() % totalAdds;
-        if (j < cap) {
-            samples[std::size_t(j)] = x;
-            touchSamples();
-        }
-    }
     if (x < lower) {
         ++below;
     } else if (x >= upper) {
@@ -81,37 +70,6 @@ Histogram::add(double x)
             idx = counts.size() - 1;
         ++counts[idx];
     }
-}
-
-std::uint64_t
-Histogram::nextRand()
-{
-    // xorshift64*: plenty for reservoir index draws, no <random> cost.
-    rngState ^= rngState >> 12;
-    rngState ^= rngState << 25;
-    rngState ^= rngState >> 27;
-    return rngState * 0x2545f4914f6cdd1dULL;
-}
-
-void
-Histogram::capSamples(std::size_t new_cap)
-{
-    capy_assert(new_cap >= 1, "sample cap must be >= 1");
-    cap = new_cap;
-    if (samples.size() <= cap)
-        return;
-    // Called after overflowing the bound: replay the retained set as
-    // a stream through a fresh reservoir so the survivors are still a
-    // uniform draw.
-    std::vector<double> kept(samples.begin(),
-                             samples.begin() + std::ptrdiff_t(cap));
-    for (std::size_t i = cap; i < samples.size(); ++i) {
-        std::uint64_t j = nextRand() % (i + 1);
-        if (j < cap)
-            kept[std::size_t(j)] = samples[i];
-    }
-    samples = std::move(kept);
-    touchSamples();
 }
 
 double
@@ -126,36 +84,6 @@ Histogram::binHi(std::size_t i) const
 {
     capy_assert(i < counts.size(), "bin index out of range");
     return lower + width * double(i + 1);
-}
-
-double
-Histogram::quantile(double q) const
-{
-    capy_assert(q >= 0.0 && q <= 1.0, "quantile %g out of [0,1]", q);
-    capy_assert(!samples.empty(), "quantile of empty histogram");
-    if (sortedDirty) {
-        sortedCache = samples;
-        std::sort(sortedCache.begin(), sortedCache.end());
-        sortedDirty = false;
-    }
-    const std::vector<double> &sorted = sortedCache;
-    double pos = q * double(sorted.size() - 1);
-    auto i = static_cast<std::size_t>(pos);
-    double frac = pos - double(i);
-    if (i + 1 >= sorted.size())
-        return sorted.back();
-    return sorted[i] * (1.0 - frac) + sorted[i + 1] * frac;
-}
-
-double
-Histogram::mean() const
-{
-    if (samples.empty())
-        return 0.0;
-    double s = 0.0;
-    for (double v : samples)
-        s += v;
-    return s / double(samples.size());
 }
 
 Table::Table(std::vector<std::string> headers) : cols(std::move(headers))

@@ -51,11 +51,7 @@ class SummaryStats
 
 /**
  * Fixed-bin histogram over [lo, hi) with underflow/overflow buckets.
- * Also retains samples so exact quantiles can be computed; the
- * evaluation datasets are small (thousands of samples). For
- * long-running sweeps, capSamples() bounds retention by switching to
- * uniform reservoir sampling, at the cost of quantile()/mean()
- * becoming (deterministic) estimates over the reservoir.
+ * Keeps counts only, so its memory does not grow with the samples.
  */
 class Histogram
 {
@@ -70,21 +66,7 @@ class Histogram
     /** Record a sample. */
     void add(double x);
 
-    /**
-     * Bound sample retention to @p cap samples (>= 1). Up to the cap
-     * every sample is kept and quantiles are exact; past it the
-     * retained set is a uniform reservoir (algorithm R with a private,
-     * fixed-seed generator, so results do not depend on thread count
-     * or call site). Bin counts, count(), underflow() and overflow()
-     * always reflect every sample added. Shrinks an over-full
-     * retained set immediately when called late.
-     */
-    void capSamples(std::size_t cap);
-
-    /** Retention bound; 0 = unbounded (the default). */
-    std::size_t sampleCap() const { return cap; }
-
-    /** Total samples added (not bounded by the cap). */
+    /** Total samples added. */
     std::uint64_t count() const { return totalAdds; }
     std::uint64_t binCount(std::size_t i) const { return counts.at(i); }
     std::uint64_t underflow() const { return below; }
@@ -95,37 +77,11 @@ class Histogram
     /** Exclusive upper edge of bin @p i. */
     double binHi(std::size_t i) const;
 
-    /**
-     * Quantile @p q in [0, 1] over the retained samples — exact until
-     * a capSamples() bound is exceeded, a reservoir estimate after.
-     * The sorted view is computed once and cached; interleaved add()
-     * calls invalidate it, so extracting a block of percentiles costs
-     * one sort, not one per quantile.
-     */
-    double quantile(double q) const;
-
-    /** Mean over the retained samples (exact until capped). */
-    double mean() const;
-
-    /** Retained samples in insertion order. */
-    const std::vector<double> &data() const { return samples; }
-
   private:
-    /** Retained-sample mutation: invalidate the cached sorted view. */
-    void touchSamples() { sortedDirty = true; }
-    /** Private deterministic generator for the reservoir. */
-    std::uint64_t nextRand();
-
     double lower, upper, width;
     std::vector<std::uint64_t> counts;
     std::uint64_t below = 0, above = 0;
-    std::vector<double> samples;
-    std::size_t cap = 0;        ///< 0 = retain everything
     std::uint64_t totalAdds = 0;
-    std::uint64_t rngState = 0x9e3779b97f4a7c15ULL;
-    /** Lazily sorted copy of `samples` backing quantile(). */
-    mutable std::vector<double> sortedCache;
-    mutable bool sortedDirty = true;
 };
 
 /**

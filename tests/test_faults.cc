@@ -788,7 +788,6 @@ TEST(CrashAudit, LatchRetentionHoldsUnderDenseReconfigFailures)
     // re-derives every latch's retention contract across each outage.
     const double horizon = 90.0;
     FaultSpec spec = poissonSpec(15, 3.0, horizon);
-    spec.watchLatches = true;
     RunMetrics m = runCorrSense(core::Policy::CapyP, grcSchedule(4),
                                 4, horizon, &spec);
     EXPECT_GT(m.faults.outagesAudited, 3u);
@@ -927,4 +926,20 @@ TEST(CrashSweepDeterminism, TimeIndexedSweepIsByteStableToo)
     ASSERT_EQ(serial.exitCode, 0) << serial.output;
     ASSERT_EQ(pooled.exitCode, 0) << pooled.output;
     EXPECT_EQ(serial.output, pooled.output);
+}
+
+TEST(CrashSweepArgs, MalformedNumbersAreRejectedWithUsage)
+{
+    // Before any oracle run: a value strtoull/strtod would read only
+    // in part (or not at all) must not quietly become 0 or a prefix.
+    for (const char *args :
+         {"--app csr --time-points x", "--app csr --seed x",
+          "--app csr --max-points 12abc", "--app csr --horizon 4s",
+          "--app csr --stride -1"}) {
+        SweepOut r = runCrashSweepWithJobs(args, "1");
+        EXPECT_EQ(r.exitCode, 2) << args << "\n" << r.output;
+        EXPECT_NE(r.output.find("usage: crash_sweep"), std::string::npos)
+            << args << "\n" << r.output;
+        EXPECT_EQ(r.output.find("oracle:"), std::string::npos) << args;
+    }
 }

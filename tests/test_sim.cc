@@ -937,77 +937,6 @@ TEST(Histogram, BinsAndBounds)
     EXPECT_DOUBLE_EQ(h.binHi(3), 4.0);
 }
 
-TEST(Histogram, QuantilesExact)
-{
-    Histogram h(0.0, 100.0, 10);
-    for (int i = 1; i <= 99; ++i)
-        h.add(double(i));
-    EXPECT_NEAR(h.quantile(0.5), 50.0, 1e-9);
-    EXPECT_NEAR(h.quantile(0.0), 1.0, 1e-9);
-    EXPECT_NEAR(h.quantile(1.0), 99.0, 1e-9);
-    EXPECT_NEAR(h.mean(), 50.0, 1e-9);
-}
-
-TEST(Histogram, QuantileCacheInvalidatedByAdds)
-{
-    // quantile() sorts once and caches; an interleaved add() must
-    // invalidate the cached view, not serve stale percentiles.
-    Histogram h(0.0, 100.0, 10);
-    for (int i = 1; i <= 9; ++i)
-        h.add(double(i));
-    EXPECT_NEAR(h.quantile(0.5), 5.0, 1e-9);
-    EXPECT_NEAR(h.quantile(1.0), 9.0, 1e-9);
-    h.add(50.0);
-    EXPECT_NEAR(h.quantile(1.0), 50.0, 1e-9);
-    EXPECT_NEAR(h.quantile(0.0), 1.0, 1e-9);
-}
-
-TEST(Histogram, SampleCapBoundsRetentionNotBinning)
-{
-    Histogram h(0.0, 1000.0, 10);
-    h.capSamples(100);
-    for (int i = 0; i < 1000; ++i)
-        h.add(double(i));
-    // Counters see every sample; only retention is bounded.
-    EXPECT_EQ(h.count(), 1000u);
-    EXPECT_EQ(h.data().size(), 100u);
-    EXPECT_EQ(h.sampleCap(), 100u);
-    for (std::size_t b = 0; b < h.numBins(); ++b)
-        EXPECT_EQ(h.binCount(b), 100u);
-    // The reservoir is a uniform draw, so order statistics stay
-    // near the true values.
-    EXPECT_NEAR(h.quantile(0.5), 500.0, 150.0);
-    EXPECT_NEAR(h.mean(), 500.0, 120.0);
-}
-
-TEST(Histogram, SampleCapIsDeterministic)
-{
-    // The reservoir uses a private fixed-seed generator: identical
-    // add streams retain identical samples on every run/thread.
-    auto run = [] {
-        Histogram h(0.0, 1.0, 4);
-        h.capSamples(32);
-        for (int i = 0; i < 500; ++i)
-            h.add(double(i) * 1e-3);
-        return h.data();
-    };
-    EXPECT_EQ(run(), run());
-}
-
-TEST(Histogram, LateCapShrinksRetainedSet)
-{
-    Histogram h(0.0, 10.0, 10);
-    for (int i = 0; i < 200; ++i)
-        h.add(double(i % 10));
-    EXPECT_EQ(h.data().size(), 200u);
-    h.capSamples(50);
-    EXPECT_EQ(h.data().size(), 50u);
-    EXPECT_EQ(h.count(), 200u);
-    h.add(3.0);
-    EXPECT_EQ(h.data().size(), 50u);
-    EXPECT_EQ(h.count(), 201u);
-}
-
 TEST(Table, AlignedOutputContainsCells)
 {
     Table t({"name", "value"});
