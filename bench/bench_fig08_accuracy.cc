@@ -8,13 +8,9 @@
  */
 
 #include <cstdio>
-#include <functional>
-#include <utility>
 #include <vector>
 
-#include "apps/csr.hh"
-#include "apps/grc.hh"
-#include "apps/ta.hh"
+#include "apps/experiment.hh"
 #include "bench_util.hh"
 #include "sim/logging.hh"
 #include "sim/stats.hh"
@@ -28,15 +24,6 @@ namespace
 {
 
 constexpr std::uint64_t kSeed = 20180324;  // ASPLOS'18 dates
-
-struct AppRuns
-{
-    const char *name;
-    RunMetrics byPolicy[4];
-};
-
-const Policy kPolicies[4] = {Policy::Continuous, Policy::Fixed,
-                             Policy::CapyR, Policy::CapyP};
 
 double
 frac(const RunMetrics &m, std::size_t n)
@@ -52,50 +39,33 @@ main()
     setQuiet(true);
     banner("Figure 8", "event detection accuracy");
 
-    auto ts = taSchedule(kSeed);
-    auto gs = grcSchedule(kSeed);
     std::printf("event sequences: TA %zu events / %.0f min, GRC/CSR "
                 "%zu events / %.0f min (Poisson)\n\n",
-                ts.size(), kTaHorizon / 60.0, gs.size(),
+                kTaEvents, kTaHorizon / 60.0, kGrcEvents,
                 kGrcHorizon / 60.0);
 
-    // One independent job per app x policy cell, fanned over the
-    // sweep pool; results come back in submission order so the table
-    // is identical at any CAPY_JOBS.
+    // One independent job per app x policy cell, app-major, fanned
+    // over the sweep pool; each draws its own schedule, and results
+    // come back in submission order so the table is identical at any
+    // CAPY_JOBS.
     std::vector<MetricsJob> jobs;
-    for (int i = 0; i < 4; ++i)
-        jobs.push_back([&ts, p = kPolicies[i]] {
-            return runTempAlarm(p, ts, kSeed);
-        });
-    for (int i = 0; i < 4; ++i)
-        jobs.push_back([&gs, p = kPolicies[i]] {
-            return runGestureRemote(GrcVariant::Fast, p, gs, kSeed);
-        });
-    for (int i = 0; i < 4; ++i)
-        jobs.push_back([&gs, p = kPolicies[i]] {
-            return runGestureRemote(GrcVariant::Compact, p, gs, kSeed);
-        });
-    for (int i = 0; i < 4; ++i)
-        jobs.push_back([&gs, p = kPolicies[i]] {
-            return runCorrSense(p, gs, kSeed);
-        });
+    for (const PaperApp &a : kPaperApps)
+        for (Policy p : kPaperPolicies)
+            jobs.push_back([&a, p] {
+                return runApp(a, p, drawSchedule(a.schedule, kSeed), kSeed,
+                              a.schedule.horizon);
+            });
     auto results = runMetricsBatch(jobs);
-
-    AppRuns apps[4] = {{"TempAlarm", {}},
-                       {"GestureFast", {}},
-                       {"GestureCompact", {}},
-                       {"CorrSense", {}}};
-    for (std::size_t a = 0; a < 4; ++a)
-        for (int i = 0; i < 4; ++i)
-            apps[a].byPolicy[i] =
-                std::move(results[a * 4 + std::size_t(i)]);
+    auto cell = [&](int app, int pol) -> const RunMetrics & {
+        return results[std::size_t(app) * 4 + std::size_t(pol)];
+    };
 
     sim::Table t({"app", "system", "correct", "misclassified",
                   "proximity-only", "missed", ""});
-    for (const auto &a : apps) {
+    for (int a = 0; a < 4; ++a) {
         for (int i = 0; i < 4; ++i) {
-            const auto &m = a.byPolicy[i];
-            t.addRow({a.name, policyName(kPolicies[i]),
+            const auto &m = cell(a, i);
+            t.addRow({kPaperApps[a].name, policyName(kPaperPolicies[i]),
                       sim::percentCell(frac(m, m.summary.correct)),
                       sim::percentCell(frac(m, m.summary.misclassified)),
                       sim::percentCell(frac(m, m.summary.proximityOnly)),
@@ -106,7 +76,7 @@ main()
     t.print();
 
     auto correct = [&](int app, int pol) {
-        return apps[std::size_t(app)].byPolicy[pol].summary.fracCorrect;
+        return cell(app, pol).summary.fracCorrect;
     };
     enum { PWR, FIXED, CAPYR, CAPYP };
 
@@ -132,8 +102,7 @@ main()
     shapeCheck(correct(0, CAPYR) >= 1.5 * correct(0, FIXED),
                "TA: even Capy-R (no bursts) beats Fixed on accuracy");
     double prox_r =
-        frac(apps[1].byPolicy[CAPYR],
-             apps[1].byPolicy[CAPYR].summary.proximityOnly);
+        frac(cell(1, CAPYR), cell(1, CAPYR).summary.proximityOnly);
     shapeCheck(prox_r >= 0.3,
                "GRC Capy-R mostly sees proximity without a decoded "
                "gesture");

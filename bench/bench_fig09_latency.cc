@@ -10,12 +10,9 @@
  */
 
 #include <cstdio>
-#include <utility>
 #include <vector>
 
-#include "apps/csr.hh"
-#include "apps/grc.hh"
-#include "apps/ta.hh"
+#include "apps/experiment.hh"
 #include "bench_util.hh"
 #include "sim/logging.hh"
 #include "sim/stats.hh"
@@ -52,48 +49,25 @@ main()
     setQuiet(true);
     banner("Figure 9", "report latency for detected events");
 
-    auto ts = taSchedule(kSeed);
-    auto gs = grcSchedule(kSeed);
-
-    const Policy pols[4] = {Policy::Continuous, Policy::Fixed,
-                            Policy::CapyR, Policy::CapyP};
-
-    // 16 independent runs dispatched as one parallel batch; results
-    // return in submission order (4 per app, policy-major).
+    // 16 independent runs dispatched as one parallel batch, app-major;
+    // results return in submission order.
     std::vector<MetricsJob> jobs;
-    for (int i = 0; i < 4; ++i) {
-        Policy p = pols[i];
-        jobs.push_back([&ts, p] { return runTempAlarm(p, ts, kSeed); });
-        jobs.push_back([&gs, p] {
-            return runGestureRemote(GrcVariant::Fast, p, gs, kSeed);
-        });
-        jobs.push_back([&gs, p] {
-            return runGestureRemote(GrcVariant::Compact, p, gs, kSeed);
-        });
-        jobs.push_back([&gs, p] { return runCorrSense(p, gs, kSeed); });
-    }
+    for (const PaperApp &a : kPaperApps)
+        for (Policy p : kPaperPolicies)
+            jobs.push_back([&a, p] {
+                return runApp(a, p, drawSchedule(a.schedule, kSeed), kSeed,
+                              a.schedule.horizon);
+            });
     auto results = runMetricsBatch(jobs);
-
-    RunMetrics ta[4], gf[4], gc[4], cs[4];
-    for (std::size_t i = 0; i < 4; ++i) {
-        ta[i] = std::move(results[i * 4 + 0]);
-        gf[i] = std::move(results[i * 4 + 1]);
-        gc[i] = std::move(results[i * 4 + 2]);
-        cs[i] = std::move(results[i * 4 + 3]);
-    }
 
     sim::Table t({"app", "system", "reported", "mean (s)", "min (s)",
                   "max (s)", ""});
-    for (int i = 0; i < 4; ++i)
-        row(t, "TempAlarm", pols[i], ta[i]);
-    for (int i = 0; i < 4; ++i)
-        row(t, "GestureFast", pols[i], gf[i]);
-    for (int i = 0; i < 4; ++i)
-        row(t, "GestureCompact", pols[i], gc[i]);
-    for (int i = 0; i < 4; ++i)
-        row(t, "CorrSense", pols[i], cs[i]);
+    for (std::size_t i = 0; i < results.size(); ++i)
+        row(t, kPaperApps[i / 4].name, kPaperPolicies[i % 4], results[i]);
     t.print();
 
+    const RunMetrics *ta = &results[0], *gf = &results[4],
+                     *gc = &results[8], *cs = &results[12];
     enum { PWR, FIXED, CAPYR, CAPYP };
     double ta_r = ta[CAPYR].summary.latency.mean();
     double ta_p = ta[CAPYP].summary.latency.mean();

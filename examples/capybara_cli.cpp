@@ -1,8 +1,8 @@
 /**
  * @file
  * Command-line simulation runner: run any paper application under any
- * power-system policy with chosen seed/horizon, print the run
- * metrics, and optionally export the per-task energy profile.
+ * power-system policy with chosen seed/horizon and print the run
+ * metrics: accuracy, latency, sampling, charging and burst counts.
  *
  * Usage:
  *   capybara_cli --app ta|grc-fast|grc-compact|csr
@@ -14,15 +14,16 @@
  *   capybara_cli --app grc-fast --policy capy-p --seed 7
  */
 
+#include <strings.h>
+
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
-#include "apps/csr.hh"
-#include "apps/grc.hh"
-#include "apps/ta.hh"
+#include "apps/experiment.hh"
+#include "sim/cli.hh"
 #include "sim/logging.hh"
 #include "sim/stats.hh"
 
@@ -33,25 +34,26 @@ using namespace capy::core;
 namespace
 {
 
+constexpr char kUsage[] =
+    "usage: capybara_cli --app ta|grc-fast|grc-compact|csr "
+    "[--policy pwr|fixed|capy-r|capy-p|all] [--seed N] [--horizon S] "
+    "[--events N]\n";
+
+[[noreturn]] void
+usage()
+{
+    std::fputs(kUsage, stderr);
+    std::exit(2);
+}
+
 struct Options
 {
-    std::string app = "ta";
+    const PaperApp *app = &kPaperApps[0];
     std::string policy = "all";
     std::uint64_t seed = 2018;
     double horizon = -1.0;
-    std::size_t events = 0;
+    std::uint64_t events = 0;
 };
-
-[[noreturn]] void
-usage(const char *argv0)
-{
-    std::fprintf(stderr,
-                 "usage: %s --app ta|grc-fast|grc-compact|csr "
-                 "[--policy pwr|fixed|capy-r|capy-p|all] [--seed N] "
-                 "[--horizon S] [--events N]\n",
-                 argv0);
-    std::exit(2);
-}
 
 Options
 parse(int argc, char **argv)
@@ -61,42 +63,45 @@ parse(int argc, char **argv)
         auto need = [&](const char *flag) -> const char * {
             if (i + 1 >= argc) {
                 std::fprintf(stderr, "%s needs a value\n", flag);
-                usage(argv[0]);
+                usage();
             }
             return argv[++i];
         };
-        if (!std::strcmp(argv[i], "--app"))
-            opt.app = need("--app");
-        else if (!std::strcmp(argv[i], "--policy"))
+        if (!std::strcmp(argv[i], "--app")) {
+            const char *name = need("--app");
+            opt.app = findPaperApp(name);
+            if (!opt.app) {
+                std::fprintf(stderr, "unknown app '%s'\n", name);
+                usage();
+            }
+        } else if (!std::strcmp(argv[i], "--policy"))
             opt.policy = need("--policy");
         else if (!std::strcmp(argv[i], "--seed"))
-            opt.seed = std::strtoull(need("--seed"), nullptr, 10);
+            opt.seed = sim::parseCount(need("--seed"), kUsage);
         else if (!std::strcmp(argv[i], "--horizon"))
-            opt.horizon = std::strtod(need("--horizon"), nullptr);
+            opt.horizon = sim::parseNumber(need("--horizon"), kUsage);
         else if (!std::strcmp(argv[i], "--events"))
-            opt.events = std::strtoul(need("--events"), nullptr, 10);
+            opt.events = sim::parseCount(need("--events"), kUsage);
         else
-            usage(argv[0]);
+            usage();
     }
     return opt;
 }
 
+/** The policies @p name selects: one by its name in any case, or all
+ *  four. */
 std::vector<Policy>
-policiesFor(const std::string &name, const char *argv0)
+policiesFor(const std::string &name)
 {
-    if (name == "all")
-        return {Policy::Continuous, Policy::Fixed, Policy::CapyR,
-                Policy::CapyP};
-    if (name == "pwr")
-        return {Policy::Continuous};
-    if (name == "fixed")
-        return {Policy::Fixed};
-    if (name == "capy-r")
-        return {Policy::CapyR};
-    if (name == "capy-p")
-        return {Policy::CapyP};
-    std::fprintf(stderr, "unknown policy '%s'\n", name.c_str());
-    usage(argv0);
+    std::vector<Policy> out;
+    for (Policy p : kPaperPolicies)
+        if (name == "all" || !strcasecmp(name.c_str(), policyName(p)))
+            out.push_back(p);
+    if (out.empty()) {
+        std::fprintf(stderr, "unknown policy '%s'\n", name.c_str());
+        usage();
+    }
+    return out;
 }
 
 } // namespace
@@ -106,48 +111,38 @@ main(int argc, char **argv)
 {
     setQuiet(true);
     Options opt = parse(argc, argv);
+    std::vector<Policy> policies = policiesFor(opt.policy);
 
-    bool is_ta = opt.app == "ta";
-    double horizon =
-        opt.horizon > 0 ? opt.horizon
-                        : (is_ta ? kTaHorizon : kGrcHorizon);
-    std::size_t events =
-        opt.events > 0 ? opt.events : (is_ta ? kTaEvents : kGrcEvents);
-
-    sim::Rng rng(opt.seed, is_ta ? 0x7a : 0x9c);
-    auto sched = env::EventSchedule::poissonCount(rng, events, horizon,
-                                                  is_ta ? 60.0 : 30.0);
+    ScheduleSpec spec = opt.app->schedule;
+    if (opt.horizon > 0)
+        spec.horizon = opt.horizon;
+    if (opt.events > 0)
+        spec.events = opt.events;
+    auto sched = drawSchedule(spec, opt.seed);
 
     std::printf("%s: %zu events over %.0f s (seed %llu)\n\n",
-                opt.app.c_str(), sched.size(), horizon,
+                opt.app->cliName, sched.size(), spec.horizon,
                 (unsigned long long)opt.seed);
 
-    sim::Table t({"system", "correct", "misclassified", "missed",
-                  "latency mean (s)", "samples", "boots",
-                  "power failures"});
-    for (Policy p : policiesFor(opt.policy, argv[0])) {
-        RunMetrics m;
-        if (opt.app == "ta")
-            m = runTempAlarm(p, sched, opt.seed, horizon);
-        else if (opt.app == "grc-fast")
-            m = runGestureRemote(GrcVariant::Fast, p, sched, opt.seed,
-                                 horizon);
-        else if (opt.app == "grc-compact")
-            m = runGestureRemote(GrcVariant::Compact, p, sched,
-                                 opt.seed, horizon);
-        else if (opt.app == "csr")
-            m = runCorrSense(p, sched, opt.seed, horizon);
-        else
-            usage(argv[0]);
+    sim::Table t({"system", "correct", "misclassified", "proximity-only",
+                  "missed", "latency mean (s)", "samples",
+                  "mean charge gap (s)", "boots", "power failures",
+                  "bursts", "burst recharges"});
+    for (Policy p : policies) {
+        RunMetrics m = runApp(*opt.app, p, sched, opt.seed, spec.horizon);
         t.addRow({policyName(p),
                   sim::percentCell(m.summary.fracCorrect),
                   sim::cell(m.summary.misclassified),
+                  sim::cell(m.summary.proximityOnly),
                   sim::cell(m.summary.missed),
                   m.summary.latency.count()
                       ? sim::cell(m.summary.latency.mean(), 4)
                       : "-",
-                  sim::cell(m.samples), sim::cell(m.device.boots),
-                  sim::cell(m.device.powerFailures)});
+                  sim::cell(m.samples), sim::cell(m.chargeSpanMean, 3),
+                  sim::cell(m.device.boots),
+                  sim::cell(m.device.powerFailures),
+                  sim::cell(m.runtime.burstActivations),
+                  sim::cell(m.runtime.burstRecharges)});
     }
     t.print();
     return 0;

@@ -8,21 +8,23 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "apps/capysat.hh"
 #include "env/light.hh"
+#include "sim/cli.hh"
 #include "sim/logging.hh"
 #include "sim/stats.hh"
 
 using namespace capy;
 using namespace capy::apps;
 
+constexpr char kUsage[] = "usage: capysat_mission [orbits]\n";
+
 int
 main(int argc, char **argv)
 {
     setQuiet(true);
-    double orbits = argc > 1 ? std::strtod(argv[1], nullptr) : 4.0;
+    double orbits = argc > 1 ? sim::parseNumber(argv[1], kUsage) : 4.0;
     env::OrbitLight orbit;
 
     std::printf("CapySat: %.1f orbits of %.1f min (%.1f min eclipse "

@@ -9,7 +9,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "core/allocate.hh"
 #include "core/provision.hh"
@@ -17,6 +16,7 @@
 #include "dev/radio.hh"
 #include "power/parts.hh"
 #include "power/units.hh"
+#include "sim/cli.hh"
 #include "sim/logging.hh"
 #include "sim/stats.hh"
 
@@ -24,12 +24,14 @@ using namespace capy;
 using namespace capy::core;
 using namespace capy::literals;
 
+constexpr char kUsage[] = "usage: provision_tool [harvest_mW]\n";
+
 int
 main(int argc, char **argv)
 {
     setQuiet(true);
     double harvest =
-        (argc > 1 ? std::strtod(argv[1], nullptr) : 8.0) * 1e-3;
+        (argc > 1 ? sim::parseNumber(argv[1], kUsage) : 8.0) * 1e-3;
     auto mcu = dev::msp430fr5969();
     const auto ble = dev::bleRadio();
     const auto apds = dev::periph::apds9960Gesture();

@@ -4,7 +4,6 @@
 #include "env/light.hh"
 #include "power/parts.hh"
 #include "power/units.hh"
-#include "sim/logging.hh"
 
 namespace capy::apps
 {
@@ -13,22 +12,6 @@ using namespace capy::literals;
 using power::CapacitorSpec;
 using power::parallelCompose;
 namespace parts = capy::power::parts;
-
-const char *
-appBoardName(AppBoard board)
-{
-    switch (board) {
-      case AppBoard::TempAlarm:
-        return "TempAlarm";
-      case AppBoard::GestureFast:
-        return "GestureFast";
-      case AppBoard::GestureCompact:
-        return "GestureCompact";
-      case AppBoard::CorrSense:
-        return "CorrSense";
-    }
-    capy_panic("unknown AppBoard %d", static_cast<int>(board));
-}
 
 namespace
 {

@@ -52,8 +52,6 @@ enum class AppBoard
     CorrSense,
 };
 
-const char *appBoardName(AppBoard board);
-
 /**
  * Build the §6.1 board for @p app under @p policy.
  *

@@ -97,23 +97,8 @@ runCorrSense(core::Policy policy, const env::EventSchedule &schedule,
     runtime.annotate(distance, core::Annotation::burst(board.bigMode));
     runtime.annotate(led, core::Annotation::burst(board.bigMode));
     runtime.annotate(radio_tx, core::Annotation::burst(board.bigMode));
-    runtime.install();
-
-    std::optional<FaultHarness> harness;
-    if (faults) {
-        harness.emplace({board.device.get()}, *faults, &fram);
-        harness->watchKernel(kernel);
-    }
-
-    kernel.start();
-    simulator.runUntil(horizon);
-
-    RunMetrics out;
-    collectMetrics(out, std::move(sb), *board.device, kernel, runtime,
-                   radio);
-    if (harness)
-        out.faults = harness->finish();
-    return out;
+    return runToHorizon(kernel, runtime, fram, std::move(sb), radio,
+                        horizon, faults);
 }
 
 } // namespace capy::apps

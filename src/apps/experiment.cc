@@ -1,33 +1,85 @@
 #include "apps/experiment.hh"
 
 #include <cmath>
+#include <optional>
 #include <utility>
 
+#include "apps/csr.hh"
+#include "apps/grc.hh"
+#include "apps/ta.hh"
 #include "sim/logging.hh"
 
 namespace capy::apps
 {
 
 env::EventSchedule
+drawSchedule(const ScheduleSpec &spec, std::uint64_t seed)
+{
+    return env::EventSchedule::poissonCountSeeded(
+        seed, spec.stream, spec.events, spec.horizon, spec.eventFree);
+}
+
+env::EventSchedule
 taSchedule(std::uint64_t seed)
 {
-    // Leave the cold-start period event-free, as the rigs do.
-    return env::EventSchedule::poissonCountSeeded(
-        seed, 0x7a, kTaEvents, kTaHorizon, 60.0);
+    return drawSchedule(kTaScheduleSpec, seed);
 }
 
 env::EventSchedule
 grcSchedule(std::uint64_t seed)
 {
-    return env::EventSchedule::poissonCountSeeded(
-        seed, 0x9c, kGrcEvents, kGrcHorizon, 30.0);
+    return drawSchedule(kGrcScheduleSpec, seed);
 }
 
-void
-collectMetrics(RunMetrics &out, env::Scoreboard &&sb,
-               const dev::Device &device, const rt::Kernel &kernel,
-               const core::Runtime &runtime, const dev::Radio &radio)
+const PaperApp *
+findPaperApp(std::string_view cli_name)
 {
+    for (const PaperApp &app : kPaperApps)
+        if (cli_name == app.cliName)
+            return &app;
+    return nullptr;
+}
+
+RunMetrics
+runApp(const PaperApp &app, core::Policy policy,
+       const env::EventSchedule &schedule, std::uint64_t seed,
+       double horizon, const FaultSpec *faults)
+{
+    switch (app.board) {
+      case AppBoard::TempAlarm:
+        return runTempAlarm(policy, schedule, seed, horizon, -1.0,
+                            faults);
+      case AppBoard::GestureFast:
+        return runGestureRemote(GrcVariant::Fast, policy, schedule, seed,
+                                horizon, faults);
+      case AppBoard::GestureCompact:
+        return runGestureRemote(GrcVariant::Compact, policy, schedule,
+                                seed, horizon, faults);
+      case AppBoard::CorrSense:
+        return runCorrSense(policy, schedule, seed, horizon, faults);
+    }
+    capy_panic("unknown AppBoard %d", static_cast<int>(app.board));
+}
+
+RunMetrics
+runToHorizon(rt::Kernel &kernel, core::Runtime &runtime,
+             dev::NvMemory &fram, env::Scoreboard &&sb,
+             const dev::Radio &radio, double horizon,
+             const FaultSpec *faults)
+{
+    runtime.install();
+
+    dev::Device &device = kernel.device();
+    std::optional<FaultHarness> harness;
+    if (faults) {
+        harness.emplace({&device}, *faults, &fram);
+        harness->watchKernel(kernel);
+    }
+
+    kernel.start();
+    device.simulator().runUntil(horizon);
+
+    RunMetrics out;
     out.policy = runtime.policy();
     out.summary = sb.summarize();
     out.samples = sb.sampleCount();
@@ -53,6 +105,9 @@ collectMetrics(RunMetrics &out, env::Scoreboard &&sb,
     out.taskEnergy = kernel.energyByTask();
 
     assertLedgerBalances(ps);
+    if (harness)
+        out.faults = harness->finish();
+    return out;
 }
 
 void

@@ -1,7 +1,8 @@
 /**
  * @file
- * Shared experiment driver: per-run metrics, schedule builders with
- * the paper's event counts/horizons (§6.2), and metric collection.
+ * Shared experiment driver: per-run metrics, the table of the
+ * paper's four apps with their event counts/horizons (§6.2), and the
+ * run tail and metric collection every app run shares.
  */
 
 #ifndef CAPY_APPS_EXPERIMENT_HH
@@ -10,6 +11,7 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -56,39 +58,101 @@ struct RunMetrics
     FaultReport faults;
 };
 
-/** TA evaluation horizon: 50 events over 120 minutes (§6.2). */
-inline constexpr double kTaHorizon = 120.0 * 60.0;
-inline constexpr std::size_t kTaEvents = 50;
+/** How an app's Poisson event sequence is drawn (§6.2). */
+struct ScheduleSpec
+{
+    std::size_t events;
+    /** Last instant of the sequence, s; also the app's run length. */
+    double horizon;
+    /** sim::Rng stream of the draw. */
+    std::uint64_t stream;
+    /** Cold-start period left event-free, s, as the rigs do. */
+    double eventFree;
+};
 
-/** GRC/CSR horizon: 80 events over 42 minutes (§6.2). */
-inline constexpr double kGrcHorizon = 42.0 * 60.0;
-inline constexpr std::size_t kGrcEvents = 80;
+/** TA: 50 events over 120 minutes (§6.2). */
+inline constexpr ScheduleSpec kTaScheduleSpec{50, 120.0 * 60.0, 0x7a,
+                                              60.0};
+/** GRC and CSR: 80 events over 42 minutes (§6.2). */
+inline constexpr ScheduleSpec kGrcScheduleSpec{80, 42.0 * 60.0, 0x9c,
+                                               30.0};
+
+inline constexpr double kTaHorizon = kTaScheduleSpec.horizon;
+inline constexpr std::size_t kTaEvents = kTaScheduleSpec.events;
+inline constexpr double kGrcHorizon = kGrcScheduleSpec.horizon;
+inline constexpr std::size_t kGrcEvents = kGrcScheduleSpec.events;
 
 /**
- * The paper's TA event sequence (50 Poisson events / 120 min).
+ * @p spec's event sequence drawn from (@p seed, spec.stream).
  *
- * Pure function of @p seed (a private generator per call), so sweep
- * jobs draw their own schedule on the worker thread instead of the
- * caller pre-generating and sharing one — same bytes at any
+ * Pure function of its arguments (a private generator per call), so
+ * sweep jobs draw their own schedule on the worker thread instead of
+ * the caller pre-generating and sharing one — same bytes at any
  * CAPY_JOBS.
  */
+env::EventSchedule drawSchedule(const ScheduleSpec &spec,
+                                std::uint64_t seed);
+
+/** The paper's TA event sequence: drawSchedule(kTaScheduleSpec). */
 env::EventSchedule taSchedule(std::uint64_t seed);
 
-/** The paper's GRC/CSR event sequence (80 Poisson events / 42 min);
- *  pure function of @p seed, like taSchedule(). */
+/** The paper's GRC/CSR event sequence:
+ *  drawSchedule(kGrcScheduleSpec). */
 env::EventSchedule grcSchedule(std::uint64_t seed);
 
+/** One of the four applications the paper evaluates (§6.1). */
+struct PaperApp
+{
+    /** Which app, and its §6.1 provisioning. */
+    AppBoard board;
+    /** Display name: the app's row label in the figures. */
+    const char *name;
+    /** Command-line name (capybara_cli's --app). */
+    const char *cliName;
+    ScheduleSpec schedule;
+};
+
+/** The paper's four apps, in Fig. 8's row order. */
+inline constexpr PaperApp kPaperApps[] = {
+    {AppBoard::TempAlarm, "TempAlarm", "ta", kTaScheduleSpec},
+    {AppBoard::GestureFast, "GestureFast", "grc-fast", kGrcScheduleSpec},
+    {AppBoard::GestureCompact, "GestureCompact", "grc-compact",
+     kGrcScheduleSpec},
+    {AppBoard::CorrSense, "CorrSense", "csr", kGrcScheduleSpec},
+};
+
+/** The four power systems, in the figures' order: Pwr, Fixed,
+ *  Capy-R, Capy-P. */
+inline constexpr core::Policy kPaperPolicies[] = {
+    core::Policy::Continuous, core::Policy::Fixed, core::Policy::CapyR,
+    core::Policy::CapyP};
+
+/** The kPaperApps row named @p cli_name; nullptr when none is. */
+const PaperApp *findPaperApp(std::string_view cli_name);
+
 /**
- * Fill the bookkeeping shared by all runs (device/kernel/runtime
- * stats, radio counters, scoreboard summary, charge spans). Takes
- * the scoreboard's sample log over for `out.intervals`. Asserts that
- * the power system's energy ledger balances (assertLedgerBalances()).
+ * Run @p app under @p policy against @p schedule for @p horizon
+ * seconds: runTempAlarm, runGestureRemote or runCorrSense, by
+ * app.board.
+ * @param faults optional fault-injection/audit spec (crash sweeps).
  */
-void collectMetrics(RunMetrics &out, env::Scoreboard &&sb,
-                    const dev::Device &device,
-                    const rt::Kernel &kernel,
-                    const core::Runtime &runtime,
-                    const dev::Radio &radio);
+RunMetrics runApp(const PaperApp &app, core::Policy policy,
+                  const env::EventSchedule &schedule,
+                  std::uint64_t seed, double horizon,
+                  const FaultSpec *faults = nullptr);
+
+/**
+ * The end every app run shares, once its tasks are annotated:
+ * install @p runtime's gate, attach a FaultHarness to the kernel's
+ * device when @p faults is set, start @p kernel, run its simulator
+ * to @p horizon, and collect the run's metrics. Takes the
+ * scoreboard's sample log over for `intervals`, and asserts that the
+ * power system's energy ledger balances (assertLedgerBalances()).
+ */
+RunMetrics runToHorizon(rt::Kernel &kernel, core::Runtime &runtime,
+                        dev::NvMemory &fram, env::Scoreboard &&sb,
+                        const dev::Radio &radio, double horizon,
+                        const FaultSpec *faults);
 
 /**
  * Assert that @p ps's energy ledger balances at the end of a run:

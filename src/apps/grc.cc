@@ -6,24 +6,11 @@
 #include "env/pendulum.hh"
 #include "power/units.hh"
 #include "rt/channel.hh"
-#include "sim/logging.hh"
 
 namespace capy::apps
 {
 
 using namespace capy::literals;
-
-const char *
-grcVariantName(GrcVariant variant)
-{
-    switch (variant) {
-      case GrcVariant::Fast:
-        return "GestureFast";
-      case GrcVariant::Compact:
-        return "GestureCompact";
-    }
-    capy_panic("unknown GrcVariant %d", static_cast<int>(variant));
-}
 
 RunMetrics
 runGestureRemote(GrcVariant variant, core::Policy policy,
@@ -152,23 +139,8 @@ runGestureRemote(GrcVariant variant, core::Policy policy,
         runtime.annotate(radio_tx,
                          core::Annotation::burst(board.bigMode));
     }
-    runtime.install();
-
-    std::optional<FaultHarness> harness;
-    if (faults) {
-        harness.emplace({board.device.get()}, *faults, &fram);
-        harness->watchKernel(kernel);
-    }
-
-    kernel.start();
-    simulator.runUntil(horizon);
-
-    RunMetrics out;
-    collectMetrics(out, std::move(sb), *board.device, kernel, runtime,
-                   radio);
-    if (harness)
-        out.faults = harness->finish();
-    return out;
+    return runToHorizon(kernel, runtime, fram, std::move(sb), radio,
+                        horizon, faults);
 }
 
 } // namespace capy::apps

@@ -27,8 +27,6 @@ enum class GrcVariant
     Compact,  ///< gesture and transmit as separate atomic tasks
 };
 
-const char *grcVariantName(GrcVariant variant);
-
 /**
  * Run the GRC application under @p policy against @p schedule.
  * @param faults optional fault-injection/audit spec (crash sweeps).

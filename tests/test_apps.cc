@@ -202,11 +202,19 @@ TEST(GestureApp, CompactVariantWorksToo)
     EXPECT_GT(m.runtime.burstActivations, 0u);
 }
 
-TEST(GestureApp, VariantNames)
+TEST(PaperApps, NamesInFigureOrder)
 {
-    EXPECT_STREQ(grcVariantName(GrcVariant::Fast), "GestureFast");
-    EXPECT_STREQ(grcVariantName(GrcVariant::Compact),
-                 "GestureCompact");
+    const char *const names[4][2] = {{"TempAlarm", "ta"},
+                                     {"GestureFast", "grc-fast"},
+                                     {"GestureCompact", "grc-compact"},
+                                     {"CorrSense", "csr"}};
+    ASSERT_EQ(std::size(kPaperApps), 4u);
+    for (std::size_t i = 0; i < 4; ++i) {
+        EXPECT_STREQ(kPaperApps[i].name, names[i][0]);
+        EXPECT_STREQ(kPaperApps[i].cliName, names[i][1]);
+        EXPECT_EQ(findPaperApp(names[i][1]), &kPaperApps[i]);
+    }
+    EXPECT_EQ(findPaperApp("grc"), nullptr);
 }
 
 TEST(CorrSenseApp, CapybaraDetectsMostEvents)

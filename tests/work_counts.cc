@@ -65,10 +65,8 @@
 #include <string>
 
 #include "apps/capysat.hh"
-#include "apps/csr.hh"
+#include "apps/experiment.hh"
 #include "apps/faults.hh"
-#include "apps/grc.hh"
-#include "apps/ta.hh"
 #include "dev/device.hh"
 #include "sim/logging.hh"
 #include "sim/work.hh"
@@ -212,33 +210,23 @@ int
 main()
 {
     setQuiet(true);
-    using core::Policy;
     constexpr std::uint64_t kSeed = 20180324;
 
-    const env::EventSchedule ta = apps::taSchedule(kSeed);
-    const env::EventSchedule grc = apps::grcSchedule(kSeed);
-    const Policy policies[4] = {Policy::Continuous, Policy::Fixed,
-                                Policy::CapyR, Policy::CapyP};
+    // The cell order of bench_fig08_accuracy. Each schedule is drawn
+    // before its run is measured, as e2ebench draws them in set-up.
+    const char *const rows[4] = {"ta_", "grcf_", "grcc_", "csr_"};
     const char *const tags[4] = {"pwr", "fixed", "capyr", "capyp"};
-    // The cell order of bench_fig08_accuracy.
-    for (int p = 0; p < 4; ++p)
-        measure(std::string("ta_") + tags[p], [&] {
-            return countsOf(apps::runTempAlarm(policies[p], ta, kSeed));
-        });
-    for (auto variant :
-         {apps::GrcVariant::Fast, apps::GrcVariant::Compact}) {
-        const char *app =
-            variant == apps::GrcVariant::Fast ? "grcf_" : "grcc_";
+    for (int a = 0; a < 4; ++a) {
+        const apps::PaperApp &app = apps::kPaperApps[a];
+        const env::EventSchedule sched =
+            apps::drawSchedule(app.schedule, kSeed);
         for (int p = 0; p < 4; ++p)
-            measure(app + std::string(tags[p]), [&] {
-                return countsOf(apps::runGestureRemote(
-                    variant, policies[p], grc, kSeed));
+            measure(rows[a] + std::string(tags[p]), [&] {
+                return countsOf(apps::runApp(app, apps::kPaperPolicies[p],
+                                             sched, kSeed,
+                                             app.schedule.horizon));
             });
     }
-    for (int p = 0; p < 4; ++p)
-        measure(std::string("csr_") + tags[p], [&] {
-            return countsOf(apps::runCorrSense(policies[p], grc, kSeed));
-        });
 
     measure("capysat", [&] {
         auto r = apps::runCapySat(5.0, kSeed);

@@ -14,8 +14,10 @@
  *
  * Exit codes: 0 sweep clean; 1 violations found; 2 usage/oracle
  * error (including a numeric option value that is not wholly a
- * number). With --expect-caught the meaning of 0/1 inverts: the sweep
- * must find violations (the broken-recovery fixture demo).
+ * number, and --break-recovery on any app but ckpt, the only one
+ * with a checkpoint journal to break). With --expect-caught the
+ * meaning of 0/1 inverts: the sweep must find violations (the
+ * broken-recovery fixture demo).
  *
  * Examples:
  *   crash_sweep --app csr --every-event
@@ -23,20 +25,16 @@
  *       --expect-caught
  */
 
-#include <cerrno>
 #include <cinttypes>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "apps/capysat.hh"
-#include "apps/csr.hh"
+#include "apps/experiment.hh"
 #include "apps/faults.hh"
-#include "apps/grc.hh"
-#include "apps/ta.hh"
+#include "sim/cli.hh"
 
 namespace
 {
@@ -86,8 +84,19 @@ defaultHorizon(const std::string &app)
     return 40.0;  // csr, grc
 }
 
+/** The paper app a Chain sweep runs, under Capy-P: csr, ta, or grc
+ *  for GRC-Compact; nullptr for the other --app values. */
+const apps::PaperApp *
+chainApp(const std::string &name)
+{
+    if (name == "grc")
+        return apps::findPaperApp("grc-compact");
+    return name == "csr" || name == "ta" ? apps::findPaperApp(name)
+                                         : nullptr;
+}
+
 SweepRun
-runApp(const Options &opt, const FaultSpec *spec, double horizon)
+runReplica(const Options &opt, const FaultSpec *spec, double horizon)
 {
     SweepRun out;
     if (opt.app == "ckpt") {
@@ -116,24 +125,11 @@ runApp(const Options &opt, const FaultSpec *spec, double horizon)
         return out;
     }
 
-    apps::RunMetrics m;
-    if (opt.app == "csr") {
-        m = apps::runCorrSense(core::Policy::CapyP,
-                               apps::grcSchedule(opt.seed), opt.seed,
-                               horizon, spec);
-    } else if (opt.app == "grc") {
-        m = apps::runGestureRemote(apps::GrcVariant::Compact,
-                                   core::Policy::CapyP,
-                                   apps::grcSchedule(opt.seed),
-                                   opt.seed, horizon, spec);
-    } else if (opt.app == "ta") {
-        m = apps::runTempAlarm(core::Policy::CapyP,
-                               apps::taSchedule(opt.seed), opt.seed,
-                               horizon, -1.0, spec);
-    } else {
-        std::fprintf(stderr, "unknown app '%s'\n", opt.app.c_str());
-        std::exit(2);
-    }
+    const apps::PaperApp &app = *chainApp(opt.app);
+    apps::RunMetrics m =
+        apps::runApp(app, core::Policy::CapyP,
+                     apps::drawSchedule(app.schedule, opt.seed), opt.seed,
+                     horizon, spec);
     out.simEvents = m.simEvents;
     out.faults = m.faults;
     out.powerFailures = m.device.powerFailures;
@@ -183,47 +179,17 @@ timePointsOverSpans(
     return out;
 }
 
+constexpr char kUsage[] =
+    "usage: crash_sweep [--app csr|grc|ta|capysat|ckpt]\n"
+    "    [--every-event | --stride N | --time-points N]\n"
+    "    [--max-points N] [--horizon S] [--seed N] [--glitch]\n"
+    "    [--break-recovery] [--expect-caught] [--verbose]\n";
+
 int
 usage()
 {
-    std::fprintf(
-        stderr,
-        "usage: crash_sweep [--app csr|grc|ta|capysat|ckpt]\n"
-        "    [--every-event | --stride N | --time-points N]\n"
-        "    [--max-points N] [--horizon S] [--seed N] [--glitch]\n"
-        "    [--break-recovery] [--expect-caught] [--verbose]\n");
+    std::fputs(kUsage, stderr);
     return 2;
-}
-
-/** @p text as a whole unsigned decimal number; usage and exit 2 if
- *  any of it is left over or it does not fit. */
-std::uint64_t
-parseCount(const char *text)
-{
-    char *end = nullptr;
-    errno = 0;
-    std::uint64_t v = std::strtoull(text, &end, 10);
-    if (end == text || *end != '\0' || errno == ERANGE ||
-        text[0] == '-') {
-        std::fprintf(stderr, "not a count: '%s'\n", text);
-        std::exit(usage());
-    }
-    return v;
-}
-
-/** @p text as a whole finite number; usage and exit 2 otherwise. */
-double
-parseSeconds(const char *text)
-{
-    char *end = nullptr;
-    errno = 0;
-    double v = std::strtod(text, &end);
-    if (end == text || *end != '\0' || errno == ERANGE ||
-        !std::isfinite(v)) {
-        std::fprintf(stderr, "not a number: '%s'\n", text);
-        std::exit(usage());
-    }
-    return v;
 }
 
 } // namespace
@@ -247,15 +213,15 @@ main(int argc, char **argv)
         else if (arg == "--every-event")
             opt.everyEvent = true;
         else if (arg == "--stride")
-            opt.stride = parseCount(next());
+            opt.stride = sim::parseCount(next(), kUsage);
         else if (arg == "--max-points")
-            opt.maxPoints = parseCount(next());
+            opt.maxPoints = sim::parseCount(next(), kUsage);
         else if (arg == "--time-points")
-            opt.timePoints = parseCount(next());
+            opt.timePoints = sim::parseCount(next(), kUsage);
         else if (arg == "--horizon")
-            opt.horizon = parseSeconds(next());
+            opt.horizon = sim::parseNumber(next(), kUsage);
         else if (arg == "--seed")
-            opt.seed = parseCount(next());
+            opt.seed = sim::parseCount(next(), kUsage);
         else if (arg == "--glitch")
             opt.glitch = true;
         else if (arg == "--break-recovery")
@@ -267,6 +233,15 @@ main(int argc, char **argv)
         else
             return usage();
     }
+    if (opt.app != "ckpt" && opt.app != "capysat" && !chainApp(opt.app)) {
+        std::fprintf(stderr, "unknown app '%s'\n", opt.app.c_str());
+        return 2;
+    }
+    if (opt.breakRecovery && opt.app != "ckpt") {
+        std::fprintf(stderr, "--break-recovery needs --app ckpt: the "
+                             "other apps keep no checkpoint journal\n");
+        return usage();
+    }
 
     double horizon =
         opt.horizon >= 0.0 ? opt.horizon : defaultHorizon(opt.app);
@@ -274,7 +249,7 @@ main(int argc, char **argv)
     // --- Oracle: uninterrupted, audit-only. ---
     FaultSpec oracle_spec;  // empty plan: no injection
     oracle_spec.breakRecovery = opt.breakRecovery;
-    SweepRun oracle = runApp(opt, &oracle_spec, horizon);
+    SweepRun oracle = runReplica(opt, &oracle_spec, horizon);
     std::printf("crash_sweep app=%s horizon=%g seed=%" PRIu64
                 " kind=%s\n",
                 opt.app.c_str(), horizon, opt.seed,
@@ -364,7 +339,7 @@ main(int argc, char **argv)
     // --- Faulted replicas, fanned out deterministically. ---
     std::vector<SweepRun> runs = apps::sweepPool().map(
         points.size(), [&](std::size_t i) {
-            return runApp(opt, &points[i].spec, horizon);
+            return runReplica(opt, &points[i].spec, horizon);
         });
 
     // --- Aggregate. ---
