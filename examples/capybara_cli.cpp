@@ -19,6 +19,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -51,8 +52,8 @@ struct Options
     const PaperApp *app = &kPaperApps[0];
     std::string policy = "all";
     std::uint64_t seed = 2018;
-    double horizon = -1.0;
-    std::uint64_t events = 0;
+    std::optional<double> horizon;  ///< unset: the app's own
+    std::optional<std::uint64_t> events;
 };
 
 Options
@@ -80,11 +81,17 @@ parse(int argc, char **argv)
             opt.seed = sim::parseCount(need("--seed"), kUsage);
         else if (!std::strcmp(argv[i], "--horizon"))
             opt.horizon = sim::parseNumber(need("--horizon"), kUsage);
-        else if (!std::strcmp(argv[i], "--events"))
+        else if (!std::strcmp(argv[i], "--events")) {
             opt.events = sim::parseCount(need("--events"), kUsage);
-        else
+            sim::requireAbove(double(*opt.events), 0.0, "--events",
+                              kUsage);
+        } else
             usage();
     }
+    // The event-free start must leave room for the events.
+    if (opt.horizon)
+        sim::requireAbove(*opt.horizon, opt.app->schedule.eventFree,
+                          "--horizon", kUsage);
     return opt;
 }
 
@@ -114,10 +121,8 @@ main(int argc, char **argv)
     std::vector<Policy> policies = policiesFor(opt.policy);
 
     ScheduleSpec spec = opt.app->schedule;
-    if (opt.horizon > 0)
-        spec.horizon = opt.horizon;
-    if (opt.events > 0)
-        spec.events = opt.events;
+    spec.horizon = opt.horizon.value_or(spec.horizon);
+    spec.events = opt.events.value_or(spec.events);
     auto sched = drawSchedule(spec, opt.seed);
 
     std::printf("%s: %zu events over %.0f s (seed %llu)\n\n",

@@ -25,6 +25,7 @@ main(int argc, char **argv)
 {
     setQuiet(true);
     double orbits = argc > 1 ? sim::parseNumber(argv[1], kUsage) : 4.0;
+    sim::requireAbove(orbits, 0.0, "orbits", kUsage);
     env::OrbitLight orbit;
 
     std::printf("CapySat: %.1f orbits of %.1f min (%.1f min eclipse "

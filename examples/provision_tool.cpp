@@ -30,8 +30,9 @@ int
 main(int argc, char **argv)
 {
     setQuiet(true);
-    double harvest =
-        (argc > 1 ? sim::parseNumber(argv[1], kUsage) : 8.0) * 1e-3;
+    double harvest_mw = argc > 1 ? sim::parseNumber(argv[1], kUsage) : 8.0;
+    sim::requireAbove(harvest_mw, 0.0, "harvest_mW", kUsage);
+    double harvest = harvest_mw * 1e-3;
     auto mcu = dev::msp430fr5969();
     const auto ble = dev::bleRadio();
     const auto apds = dev::periph::apds9960Gesture();

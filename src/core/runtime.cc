@@ -28,7 +28,7 @@ Runtime::Runtime(rt::Kernel &kernel_ref, ModeRegistry registry_in,
                  Policy policy, dev::NvMemory *nv)
     : kernel(kernel_ref), registry(std::move(registry_in)),
       activePolicy(policy), nvPbCharging(nv, 0),
-      nvBelievedMode(nv, kNoMode), nvBurstAttempt(nv, nullptr)
+      nvBelievedMode(nv, kNoMode), nvBurstAttempt(nv, kNoBurst)
 {}
 
 void
@@ -112,9 +112,9 @@ Runtime::gate(const rt::Task &task)
     }
 
     // Leaving a burst task behind clears its retry flag.
-    if (nvBurstAttempt.get() != nullptr &&
-        nvBurstAttempt.get() != &task) {
-        nvBurstAttempt.set(nullptr);
+    if (nvBurstAttempt.get() != kNoBurst &&
+        nvBurstAttempt.get() != task.index) {
+        nvBurstAttempt.set(kNoBurst);
     }
 
     switch (ann.kind) {
@@ -154,7 +154,7 @@ Runtime::handleBurst(const rt::Task &task, ModeId mode)
     auto &ps = kernel.device().powerSystem();
     ps.clearChargeCeiling();
 
-    if (nvBurstAttempt.get() == &task) {
+    if (nvBurstAttempt.get() == task.index) {
         // The previous attempt of this burst power-failed: the
         // pre-charged energy was insufficient (provisioning is for
         // the average case, §6.3). Fall back to charging fully on
@@ -172,7 +172,7 @@ Runtime::handleBurst(const rt::Task &task, ModeId mode)
     applyMode(mode);
     nvBelievedMode.set(mode);
     ++rtStats.burstActivations;
-    nvBurstAttempt.set(&task);
+    nvBurstAttempt.set(static_cast<std::uint32_t>(task.index));
     return true;
 }
 

@@ -11,6 +11,7 @@
 #ifndef CAPY_CORE_RUNTIME_HH
 #define CAPY_CORE_RUNTIME_HH
 
+#include <cstdint>
 #include <vector>
 
 #include "core/energy_mode.hh"
@@ -152,9 +153,12 @@ class Runtime
     dev::NvCell<ModeId> nvBelievedMode;
     /** Boot count at the last gate, to detect fresh boots. */
     std::uint64_t lastSeenBoots = ~0ull;
-    /** Burst task the gate let run but that has not yet been left
-     *  behind (a gate for another task clears it). */
-    dev::NvCell<const rt::Task *> nvBurstAttempt;
+    /** nvBurstAttempt when no burst attempt is open. */
+    static constexpr std::uint32_t kNoBurst = ~std::uint32_t{0};
+    /** Task::index of the burst task the gate let run but that has
+     *  not yet been left behind (a gate for another task clears it);
+     *  one NV word, as the kernel's task word. */
+    dev::NvCell<std::uint32_t> nvBurstAttempt;
     bool installed = false;
 };
 

@@ -5,7 +5,6 @@
 
 #include "power/solver.hh"
 #include "sim/logging.hh"
-#include "sim/work.hh"
 
 namespace capy::power
 {
@@ -104,33 +103,6 @@ TraceHarvester::indexAt(double local) const
     return lo;
 }
 
-std::size_t
-TraceHarvester::seek(double local) const
-{
-    // Queries arrive in (mostly) non-decreasing time order, so the
-    // active sample is the cursor's or a few ahead; scan forward from
-    // the cursor and only fall back to the binary search when the
-    // query jumped backward (loop wrap, predictive-query restart) or
-    // far ahead.
-    constexpr std::size_t kMaxScan = 32;
-    std::size_t i = cursor;
-    if (i < trace.size() && trace[i].time <= local) {
-        std::size_t scanned = 0;
-        while (i + 1 < trace.size() && trace[i + 1].time <= local &&
-               scanned < kMaxScan) {
-            ++i;
-            ++scanned;
-        }
-        if (i + 1 >= trace.size() || trace[i + 1].time > local) {
-            cursor = i;
-            return i;
-        }
-    }
-    ++sim::workCounts.seeks;
-    cursor = indexAt(local);
-    return cursor;
-}
-
 double
 TraceHarvester::localTime(sim::Time t) const
 {
@@ -143,7 +115,7 @@ TraceHarvester::power(sim::Time t) const
 {
     if (!looping && t >= span)
         return 0.0;
-    return trace[seek(localTime(t))].power;
+    return trace[indexAt(localTime(t))].power;
 }
 
 sim::Time
@@ -152,7 +124,7 @@ TraceHarvester::nextChange(sim::Time t) const
     if ((!looping && t >= span) || (looping && trace.size() == 1))
         return kNever;  // past the end, or one sample looped forever
     double local = localTime(t);
-    std::size_t idx = seek(local);
+    std::size_t idx = indexAt(local);
     bool wraps = looping && idx + 1 == trace.size();
     double next_local =
         idx + 1 < trace.size() ? trace[idx + 1].time : span;

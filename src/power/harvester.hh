@@ -141,22 +141,8 @@ class TraceHarvester : public Harvester
 
   private:
     /** Index of the sample active at trace-local time @p local,
-     *  by binary search (the cursor fallback and the oracle the
-     *  property tests compare against). */
+     *  by binary search. */
     std::size_t indexAt(double local) const;
-
-    /**
-     * Cursor-accelerated indexAt(). Simulation time only moves
-     * forward, so queries resume from a cursor and scan ahead a few
-     * samples (amortized O(1)) instead of binary-searching the trace
-     * on every call. Backward jumps (predictive-query restarts, loop
-     * wrap) fall back to the binary search, counted in
-     * sim::WorkCounts::seeks. The cursor is pure memo state: results
-     * are bit-identical to the uncursored search. Instances are
-     * owned by a single simulation (one sweep job), so the mutable
-     * cursor needs no synchronization.
-     */
-    std::size_t seek(double local) const;
 
     /** Trace-local time of @p t: the one mapping power() and
      *  nextChange() share, exact (fmod) when looping. */
@@ -166,7 +152,6 @@ class TraceHarvester : public Harvester
     double outputVoltage;
     bool looping;
     sim::Time span;
-    mutable std::size_t cursor = 0;
 };
 
 /**

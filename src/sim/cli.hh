@@ -2,8 +2,9 @@
  * @file
  * Whole-value parsing of numeric command-line arguments, for the
  * tools and examples: a value that strtoull/strtod would read only in
- * part (or not at all) is refused with the program's usage text
- * instead of quietly becoming 0 or its numeric prefix.
+ * part (or not at all), or one out of the argument's range, is
+ * refused with the program's usage text instead of quietly becoming
+ * 0, its numeric prefix or a default, or aborting the run.
  */
 
 #ifndef CAPY_SIM_CLI_HH
@@ -49,6 +50,19 @@ parseNumber(const char *text, const char *usage)
         std::exit(2);
     }
     return v;
+}
+
+/** Unless @p value > @p floor, print why and @p usage to stderr and
+ *  exit 2; @p what names the argument. */
+inline void
+requireAbove(double value, double floor, const char *what,
+             const char *usage)
+{
+    if (!(value > floor)) {
+        std::fprintf(stderr, "%s must be above %g, not %g\n%s", what,
+                     floor, value, usage);
+        std::exit(2);
+    }
 }
 
 } // namespace capy::sim

@@ -32,9 +32,8 @@ struct WorkCounts
     /** exp(-dt/tau) evaluations in power::advanceEnergy() that no
      *  power::ExpCache served: memo misses and unmemoized calls. */
     std::uint64_t exps = 0;
-    /** Cursor lookups that fell back to a binary search (a backward
-     *  or a long forward jump): env::EventSchedule's and
-     *  power::TraceHarvester's. */
+    /** env::EventSchedule cursor lookups that fell back to a binary
+     *  search (a backward or a long forward jump). */
     std::uint64_t seeks = 0;
     /** Callback events scheduled (EventQueue::schedule(Time,
      *  std::function)); the simulator's own components schedule

@@ -932,13 +932,14 @@ TEST(CrashSweepArgs, MalformedNumbersAreRejectedWithUsage)
 {
     // Before any oracle run: a value strtoull/strtod would read only
     // in part (or not at all) must not quietly become 0 or a prefix,
-    // and --break-recovery is refused on the apps that keep no
-    // checkpoint journal for it to break.
+    // a horizon must be positive, and --break-recovery is refused on
+    // the apps that keep no checkpoint journal for it to break.
     for (const char *args :
          {"--app csr --time-points x", "--app csr --seed x",
           "--app csr --max-points 12abc", "--app csr --horizon 4s",
-          "--app csr --stride -1", "--app csr --break-recovery",
-          "--app grc --break-recovery", "--app ta --break-recovery",
+          "--app csr --horizon -5", "--app csr --stride -1",
+          "--app csr --break-recovery", "--app grc --break-recovery",
+          "--app ta --break-recovery",
           "--app capysat --break-recovery"}) {
         SweepOut r = runCrashSweepWithJobs(args, "1");
         EXPECT_EQ(r.exitCode, 2) << args << "\n" << r.output;

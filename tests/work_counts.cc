@@ -23,9 +23,8 @@
  *   solves       crossing-time solves (power::timeToEnergy) in the
  *                power walker; a phase whose step clearly misses its
  *                level and stop (power::stepMisses) takes none
- *   seeks        cursor lookups (env::EventSchedule,
- *                power::TraceHarvester) that fell back to a binary
- *                search
+ *   seeks        env::EventSchedule cursor lookups that fell back
+ *                to a binary search
  *   cb_events    callback events scheduled (EventQueue::schedule with
  *                a std::function); the device and the fault injector
  *                schedule sim::Events they own, so 0 on every row

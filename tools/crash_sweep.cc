@@ -218,8 +218,10 @@ main(int argc, char **argv)
             opt.maxPoints = sim::parseCount(next(), kUsage);
         else if (arg == "--time-points")
             opt.timePoints = sim::parseCount(next(), kUsage);
-        else if (arg == "--horizon")
+        else if (arg == "--horizon") {
             opt.horizon = sim::parseNumber(next(), kUsage);
+            sim::requireAbove(opt.horizon, 0.0, "--horizon", kUsage);
+        }
         else if (arg == "--seed")
             opt.seed = sim::parseCount(next(), kUsage);
         else if (arg == "--glitch")
