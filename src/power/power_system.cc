@@ -136,6 +136,17 @@ PowerSystem::compose()
                    ? 1.0 / inv_esr
                    : 0.0;
     node.valid = node.capacitance > 0.0;
+    if (!node.valid)
+        return;
+    for (const FullMark &m : fullMarks) {
+        if (m.capacitance == node.capacitance && m.top == top) {
+            fullEnergy = m.energy;
+            return;
+        }
+    }
+    fullEnergy = energyReaching(top - kVTol, node.capacitance);
+    fullMarks[nextFullMark] = {node.capacitance, top, fullEnergy};
+    nextFullMark = (nextFullMark + 1) % fullMarks.size();
 }
 
 void
@@ -176,7 +187,7 @@ PowerSystem::walkSegment(Node &n, sim::Time t0, double span,
         PhaseStep s = phaseStep(
             spec.input, p_h, v_h,
             {n.energy, n.capacitance, n.leakRes, top, pd, true,
-             n.voltage() >= top - kVTol});
+             n.energy >= fullEnergy});
 
         if (s.parked) {
             // Parked for the rest of the span, taking in s.input: what
@@ -494,7 +505,7 @@ PowerSystem::startupVoltage(double rail_load) const
 bool
 PowerSystem::isFull() const
 {
-    return node.valid && node.voltage() >= top - kVTol;
+    return node.valid && node.energy >= fullEnergy;
 }
 
 sim::Time

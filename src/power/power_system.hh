@@ -15,6 +15,8 @@
 #ifndef CAPY_POWER_POWER_SYSTEM_HH
 #define CAPY_POWER_POWER_SYSTEM_HH
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -285,8 +287,8 @@ class PowerSystem
         double energyAt(double v) const;
     };
 
-    /** Rebuild the node and the charge target from the banks, the
-     *  design target and the ceiling. */
+    /** Rebuild the node, the charge target and fullEnergy from the
+     *  banks, the design target and the ceiling. */
     void compose();
 
     /** Split the node's energy into the active banks (e_i = E·c_i/C)
@@ -341,6 +343,20 @@ class PowerSystem
     bool wasFull = false;  ///< for charge-completion counting
     Node node;             ///< the active banks, from compose()
     double top = 0.0;      ///< effective charge target, from compose()
+    /** Energy from which the node counts as full, from compose():
+     *  `node.energy >= fullEnergy` is `node.voltage() >= top - kVTol`
+     *  without the divide and the sqrt. */
+    double fullEnergy = 0.0;
+    /** fullEnergy of the last few exact (capacitance, top) pairs, so
+     *  a reconfiguration back to a known node searches nothing. */
+    struct FullMark
+    {
+        double capacitance = 0.0;  ///< never matches a valid node
+        double top = 0.0;
+        double energy = 0.0;
+    };
+    std::array<FullMark, 4> fullMarks{};
+    std::size_t nextFullMark = 0;  ///< the mark a new pair replaces
     EnergyStats energyStats;
     /** Energy preset through setBankVoltageForTest(), J. */
     double openingEnergy = 0.0;

@@ -35,6 +35,23 @@ steadyStateEnergy(const Phase &ph)
 }
 
 double
+energyReaching(double v, double capacitance)
+{
+    capy_assert(capacitance > 0.0, "capacitance %g <= 0", capacitance);
+    if (!(v > 0.0))
+        return 0.0;
+    auto reaches = [&](double e) {
+        return std::sqrt(2.0 * e / capacitance) >= v;
+    };
+    double e = 0.5 * capacitance * v * v;
+    while (!reaches(e))
+        e = std::nextafter(e, kNever);
+    while (e > 0.0 && reaches(std::nextafter(e, 0.0)))
+        e = std::nextafter(e, 0.0);
+    return e;
+}
+
+double
 uncachedExp(double dt, double tau)
 {
     ++sim::workCounts.exps;

@@ -52,12 +52,13 @@ double uncachedExp(double dt, double tau);
 /**
  * Small direct-mapped memo for exp(-dt / tau).
  *
- * The power-system hot path evaluates the same exponential repeatedly
+ * The power-system hot path evaluates the same exponentials repeatedly
  * for unchanged (dt, tau) pairs: back-to-back workloads of one fixed
  * duration on an unchanged node each step the same interval under the
- * same time constant. On the Fig. 8 GRC-Fast Fixed cell (seed
- * 20180324), where every walked phase looks up one exp, 294,561 of
- * 294,764 lookups hit.
+ * same time constant, and a duty cycle (CapySat's sampling MCU: a
+ * 70 ms sample, then a 1 s sleep) alternates a few such pairs. On the
+ * Fig. 8 GRC-Fast Fixed cell (seed 20180324), where every walked
+ * phase looks up one exp, 294,561 of 294,764 lookups hit.
  * Entries are keyed on the exact (dt, tau) bit patterns and store the
  * exp value computed the normal way, so a hit returns bit-identical
  * results — the memo can change nothing observable. A miss counts in
@@ -87,15 +88,28 @@ class ExpCache
         double value = 0.0;
     };
 
+    /**
+     * A slot that depends on every bit of both keys: durations such
+     * as 1 s, 10 s and 540 s have all-zero low mantissa bits, so a
+     * slot read from those bits put them all in one slot, and a duty
+     * cycle's pairs evicted each other on every lookup. The 128-bit
+     * product by an odd constant, folded, carries each input bit into
+     * the low bits.
+     */
     static std::size_t
     slotFor(double dt, double tau)
     {
-        std::uint64_t h = std::bit_cast<std::uint64_t>(dt) ^
-                          (std::bit_cast<std::uint64_t>(tau) >> 1);
-        return std::size_t((h ^ (h >> 17)) & (kSlots - 1));
+        const std::uint64_t key =
+            std::bit_cast<std::uint64_t>(dt) ^
+            std::rotl(std::bit_cast<std::uint64_t>(tau), 32);
+        const unsigned __int128 p =
+            static_cast<unsigned __int128>(key) * 0x9e3779b97f4a7c15u;
+        const auto h = static_cast<std::uint64_t>(p) ^
+                       static_cast<std::uint64_t>(p >> 64);
+        return std::size_t(h & (kSlots - 1));
     }
 
-    static constexpr std::size_t kSlots = 4;
+    static constexpr std::size_t kSlots = 16;
     std::array<Entry, kSlots> entries{};
 };
 
@@ -136,6 +150,15 @@ bool stepMisses(double e0, double e1, double target, const Phase &ph);
  * phase with positive power.
  */
 double steadyStateEnergy(const Phase &ph);
+
+/**
+ * The smallest energy e >= 0 whose voltage std::sqrt(2.0 * e /
+ * @p capacitance) is at least @p v, so that `e >= energyReaching(v,
+ * C)` and `std::sqrt(2.0 * e / C) >= v` agree for every double e >= 0.
+ * The division and the sqrt are correctly rounded, so the voltage is
+ * monotone in e; the search steps ulps from 0.5 C v^2. 0 for v <= 0.
+ */
+double energyReaching(double v, double capacitance);
 
 /** A storage node as phaseStep() sees it. */
 struct StepNode

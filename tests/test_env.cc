@@ -10,6 +10,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -414,6 +415,25 @@ TEST(Light, OrbitSunlitAndEclipse)
     auto f = orbit.illumination();
     EXPECT_DOUBLE_EQ(f(lit * 0.5), 1.0);
     EXPECT_DOUBLE_EQ(f(lit + 1.0), 0.0);
+}
+
+TEST(LightDeathTest, OrbitSpecMustDescribeAnOrbit)
+{
+    // A zero period made fmod(t, 0) NaN, so sunlit() read eclipse at
+    // every instant.
+    EXPECT_DEATH(OrbitLight(OrbitLight::Spec{0.0, -1.0}), "orbit period");
+    EXPECT_DEATH(OrbitLight(OrbitLight::Spec{-5550.0, 0.0}),
+                 "orbit period");
+    EXPECT_DEATH(
+        OrbitLight(OrbitLight::Spec{
+            std::numeric_limits<double>::quiet_NaN(), 0.0}),
+        "orbit period");
+    EXPECT_DEATH(OrbitLight(OrbitLight::Spec{5550.0, -1.0}), "eclipse");
+    EXPECT_DEATH(OrbitLight(OrbitLight::Spec{5550.0, 5550.0}), "eclipse");
+    // No eclipse at all is an orbit.
+    OrbitLight always_lit(OrbitLight::Spec{5550.0, 0.0});
+    EXPECT_TRUE(always_lit.sunlit(5549.999));
+    EXPECT_TRUE(always_lit.sunlit(5550.0));
 }
 
 TEST(Scoreboard, DefaultsToMissed)

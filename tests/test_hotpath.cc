@@ -7,17 +7,25 @@
  * — a single ulp of drift would break the byte-identical sweep
  * guarantee. That the exp memos still serve their lookups is read
  * off sim::workCounts (the exps no memo served). TraceHarvester's
- * step lookup is held to the same exact oracle.
+ * step lookup is held to the same exact oracle, and so are the two
+ * thresholds that stand in for a libm call on the power step:
+ * OrbitLight's cached orbit boundaries (for fmod) and PowerSystem's
+ * full energy (for a divide and a sqrt). Each threshold oracle also
+ * runs on a predicate shifted by one ulp, which it must catch.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <vector>
 
+#include "apps/boards.hh"
+#include "env/light.hh"
 #include "power/harvester.hh"
 #include "power/parts.hh"
 #include "power/power_system.hh"
@@ -250,20 +258,42 @@ TEST(HotPath, ExpMemoIsExact)
     for (int i = 0; i < 32; ++i)
         pairs.emplace_back(rng.uniform(1e-6, 1e4),
                            rng.uniform(1e-3, 1e5));
-    // Exactness under eviction pressure: 32 pairs thrash 4 slots.
+    // Exactness under eviction pressure: 32 pairs thrash 16 slots.
     for (int round = 0; round < 16; ++round) {
         for (auto [dt, tau] : pairs)
             EXPECT_EQ(memo.expNegRatio(dt, tau), std::exp(-dt / tau));
     }
-    // The memo's target access pattern is immediate repetition of one
-    // pair (back-to-back workloads of one duration on one node): the
-    // repeat evaluates nothing.
+    // A pair repeated at once (back-to-back workloads of one duration
+    // on one node) evaluates nothing the second time; pairs that
+    // alternate are ExpMemoKeepsADutyCycleHot's case.
     for (auto [dt, tau] : pairs) {
         (void)memo.expNegRatio(dt, tau);
         const std::uint64_t exps = sim::workCounts.exps;
         EXPECT_EQ(memo.expNegRatio(dt, tau), std::exp(-dt / tau));
         EXPECT_EQ(sim::workCounts.exps, exps);
     }
+}
+
+TEST(HotPath, ExpMemoKeepsADutyCycleHot)
+{
+    // CapySat's duty cycle under its EDLC stacks' time constant
+    // (3025 s): a 70 ms sample (as the clock's subtraction rounds
+    // it), a 1 s sleep, a 10 s beacon interval and a 540 s
+    // orbit-light segment. Round durations have no low mantissa bits
+    // set, so a slot read from those bits alone puts all four in one
+    // slot, and each lookup evicts the last.
+    constexpr double kTau = 0x1.7a2p+11;
+    const std::pair<double, double> cycle[] = {
+        {0x1.1eb851eb8p-4, kTau}, {1.0, kTau}, {10.0, kTau},
+        {540.0, kTau}};
+    ExpCache memo;
+    const std::uint64_t exps = sim::workCounts.exps;
+    for (int round = 0; round < 1000; ++round) {
+        for (auto [dt, tau] : cycle)
+            ASSERT_EQ(memo.expNegRatio(dt, tau), std::exp(-dt / tau));
+    }
+    // Each pair is evaluated once, then served from its own slot.
+    EXPECT_LE(sim::workCounts.exps - exps, std::size(cycle));
 }
 
 TEST(HotPath, WalkerAndDecayMemosBothHit)
@@ -336,4 +366,199 @@ TEST(HotPath, NodeMatchesItsBanksAfterEveryControlCall)
     }
     // The exp memo served repeated walks.
     EXPECT_LT(tally.repeat, tally.first);
+}
+
+namespace
+{
+
+/** @p n doubles each side of @p x, and @p x, in increasing order. */
+std::vector<double>
+ulpsAround(double x, int n)
+{
+    for (int i = 0; i < n; ++i)
+        x = std::nextafter(x, -std::numeric_limits<double>::infinity());
+    std::vector<double> xs;
+    for (int i = 0; i <= 2 * n; ++i) {
+        xs.push_back(x);
+        x = std::nextafter(x, std::numeric_limits<double>::infinity());
+    }
+    return xs;
+}
+
+/**
+ * The doubles within 64 ulps of each orbit start and each sunset of
+ * orbits 0-2000 on which @p sunlit disagrees with the definition,
+ * std::fmod(t, P) < P - E. Each neighbourhood is swept up and then
+ * down, so a cached orbit is entered from both sides.
+ */
+int
+orbitMismatches(const env::OrbitLight::Spec &spec,
+                const std::function<bool(double)> &sunlit)
+{
+    const double period = spec.orbitPeriod;
+    const double lit = period - spec.eclipseDuration;
+    int bad = 0;
+    auto check = [&](double t) {
+        bad += sunlit(t) != (std::fmod(t, period) < lit);
+    };
+    for (int k = 0; k <= 2000; ++k) {
+        for (double edge : {k * period, k * period + lit}) {
+            const std::vector<double> ts = ulpsAround(edge, 64);
+            for (double t : ts)
+                check(t);
+            for (auto it = ts.rbegin(); it != ts.rend(); ++it)
+                check(*it);
+        }
+    }
+    return bad;
+}
+
+const env::OrbitLight::Spec kOrbitSpecs[] = {
+    {},                // 5550 s, 2160 s eclipse: CapySat's orbit
+    {5550.3, 2160.7},  // boundaries that are not integers
+};
+
+} // namespace
+
+TEST(HotPath, OrbitLightMatchesFmodAtEveryBoundary)
+{
+    for (const env::OrbitLight::Spec &spec : kOrbitSpecs) {
+        SCOPED_TRACE(testing::Message() << "period " << spec.orbitPeriod);
+        const env::OrbitLight orbit(spec);
+        const auto light = orbit.illumination();
+        EXPECT_EQ(orbitMismatches(spec,
+                                  [&](double t) { return orbit.sunlit(t); }),
+                  0);
+        EXPECT_EQ(orbitMismatches(spec,
+                                  [&](double t) { return light(t) == 1.0; }),
+                  0);
+        // Negative control: a light whose sunset (and sunrise) comes
+        // one ulp late must be caught.
+        const env::OrbitLight late(spec);
+        EXPECT_GT(orbitMismatches(spec,
+                                  [&](double t) {
+                                      return late.sunlit(std::nextafter(
+                                          t, -std::numeric_limits<
+                                                 double>::infinity()));
+                                  }),
+                  0);
+    }
+}
+
+TEST(HotPath, OrbitLightMatchesFmodOnRandomJumps)
+{
+    sim::Rng rng(kSeed, 6);
+    for (const env::OrbitLight::Spec &spec : kOrbitSpecs) {
+        const env::OrbitLight orbit(spec);
+        const double period = spec.orbitPeriod;
+        const double lit = period - spec.eclipseDuration;
+        int bad = 0;
+        for (int i = 0; i < 100000; ++i) {
+            // Any time in orbits 0-2000, forward or back from the last.
+            const double t = rng.uniform(0.0, 2001.0 * period);
+            bad += orbit.sunlit(t) != (std::fmod(t, period) < lit);
+        }
+        EXPECT_EQ(bad, 0) << "period " << period;
+    }
+}
+
+namespace
+{
+
+/** PowerSystem's fullness tolerance: full from top - kVTol up. */
+constexpr double kVTol = 1e-6;
+
+/**
+ * Calls @p visit on every storage node the paper's boards form: each
+ * app board under each policy as built, then with its big bank
+ * closed, then under the pre-charge ceiling; and CapySat's two EDLC
+ * stacks.
+ */
+void
+forEachBoardNode(const std::function<void(PowerSystem &)> &visit)
+{
+    using apps::AppBoard;
+    for (AppBoard app : {AppBoard::TempAlarm, AppBoard::GestureFast,
+                         AppBoard::GestureCompact, AppBoard::CorrSense}) {
+        for (core::Policy policy : {core::Policy::Fixed,
+                                    core::Policy::CapyR,
+                                    core::Policy::CapyP}) {
+            sim::Simulator sim;
+            apps::Board board = apps::makeBoard(sim, app, policy);
+            PowerSystem &ps = *board.ps;
+            visit(ps);
+            if (board.bigBank < 0)
+                continue;
+            ps.setRailEnabled(true);
+            ps.commandSwitch(board.bigBank, true);
+            visit(ps);
+            ps.setChargeCeiling(ps.systemSpec().maxStorageVoltage -
+                                ps.systemSpec().prechargePenaltyVoltage);
+            visit(ps);
+        }
+    }
+    for (int caps : {3, 8}) {
+        PowerSystem ps(PowerSystem::Spec{},
+                       std::make_unique<RegulatedSupply>(5e-3, 3.3));
+        ps.addBank("sat", parts::cph3225a().parallel(caps));
+        visit(ps);
+    }
+}
+
+/** The energies within 64 ulps of @p threshold on which `e >=
+ *  threshold` disagrees with the voltage comparison it replaces. */
+int
+fullMismatches(double threshold, double capacitance, double top)
+{
+    int bad = 0;
+    for (double e : ulpsAround(threshold, 64))
+        bad += (e >= threshold) !=
+               (std::sqrt(2.0 * e / capacitance) >= top - kVTol);
+    return bad;
+}
+
+} // namespace
+
+TEST(HotPath, FullEnergyMatchesTheVoltageComparison)
+{
+    int nodes = 0;
+    forEachBoardNode([&](PowerSystem &ps) {
+        ++nodes;
+        const double c = ps.activeCapacitance();
+        const double top = ps.topVoltage();
+        SCOPED_TRACE(testing::Message() << "C " << c << " top " << top);
+        const double th = energyReaching(top - kVTol, c);
+        EXPECT_EQ(fullMismatches(th, c, top), 0);
+        // Negative controls: a threshold one ulp low, or high.
+        EXPECT_GT(fullMismatches(std::nextafter(th, 0.0), c, top), 0);
+        EXPECT_GT(fullMismatches(std::nextafter(th, 1.0), c, top), 0);
+    });
+    EXPECT_EQ(nodes, 4 + 2 * 4 * 3 + 2);
+}
+
+TEST(HotPath, IsFullMatchesTheVoltageComparison)
+{
+    // The system's own threshold, reached through bank presets: the
+    // active banks all at each voltage within 64 ulps of the
+    // fullness line.
+    forEachBoardNode([&](PowerSystem &ps) {
+        SCOPED_TRACE(testing::Message() << "C " << ps.activeCapacitance()
+                                        << " top " << ps.topVoltage());
+        int full = 0, bad = 0;
+        for (double v : ulpsAround(ps.topVoltage() - kVTol, 64)) {
+            for (int i = 0; i < ps.numBanks(); ++i) {
+                if (ps.bankActive(i))
+                    ps.setBankVoltageForTest(i, v);
+            }
+            const bool direct =
+                std::sqrt(2.0 * ps.activeEnergy() /
+                          ps.activeCapacitance()) >=
+                ps.topVoltage() - kVTol;
+            full += direct;
+            bad += ps.isFull() != direct;
+        }
+        EXPECT_EQ(bad, 0);
+        EXPECT_GT(full, 0);
+        EXPECT_LT(full, 129);
+    });
 }
