@@ -11,12 +11,12 @@
 #include <cstdio>
 #include <memory>
 
+#include "apps/experiment.hh"
 #include "bench_util.hh"
 #include "power/parts.hh"
 #include "power/power_system.hh"
 #include "power/solver.hh"
 #include "sim/logging.hh"
-#include "sim/runner.hh"
 #include "sim/stats.hh"
 
 using namespace capy;
@@ -77,11 +77,11 @@ main()
     };
 
     // Jobs 2i / 2i+1 are case i with/without the bypass.
-    sim::BatchRunner pool;
-    auto times = pool.map(2 * std::size(cases), [&](std::size_t i) {
-        const Case &c = cases[i / 2];
-        return chargeTime(c.bank, c.harvest, i % 2 == 0);
-    });
+    auto times =
+        apps::sweepPool().map(2 * std::size(cases), [&](std::size_t i) {
+            const Case &c = cases[i / 2];
+            return chargeTime(c.bank, c.harvest, i % 2 == 0);
+        });
 
     sim::Table t({"configuration", "cold start w/ bypass (s)",
                   "cold start w/o (s)", "cold-start speedup",

@@ -15,13 +15,13 @@
 #include <cstdio>
 #include <memory>
 
+#include "apps/experiment.hh"
 #include "bench_util.hh"
 #include "core/threshold_alt.hh"
 #include "dev/device.hh"
 #include "power/parts.hh"
 #include "power/power_system.hh"
 #include "sim/logging.hh"
-#include "sim/runner.hh"
 #include "sim/simulator.hh"
 #include "sim/stats.hh"
 
@@ -125,8 +125,7 @@ main()
         return coldStart(std::move(ps));
     };
 
-    sim::BatchRunner pool;
-    auto times = pool.map(3, [&](std::size_t i) {
+    auto times = apps::sweepPool().map(3, [&](std::size_t i) {
         return i == 0 ? run_c() : i == 1 ? run_vtop() : run_vbot();
     });
     double t_c = times[0];

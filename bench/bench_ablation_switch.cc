@@ -12,13 +12,13 @@
 #include <cstdio>
 #include <memory>
 
+#include "apps/experiment.hh"
 #include "bench_util.hh"
 #include "core/runtime.hh"
 #include "dev/device.hh"
 #include "power/parts.hh"
 #include "rt/kernel.hh"
 #include "sim/logging.hh"
-#include "sim/runner.hh"
 #include "sim/simulator.hh"
 #include "sim/stats.hh"
 
@@ -99,8 +99,7 @@ main()
     const power::SwitchKind kinds[2] = {
         power::SwitchKind::NormallyOpen,
         power::SwitchKind::NormallyClosed};
-    sim::BatchRunner pool;
-    auto results = pool.map(2, [&](std::size_t i) {
+    auto results = apps::sweepPool().map(2, [&](std::size_t i) {
         return run(kinds[i], harvest);
     });
     const Result &no = results[0];

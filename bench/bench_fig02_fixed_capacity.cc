@@ -13,6 +13,7 @@
 #include <memory>
 
 #include "apps/boards.hh"
+#include "apps/experiment.hh"
 #include "bench_util.hh"
 #include "dev/device.hh"
 #include "dev/peripheral.hh"
@@ -22,7 +23,6 @@
 #include "rt/channel.hh"
 #include "rt/kernel.hh"
 #include "sim/logging.hh"
-#include "sim/runner.hh"
 #include "sim/simulator.hh"
 #include "sim/stats.hh"
 #include "sim/trace.hh"
@@ -56,9 +56,6 @@ run(const power::CapacitorSpec &bank, double horizon)
         spec, std::make_unique<power::RegulatedSupply>(
                   apps::grcHarvestPower(), 3.3));
     ps->addBank("fixed", bank);
-    // The strip chart reads 60 coarse columns; no need to retain
-    // every internal step of the voltage trajectory.
-    out.volts.capPoints(65536);
     ps->attachVoltageTrace(&out.volts);
     dev::Device device(simulator, std::move(ps), dev::msp430fr5969(),
                        dev::Device::PowerMode::Intermittent);
@@ -143,8 +140,7 @@ main()
          power::parts::edlc7_5mF().parallel(9)});
 
     const power::CapacitorSpec banks[2] = {low_bank, high_bank};
-    sim::BatchRunner pool;
-    auto runs = pool.map(2, [&](std::size_t i) {
+    auto runs = apps::sweepPool().map(2, [&](std::size_t i) {
         return run(banks[i], horizon);
     });
     const FixedRun &low = runs[0];

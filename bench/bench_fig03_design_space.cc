@@ -13,13 +13,13 @@
 #include <memory>
 #include <vector>
 
+#include "apps/experiment.hh"
 #include "bench_util.hh"
 #include "dev/device.hh"
 #include "power/parts.hh"
 #include "power/power_system.hh"
 #include "power/solver.hh"
 #include "sim/logging.hh"
-#include "sim/runner.hh"
 #include "sim/simulator.hh"
 #include "sim/stats.hh"
 
@@ -91,9 +91,8 @@ main()
 
     std::vector<double> caps = {100e-6, 220e-6, 470e-6, 1e-3, 2.2e-3,
                                 4.7e-3, 6.8e-3, 10e-3};
-    sim::BatchRunner pool;
-    std::vector<Point> points =
-        pool.mapItems(caps, [](double c) { return measure(c); });
+    std::vector<Point> points = apps::sweepPool().mapItems(
+        caps, [](double c) { return measure(c); });
 
     double max_mops = points.back().mops;
     sim::Table t({"C (uF)", "atomicity (Mops)", "recharge (s)", ""});

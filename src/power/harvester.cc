@@ -144,17 +144,4 @@ TraceHarvester::nextChange(sim::Time t) const
     return next;
 }
 
-RfHarvester::RfHarvester(double harvest_power, double rectified_voltage)
-    : harvestPower(harvest_power), rectifiedVoltage(rectified_voltage)
-{
-    capy_assert(harvest_power >= 0.0, "negative RF power");
-    capy_assert(rectified_voltage > 0.0, "non-positive RF voltage");
-}
-
-sim::Time
-RfHarvester::nextChange(sim::Time) const
-{
-    return kNever;
-}
-
 } // namespace capy::power

@@ -154,25 +154,6 @@ class TraceHarvester : public Harvester
     sim::Time span;
 };
 
-/**
- * RF harvester: very low power at a voltage below what loads need,
- * usable only through the input booster (bypass never conducts once
- * storage rises above the antenna voltage).
- */
-class RfHarvester : public Harvester
-{
-  public:
-    RfHarvester(double harvest_power, double rectified_voltage);
-
-    double power(sim::Time) const override { return harvestPower; }
-    double voltage(sim::Time) const override { return rectifiedVoltage; }
-    sim::Time nextChange(sim::Time) const override;
-    std::string name() const override { return "rf-harvester"; }
-
-  private:
-    double harvestPower;
-    double rectifiedVoltage;
-};
 
 } // namespace capy::power
 

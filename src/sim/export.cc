@@ -1,7 +1,5 @@
 #include "sim/export.hh"
 
-#include <algorithm>
-#include <cstdio>
 #include <fstream>
 
 #include "sim/logging.hh"
@@ -20,37 +18,6 @@ writeCsv(const TimeSeries &series, const std::string &path)
 }
 
 bool
-writeCsv(const std::vector<const TimeSeries *> &series,
-         const std::string &path)
-{
-    capy_assert(!series.empty(), "no series to export");
-    std::ofstream out(path);
-    if (!out)
-        return false;
-
-    out << "time";
-    for (const TimeSeries *s : series)
-        out << ',' << s->name();
-    out << '\n';
-
-    // Union of timestamps, step interpolation via at().
-    std::vector<Time> times;
-    for (const TimeSeries *s : series)
-        for (const auto &p : s->points())
-            times.push_back(p.t);
-    std::sort(times.begin(), times.end());
-    times.erase(std::unique(times.begin(), times.end()), times.end());
-
-    for (Time t : times) {
-        out << t;
-        for (const TimeSeries *s : series)
-            out << ',' << (s->empty() ? 0.0 : s->at(t));
-        out << '\n';
-    }
-    return bool(out);
-}
-
-bool
 writeCsv(const SpanTrace &spans, const std::string &path)
 {
     std::ofstream out(path);
@@ -61,26 +28,6 @@ writeCsv(const SpanTrace &spans, const std::string &path)
         out << s.start << ',' << s.end << ',' << s.duration() << ','
             << s.label << '\n';
     }
-    return bool(out);
-}
-
-bool
-writeCsv(const Histogram &hist, const std::string &path)
-{
-    std::ofstream out(path);
-    if (!out)
-        return false;
-    out << "bin_lo,bin_hi,count\n";
-    if (hist.underflow() > 0)
-        out << "-inf," << hist.binLo(0) << ',' << hist.underflow()
-            << '\n';
-    for (std::size_t i = 0; i < hist.numBins(); ++i) {
-        out << hist.binLo(i) << ',' << hist.binHi(i) << ','
-            << hist.binCount(i) << '\n';
-    }
-    if (hist.overflow() > 0)
-        out << hist.binHi(hist.numBins() - 1) << ",+inf,"
-            << hist.overflow() << '\n';
     return bool(out);
 }
 

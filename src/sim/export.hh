@@ -1,17 +1,15 @@
 /**
  * @file
- * Export of recorded traces and statistics to CSV files (plus a
- * convenience gnuplot script emitter), so simulator output can feed
- * external plotting and analysis tools.
+ * Export of recorded traces to CSV files (plus a convenience gnuplot
+ * script emitter), so simulator output can feed external plotting and
+ * analysis tools.
  */
 
 #ifndef CAPY_SIM_EXPORT_HH
 #define CAPY_SIM_EXPORT_HH
 
 #include <string>
-#include <vector>
 
-#include "sim/stats.hh"
 #include "sim/trace.hh"
 
 namespace capy::sim
@@ -23,19 +21,8 @@ namespace capy::sim
  */
 bool writeCsv(const TimeSeries &series, const std::string &path);
 
-/**
- * Write several series into one CSV, step-aligned on the union of
- * their timestamps ("time,<name1>,<name2>,...").
- */
-bool writeCsv(const std::vector<const TimeSeries *> &series,
-              const std::string &path);
-
 /** Write a span trace as "start,end,duration,label" rows. */
 bool writeCsv(const SpanTrace &spans, const std::string &path);
-
-/** Write a histogram as "bin_lo,bin_hi,count" rows (with underflow
- *  and overflow rows marked -inf/+inf). */
-bool writeCsv(const Histogram &hist, const std::string &path);
 
 /**
  * A minimal gnuplot script that plots the first data column of

@@ -15,41 +15,6 @@ TimeSeries::record(Time t, double value)
                 "series '%s': time %g precedes last sample %g",
                 seriesName.c_str(), t, data.back().t);
     data.push_back({t, value});
-    decimateIfNeeded();
-}
-
-void
-TimeSeries::capPoints(std::size_t max_points)
-{
-    capy_assert(max_points == 0 || max_points >= 4,
-                "series '%s': point cap %zu too small (min 4)",
-                seriesName.c_str(), max_points);
-    maxPoints = max_points;
-    decimateIfNeeded();
-}
-
-void
-TimeSeries::decimateIfNeeded()
-{
-    if (maxPoints == 0 || data.size() <= maxPoints)
-        return;
-    // Keep the first sample, every other interior sample, and the
-    // last sample; repeat if a late capPoints() finds a large series.
-    while (data.size() > maxPoints) {
-        std::size_t w = 1;
-        for (std::size_t r = 2; r + 1 < data.size(); r += 2)
-            data[w++] = data[r];
-        data[w++] = data.back();
-        data.resize(w);
-    }
-}
-
-double
-TimeSeries::lastValue() const
-{
-    capy_assert(!data.empty(), "series '%s' is empty",
-                seriesName.c_str());
-    return data.back().value;
 }
 
 double

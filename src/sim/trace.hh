@@ -25,10 +25,7 @@ struct TracePoint
 
 /**
  * A named scalar-valued time series with monotonically non-decreasing
- * timestamps. Retention is unbounded by default; long-running
- * recorders can bound it with capPoints(), which decimates the
- * interior of the series (the first and most recent samples are
- * always kept exactly).
+ * timestamps.
  */
 class TimeSeries
 {
@@ -40,26 +37,10 @@ class TimeSeries
     /** Append a sample; @p t must not precede the previous sample. */
     void record(Time t, double value);
 
-    /**
-     * Bound retention to @p max_points (>= 4; 0 restores unbounded).
-     * When an append exceeds the bound, every other interior sample
-     * is dropped, so memory stays O(cap) while at() degrades to
-     * interpolation over a ~2x coarser grid. Decimation is a pure
-     * function of the record() sequence — no clocks, no randomness —
-     * so capped series stay deterministic across thread counts.
-     */
-    void capPoints(std::size_t max_points);
-
-    /** Retention bound; 0 = unbounded (the default). */
-    std::size_t pointCap() const { return maxPoints; }
-
     const std::string &name() const { return seriesName; }
     const std::vector<TracePoint> &points() const { return data; }
     bool empty() const { return data.empty(); }
     std::size_t size() const { return data.size(); }
-
-    /** Last recorded value; series must be non-empty. */
-    double lastValue() const;
 
     /**
      * Linear interpolation of the series at time @p t (clamped to the
@@ -71,12 +52,8 @@ class TimeSeries
     std::string csv() const;
 
   private:
-    /** Halve the interior when the cap is exceeded. */
-    void decimateIfNeeded();
-
     std::string seriesName;
     std::vector<TracePoint> data;
-    std::size_t maxPoints = 0;  ///< 0 = unbounded
 };
 
 /** A labelled half-open time interval [start, end). */

@@ -303,7 +303,10 @@ TEST(Harvester, IlluminationClampedToUnit)
 
 TEST(Harvester, RfHarvesterLowVoltage)
 {
-    RfHarvester h(200e-6, 1.2);
+    // An RF harvester is a constant source: microwatts rectified to a
+    // voltage below what loads need.
+    RegulatedSupply h(200e-6, 1.2);
     EXPECT_DOUBLE_EQ(h.power(0.0), 200e-6);
     EXPECT_DOUBLE_EQ(h.voltage(0.0), 1.2);
+    EXPECT_TRUE(std::isinf(h.nextChange(0.0)));
 }

@@ -130,11 +130,12 @@ TEST(PowerSystemMisc, HarvesterRefAndSpecAccessors)
 
 TEST(PowerSystemMisc, RfHarvesterChargesOnlyViaBooster)
 {
-    // RF rectified voltage 1.2 V: the bypass diode stops conducting
-    // almost immediately; the booster must lift the rest.
+    // An RF harvester is a constant source: 500 uW rectified to
+    // 1.2 V. The bypass diode stops conducting almost immediately;
+    // the booster must lift the rest.
     power::PowerSystem::Spec spec;
     power::PowerSystem ps(
-        spec, std::make_unique<power::RfHarvester>(500e-6, 1.2));
+        spec, std::make_unique<power::RegulatedSupply>(500e-6, 1.2));
     ps.addBank("b", power::parts::x5r100uF());
     sim::Time t = ps.timeToFull();
     ASSERT_TRUE(std::isfinite(t));

@@ -2,22 +2,18 @@
  * @file
  * Tests for the parallel batch-execution engine: results arrive in
  * submission order and are identical at every pool size, exceptions
- * propagate deterministically, empty batches are no-ops, CAPY_JOBS
- * controls the default pool size, and every bench binary that sweeps
- * through the engine emits byte-identical output at any thread
- * count.
+ * propagate deterministically, empty batches are no-ops, and
+ * CAPY_JOBS controls the default pool size. That the programs'
+ * output is the same at any thread count is checked by the goldens,
+ * each run at CAPY_JOBS=1 and 4.
  */
 
 #include <gtest/gtest.h>
 
-#include <sys/wait.h>
-
-#include <cstdio>
 #include <cstdlib>
 #include <functional>
 #include <numeric>
 #include <stdexcept>
-#include <string>
 #include <vector>
 
 #include "sim/logging.hh"
@@ -138,71 +134,6 @@ TEST(BatchRunner, SingleThreadPoolSpawnsNoWorkers)
     auto out = pool.map(5, [](std::size_t i) { return i; });
     EXPECT_EQ(out, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
 }
-
-// --- Cross-thread determinism of the bench sweeps ------------------
-//
-// Every bench converted to the parallel sweep engine must produce
-// byte-identical stdout at any CAPY_JOBS; each binary runs twice as a
-// subprocess (serial pool vs 4 threads) and the captured outputs are
-// compared byte for byte. CAPY_BENCH_BIN_DIR is injected by the
-// build so the test finds the binaries in any build tree.
-
-namespace
-{
-
-struct BenchRun
-{
-    int exitCode = -1;
-    std::string output;
-};
-
-BenchRun
-runBenchWithJobs(const std::string &name, const char *jobs)
-{
-    BenchRun r;
-    std::string cmd = std::string("CAPY_JOBS=") + jobs + " '" +
-                      CAPY_BENCH_BIN_DIR "/" + name + "' 2>&1";
-    std::FILE *pipe = popen(cmd.c_str(), "r");
-    if (pipe == nullptr)
-        return r;
-    char buf[4096];
-    std::size_t got;
-    while ((got = std::fread(buf, 1, sizeof buf, pipe)) > 0)
-        r.output.append(buf, got);
-    int status = pclose(pipe);
-    r.exitCode = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-    return r;
-}
-
-class BenchSweepDeterminism
-    : public ::testing::TestWithParam<const char *>
-{
-};
-
-} // namespace
-
-TEST_P(BenchSweepDeterminism, ByteIdenticalAcrossThreadCounts)
-{
-    BenchRun serial = runBenchWithJobs(GetParam(), "1");
-    BenchRun pooled = runBenchWithJobs(GetParam(), "4");
-    ASSERT_EQ(serial.exitCode, 0) << serial.output;
-    ASSERT_EQ(pooled.exitCode, 0) << pooled.output;
-    ASSERT_FALSE(serial.output.empty());
-    EXPECT_EQ(serial.output, pooled.output);
-    // Sanity: the run actually exercised the paper-shape harness.
-    EXPECT_NE(serial.output.find("paper-shape check"),
-              std::string::npos);
-}
-
-// The seven benches converted from serial loops in this PR; the rest
-// of the fig benches were converted with the engine itself and are
-// covered by their ctest shape checks.
-INSTANTIATE_TEST_SUITE_P(
-    ConvertedBenches, BenchSweepDeterminism,
-    ::testing::Values("bench_fig04_volume", "bench_characterization",
-                      "bench_capysat", "bench_allocation",
-                      "bench_checkpoint_comparison", "bench_federated",
-                      "bench_vtop_runtime"));
 
 TEST(BatchRunner, DefaultThreadsHonoursCapyJobs)
 {

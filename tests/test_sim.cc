@@ -964,7 +964,6 @@ TEST(TimeSeries, RecordAndInterpolate)
     EXPECT_DOUBLE_EQ(ts.at(5.0), 2.0);
     EXPECT_DOUBLE_EQ(ts.at(-1.0), 1.0);
     EXPECT_DOUBLE_EQ(ts.at(20.0), 3.0);
-    EXPECT_DOUBLE_EQ(ts.lastValue(), 3.0);
 }
 
 TEST(TimeSeries, CsvHasHeaderAndRows)

@@ -46,12 +46,10 @@ struct Options
 {
     std::string app = "csr";
     bool everyEvent = false;
-    std::uint64_t stride = 0;     ///< 0 = auto (~kAutoPoints points)
     std::uint64_t maxPoints = 0;  ///< 0 = unlimited
     std::uint64_t timePoints = 0; ///< >0 = time-indexed sweep
     double horizon = -1.0;        ///< <0 = per-app default
     std::uint64_t seed = 1;
-    bool glitch = false;
     bool breakRecovery = false;
     bool expectCaught = false;
     bool verbose = false;
@@ -142,8 +140,6 @@ FaultSpec
 baseSpec(const Options &opt)
 {
     FaultSpec spec;
-    spec.kind = opt.glitch ? dev::Device::FailureKind::Glitch
-                           : dev::Device::FailureKind::Collapse;
     spec.audit = true;
     spec.breakRecovery = opt.breakRecovery;
     return spec;
@@ -181,9 +177,9 @@ timePointsOverSpans(
 
 constexpr char kUsage[] =
     "usage: crash_sweep [--app csr|grc|ta|capysat|ckpt]\n"
-    "    [--every-event | --stride N | --time-points N]\n"
-    "    [--max-points N] [--horizon S] [--seed N] [--glitch]\n"
-    "    [--break-recovery] [--expect-caught] [--verbose]\n";
+    "    [--every-event | --time-points N] [--max-points N]\n"
+    "    [--horizon S] [--seed N] [--break-recovery] [--expect-caught]\n"
+    "    [--verbose]\n";
 
 int
 usage()
@@ -212,8 +208,6 @@ main(int argc, char **argv)
             opt.app = next();
         else if (arg == "--every-event")
             opt.everyEvent = true;
-        else if (arg == "--stride")
-            opt.stride = sim::parseCount(next(), kUsage);
         else if (arg == "--max-points")
             opt.maxPoints = sim::parseCount(next(), kUsage);
         else if (arg == "--time-points")
@@ -224,8 +218,6 @@ main(int argc, char **argv)
         }
         else if (arg == "--seed")
             opt.seed = sim::parseCount(next(), kUsage);
-        else if (arg == "--glitch")
-            opt.glitch = true;
         else if (arg == "--break-recovery")
             opt.breakRecovery = true;
         else if (arg == "--expect-caught")
@@ -237,7 +229,7 @@ main(int argc, char **argv)
     }
     if (opt.app != "ckpt" && opt.app != "capysat" && !chainApp(opt.app)) {
         std::fprintf(stderr, "unknown app '%s'\n", opt.app.c_str());
-        return 2;
+        return usage();
     }
     if (opt.breakRecovery && opt.app != "ckpt") {
         std::fprintf(stderr, "--break-recovery needs --app ckpt: the "
@@ -253,9 +245,8 @@ main(int argc, char **argv)
     oracle_spec.breakRecovery = opt.breakRecovery;
     SweepRun oracle = runReplica(opt, &oracle_spec, horizon);
     std::printf("crash_sweep app=%s horizon=%g seed=%" PRIu64
-                " kind=%s\n",
-                opt.app.c_str(), horizon, opt.seed,
-                opt.glitch ? "glitch" : "collapse");
+                " kind=collapse\n",
+                opt.app.c_str(), horizon, opt.seed);
     std::printf("oracle: events=%" PRIu64 " progress=%.9g "
                 "powerFailures=%" PRIu64 " auditChecks=%" PRIu64
                 " violations=%" PRIu64 "\n",
@@ -305,14 +296,10 @@ main(int argc, char **argv)
                     "%zu powered spans\n",
                     points.size(), oracle.faults.activeSpans.size());
     } else {
-        std::uint64_t stride;
-        if (opt.everyEvent)
-            stride = 1;
-        else if (opt.stride > 0)
-            stride = opt.stride;
-        else
-            stride = std::max<std::uint64_t>(
-                1, oracle.simEvents / kAutoPoints);
+        std::uint64_t stride =
+            opt.everyEvent ? 1
+                           : std::max<std::uint64_t>(
+                                 1, oracle.simEvents / kAutoPoints);
         std::vector<std::uint64_t> ks;
         for (std::uint64_t k = 1; k <= oracle.simEvents; k += stride)
             ks.push_back(k);
